@@ -11,10 +11,8 @@ from .pattern import PatternLayer, ProximalDendrite, reconstruction_error
 from .pooling import PoolingLayer, stability
 from .sdr import DimensionError, Sdr, flip_noise, overlap, sparsity, union
 from .transition import (
-    DistalSegment,
     FiringEvent,
     LayerOutput,
-    TmColumn,
     TmLayer,
     capacity,
     firing_time,
@@ -26,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CategoryEncoder",
     "DimensionError",
-    "DistalSegment",
     "FiringEvent",
     "LayerOutput",
     "PatternLayer",
@@ -35,7 +32,6 @@ __all__ = [
     "RunReport",
     "ScalarEncoder",
     "Sdr",
-    "TmColumn",
     "TmLayer",
     "capacity",
     "firing_time",

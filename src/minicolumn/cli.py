@@ -21,7 +21,7 @@ from .experiments import (
     run_pool,
     run_sequence,
 )
-from .transition import capacity
+from .transition import TmLayer, capacity
 
 __all__ = ["main"]
 
@@ -52,11 +52,14 @@ def _read_stream(path: str, scalar: bool) -> list:
             raise ConfigError([f"stream line {lineno}: empty line"])
         if scalar:
             try:
-                tokens.append(float(token))
+                value = float(token)
             except ValueError:
                 raise ConfigError(
                     [f"stream line {lineno}: cannot parse {token!r} as a number"]
                 ) from None
+            if not math.isfinite(value):
+                raise ConfigError([f"stream line {lineno}: {token!r} is not a finite number"])
+            tokens.append(value)
         else:
             tokens.append(token)
     if not tokens:
@@ -152,10 +155,12 @@ def _cmd_inspect(args) -> int:
     if params:
         for key in sorted(params):
             print(f"  {key}: {params[key]}")
-    if hasattr(model, "segments"):
-        n_segments = sum(len(s) for s in model.segments.values())
-        print(f"  cells with segments: {len(model.segments)}")
-        print(f"  total segments: {n_segments}")
+    tm = getattr(model, "tm", model)
+    if isinstance(tm, TmLayer):
+        counts = tm.distal_counts()
+        print(f"  cells with segments: {counts['cells_with_segments']}")
+        print(f"  total segments: {counts['segments']}")
+        print(f"  total distal synapses: {counts['synapses']}")
     if hasattr(model, "symbol_table"):
         print(f"  symbols: {sorted(map(str, model.symbol_table))}")
     return 0

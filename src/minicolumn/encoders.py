@@ -91,7 +91,8 @@ class ScalarEncoder:
 
     A value maps to ``active_bits`` consecutive positions whose start slides
     linearly with the value, so nearby values share bits and the shared count
-    falls off with distance. Values outside [min_value, max_value] clamp.
+    falls off with distance. Values outside [min_value, max_value] clamp; NaN
+    is rejected.
     """
 
     def __init__(
@@ -115,7 +116,10 @@ class ScalarEncoder:
         self.active_bits = active_bits
 
     def encode(self, value: float) -> Sdr:
-        v = min(max(float(value), self.min_value), self.max_value)
+        v = float(value)
+        if math.isnan(v):
+            raise ValueError("cannot encode NaN")
+        v = min(max(v, self.min_value), self.max_value)
         span = self.universe_size - self.active_bits
         frac = (v - self.min_value) / (self.max_value - self.min_value)
         start = min(int(math.floor(frac * span)), span)

@@ -256,24 +256,36 @@ class SequenceModel:
         )
 
 
+def _construct(section: str, cls, **kwargs):
+    """Build one part of the model; a rejected value becomes a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([f"{section}: {exc}"]) from exc
+
+
 def build_model(config: ExperimentConfig, with_pool: bool = False) -> SequenceModel:
     enc = dict(config.encoder)
     enc_type = enc.pop("type", "category")
     if enc_type == "scalar":
-        encoder = ScalarEncoder(**enc)
+        encoder = _construct("encoder", ScalarEncoder, **enc)
     else:
-        encoder = CategoryEncoder(**enc, rng_seed=config.seed)
+        encoder = _construct("encoder", CategoryEncoder, **enc, rng_seed=config.seed)
 
     layer = dict(config.layer)
     if layer.get("dtau_vert") == "inf":
         layer["dtau_vert"] = math.inf
-    tm = TmLayer(input_size=encoder.universe_size, seed=config.seed, **layer)
+    tm = _construct(
+        "layer", TmLayer, input_size=encoder.universe_size, seed=config.seed, **layer
+    )
 
     pool = None
     if with_pool:
         if config.pool is None:
             raise ConfigError(["pool section is required for pooling runs"])
-        pool = PoolingLayer(input_size=tm.n_cells, seed=config.seed + 1, **config.pool)
+        pool = _construct(
+            "pool", PoolingLayer, input_size=tm.n_cells, seed=config.seed + 1, **config.pool
+        )
     return SequenceModel(encoder=encoder, tm=tm, pool=pool)
 
 

@@ -9,6 +9,7 @@ reproduces an uninterrupted one.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 __all__ = [
@@ -65,19 +66,30 @@ def _kind_of(model) -> str:
 
 
 def save(model, path: str | Path) -> None:
-    """Write a self-describing snapshot of the model to ``path``."""
+    """Write a self-describing snapshot of the model to ``path``.
+
+    The snapshot is streamed to a temporary file next to ``path`` and moved
+    over it only once complete, so a failed save leaves any previous
+    snapshot at ``path`` as it was.
+    """
     document = {
         "format_version": FORMAT_VERSION,
         "kind": _kind_of(model),
         "state": model.to_state(),
     }
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with path.open("w") as fh:
+        with tmp.open("w") as fh:
             json.dump(document, fh)
             fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
         raise SnapshotError(f"cannot write snapshot {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load(path: str | Path):

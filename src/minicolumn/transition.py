@@ -12,12 +12,14 @@ emerge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pattern import PatternLayer, ProximalDendrite
+from .pattern import PatternLayer
 from .sdr import Sdr
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "I_SPREAD",
     "FiringEvent",
     "DistalSegment",
-    "TmColumn",
     "LayerOutput",
     "TmLayer",
     "capacity",
@@ -51,80 +52,28 @@ class FiringEvent(NamedTuple):
     rate: float  # depolarisation rate; firing time = gamma / rate
 
 
+# Builds a FiringEvent from a (unit, kind, rate) tuple without a Python-level
+# call, for the thousands of sheath events of a large layer.
+_new_event = partial(tuple.__new__, FiringEvent)
+
+
 def firing_time(rate: float, gamma: float = 1.0) -> float:
     """Time to reach firing threshold; infinite when nothing depolarises."""
     return gamma / rate if rate > 0.0 else math.inf
 
 
-class DistalSegment:
-    """Coincidence detector over prior cell activity.
+class DistalSegment(NamedTuple):
+    """Copy of one distal segment, as listed by ``TmLayer.segments``.
 
-    ``sources`` are cell ids (never the owning cell), ``permanences`` the
-    matching strengths. The segment spikes when at least
+    ``sources`` are cell ids (growth never picks the owning cell),
+    ``permanences`` the matching strengths. The segment spikes when at least
     ``activation_threshold`` connected synapses see an active source.
     """
 
-    __slots__ = (
-        "sources",
-        "permanences",
-        "connect_threshold",
-        "activation_threshold",
-        "spike_size",
-    )
-
-    def __init__(
-        self,
-        sources,
-        permanences,
-        connect_threshold: float = 0.2,
-        activation_threshold: int = 8,
-        spike_size: float = 1.0,
-    ):
-        sources = [int(s) for s in sources]
-        permanences = [float(p) for p in permanences]
-        if len(sources) != len(permanences):
-            raise ValueError("sources and permanences must have equal length")
-        if len(set(sources)) != len(sources):
-            raise ValueError("sources must be distinct")
-        if activation_threshold < 1:
-            raise ValueError("activation_threshold must be >= 1")
-        if spike_size <= 0:
-            raise ValueError("spike_size must be positive")
-        self.sources = sources
-        self.permanences = permanences
-        self.connect_threshold = float(connect_threshold)
-        self.activation_threshold = int(activation_threshold)
-        self.spike_size = float(spike_size)
-
-    def __len__(self) -> int:
-        return len(self.sources)
-
-    def connected_overlap(self, active: frozenset | set) -> int:
-        """Connected synapses whose source fired on the previous step."""
-        thr = self.connect_threshold
-        return sum(
-            1
-            for src, p in zip(self.sources, self.permanences)
-            if p >= thr and src in active
-        )
-
-    def matching_overlap(self, active: frozenset | set) -> int:
-        """Raw synapse count on active sources, ignoring permanence."""
-        return sum(1 for src in self.sources if src in active)
-
-    def is_active(self, active: frozenset | set) -> bool:
-        return self.connected_overlap(active) >= self.activation_threshold
-
-    def total_permanence(self) -> float:
-        return sum(self.permanences)
-
-
-@dataclass
-class TmColumn:
-    """Introspection view of one column: shared proximal input + cell segments."""
-
-    proximal: ProximalDendrite
-    cells: list[list[DistalSegment]]
+    sources: list[int]
+    permanences: list[float]
+    activation_threshold: int
+    spike_size: float
 
 
 @dataclass(frozen=True)
@@ -141,15 +90,53 @@ class LayerOutput:
     anomaly: float
 
 
-@dataclass
-class _CellEval:
-    """Per-cell distal summary against one activity set."""
+class _Evals(NamedTuple):
+    """Every distal segment scored against one activity set.
 
-    o_pred: float = 0.0
-    o_sub: float = 0.0
-    active_segments: list[DistalSegment] = field(default_factory=list)
-    best_overlap: int = 0
-    best_segment: DistalSegment | None = None
+    Per segment with at least one active source (``rows``, ascending): owner
+    cell, raw (permanence-blind) overlap, and whether the connected overlap
+    reaches its activation threshold. Per cell: ``o_pred`` sums the spikes
+    of active segments, ``o_sub`` those of segments at or above half
+    threshold, and ``best`` is the largest raw overlap, 0 when no segment of
+    the cell sees an active source.
+    """
+
+    on: np.ndarray  # dense activity, one slot longer than the cell count
+    rows: np.ndarray
+    cells: np.ndarray
+    raw: np.ndarray
+    active: np.ndarray
+    o_pred: np.ndarray
+    o_sub: np.ndarray
+    best: np.ndarray
+
+
+def _check_spike(activation_threshold, spike_size) -> None:
+    if activation_threshold < 1:
+        raise ValueError("activation_threshold must be >= 1")
+    if not spike_size > 0:
+        raise ValueError("spike_size must be positive")
+
+
+def _resized(a: np.ndarray, rows: int, fill) -> np.ndarray:
+    out = np.full((rows,) + a.shape[1:], fill, dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+# Constructor arguments held by the pattern layer and by the transition layer
+# itself, in snapshot order after input_size, n_columns and cells_per_column.
+_PATTERN_PARAMS = (
+    "n_active", "n_synapses", "connect_threshold", "delta_inc", "delta_dec",
+    "min_overlap", "boost_strength", "duty_period",
+)
+_DISTAL_PARAMS = (
+    "alpha", "beta", "beta_sub", "alpha_inh", "gamma_p", "gamma_inh", "dtau_vert",
+    "predictive_threshold", "synapses_per_segment", "segments_per_cell",
+    "activation_threshold", "min_match_threshold", "spike_size", "sigma_inc",
+    "sigma_dec", "sigma_punish", "initial_segment_permanence", "column_score_mode",
+    "blank_winner",
+)
 
 
 class TmLayer:
@@ -217,6 +204,7 @@ class TmLayer:
             raise ValueError(f"blank_winner must be 'random' or 'lowest', got {blank_winner!r}")
         if synapses_per_segment < 1 or segments_per_cell < 1:
             raise ValueError("segment budgets must be >= 1")
+        _check_spike(activation_threshold, spike_size)
         if sigma_inc < 0 or sigma_dec < 0 or sigma_punish < 0:
             raise ValueError("sigma rates must be >= 0")
 
@@ -266,27 +254,24 @@ class TmLayer:
         self.column_score_mode = column_score_mode
         self.blank_winner = blank_winner
 
-        # cell id -> list of segments; only cells that grew segments appear.
-        self.segments: dict[int, list[DistalSegment]] = {}
-        self._prev_active = Sdr(self.n_cells)
-        self._prev_winners = Sdr(self.n_cells)
-        self._prev_predictive = Sdr(self.n_cells)
-        self._prev_evals: dict[int, _CellEval] = {}
+        # Distal segments, one row each; the first ``_n_segments`` rows are in
+        # use and capacity doubles as they fill. A cell's segments are its
+        # rows in ascending order: rows are appended, or overwritten in place
+        # when a full cell replaces its weakest segment. Unused synapse slots
+        # hold source ``n_cells``, a cell that never fires, and permanence 0.
+        self._n_segments = 0
+        self._sources = np.zeros((0, self.synapses_per_segment), dtype=np.int64)
+        self._permanences = np.zeros((0, self.synapses_per_segment), dtype=np.float64)
+        self._owner = np.zeros(0, dtype=np.int64)
+        self._thresholds = np.zeros(0, dtype=np.int64)
+        self._spikes = np.zeros(0, dtype=np.float64)
+        self._segment_counts = np.zeros(self.n_cells, dtype=np.int64)
+        self.reset()
 
     # -- basic geometry -----------------------------------------------------
 
     def column_of(self, cell: int) -> int:
         return cell // self.cells_per_column
-
-    def cells_of(self, column: int) -> range:
-        n = self.cells_per_column
-        return range(column * n, (column + 1) * n)
-
-    def column(self, m: int) -> TmColumn:
-        return TmColumn(
-            proximal=self.pattern.dendrite(m),
-            cells=[list(self.segments.get(c, ())) for c in self.cells_of(m)],
-        )
 
     @property
     def prev_active(self) -> Sdr:
@@ -300,51 +285,141 @@ class TmLayer:
     def prev_predictive(self) -> Sdr:
         return self._prev_predictive
 
+    # -- distal segment store -----------------------------------------------
+
+    def distal_counts(self) -> dict[str, int]:
+        """Cells owning segments, segments, and synapses on them."""
+        return {
+            "cells_with_segments": int(np.count_nonzero(self._segment_counts)),
+            "segments": self._n_segments,
+            "synapses": int(np.count_nonzero(self._sources[: self._n_segments] != self.n_cells)),
+        }
+
+    @property
+    def segments(self) -> dict[int, list[DistalSegment]]:
+        """Copy of every cell's segments in segment order; cells without
+        segments are left out."""
+        n = self._n_segments
+        owners = self._owner[:n].tolist()
+        lengths = np.count_nonzero(self._sources[:n] != self.n_cells, axis=1).tolist()
+        thresholds = self._thresholds[:n].tolist()
+        spikes = self._spikes[:n].tolist()
+        out: dict[int, list[DistalSegment]] = {}
+        for r in np.argsort(self._owner[:n], kind="stable").tolist():
+            k = lengths[r]
+            sources, perms = self._sources[r, :k].tolist(), self._permanences[r, :k].tolist()
+            out.setdefault(owners[r], []).append(
+                DistalSegment(sources, perms, thresholds[r], spikes[r])
+            )
+        return out
+
+    def add_segment(
+        self,
+        cell: int,
+        sources,
+        permanences,
+        activation_threshold: int | None = None,
+        spike_size: float | None = None,
+    ) -> int:
+        """Give ``cell`` one more distal segment and return its row.
+
+        Thresholds default to the layer's. Raises ``ValueError`` for anything
+        the layer could not hold or score.
+        """
+        cell = int(cell)
+        sources = [int(s) for s in sources]
+        permanences = [float(p) for p in permanences]
+        if activation_threshold is None:
+            activation_threshold = self.activation_threshold
+        if spike_size is None:
+            spike_size = self.spike_size
+        activation_threshold, spike_size = int(activation_threshold), float(spike_size)
+        if not 0 <= cell < self.n_cells:
+            raise ValueError(f"segment cell {cell} outside [0, {self.n_cells})")
+        if len(sources) != len(permanences):
+            raise ValueError("sources and permanences must have equal length")
+        if len(sources) > self.synapses_per_segment:
+            raise ValueError(f"more than synapses_per_segment={self.synapses_per_segment} sources")
+        if len(set(sources)) != len(sources):
+            raise ValueError("sources must be distinct")
+        if sources and not (0 <= min(sources) and max(sources) < self.n_cells):
+            raise ValueError(f"segment sources must lie in [0, {self.n_cells})")
+        if not all(0.0 <= p <= 1.0 for p in permanences):
+            raise ValueError("segment permanences outside [0, 1]")
+        _check_spike(activation_threshold, spike_size)
+        if self._segment_counts[cell] >= self.segments_per_cell:
+            raise ValueError(
+                f"cell {cell} already has segments_per_cell={self.segments_per_cell} segments"
+            )
+        row = self._new_row(cell)
+        self._store(row, cell, sources, permanences, activation_threshold, spike_size)
+        return row
+
+    def _new_row(self, cell: int) -> int:
+        row = self._n_segments
+        if row == len(self._owner):
+            size = max(64, 2 * row)
+            self._sources = _resized(self._sources, size, self.n_cells)
+            self._permanences = _resized(self._permanences, size, 0.0)
+            self._owner = _resized(self._owner, size, 0)
+            self._thresholds = _resized(self._thresholds, size, 0)
+            self._spikes = _resized(self._spikes, size, 0.0)
+        self._n_segments = row + 1
+        self._segment_counts[cell] += 1
+        return row
+
+    def _store(self, row, cell, sources, permanences, activation_threshold, spike_size) -> None:
+        k = len(sources)
+        self._sources[row, :k] = sources
+        self._sources[row, k:] = self.n_cells
+        self._permanences[row, :k] = permanences
+        self._permanences[row, k:] = 0.0
+        self._owner[row] = cell
+        self._thresholds[row] = activation_threshold
+        self._spikes[row] = spike_size
+
     # -- distal evaluation --------------------------------------------------
+
+    def _activity(self, active) -> np.ndarray:
+        """Dense activity of an ``Sdr`` or iterable of cell ids; the extra
+        last slot is the padding source and stays off."""
+        idx = np.fromiter(active, dtype=np.int64)
+        if idx.size and not (idx.min() >= 0 and idx.max() < self.n_cells):
+            raise ValueError(f"active cells must lie in [0, {self.n_cells})")
+        on = np.zeros(self.n_cells + 1, dtype=bool)
+        on[idx] = True
+        return on
+
+    def _segment_overlaps(self, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raw and connected overlap of every segment with dense activity."""
+        n = self._n_segments
+        hit = on[self._sources[:n]]
+        connected = self._permanences[:n] >= self.pattern.connect_threshold
+        return np.count_nonzero(hit, axis=1), np.count_nonzero(hit & connected, axis=1)
+
+    def _eval_segments(self, active) -> _Evals:
+        """Score every segment against one activity set.
+
+        This is the only distal scoring path. Spikes are summed per cell in
+        segment order, as one-at-a-time accumulation would.
+        """
+        on = self._activity(active)
+        # Nothing active (as after a reset): no segment can match, skip the gather.
+        raw, conn = self._segment_overlaps(on) if on.any() else (np.zeros(0, np.intp),) * 2
+        rows = np.flatnonzero(raw)
+        cells, raw, conn = self._owner[rows], raw[rows], conn[rows]
+        thresholds, spikes = self._thresholds[rows], self._spikes[rows]
+        act = conn >= thresholds
+        sub = ~act & (2 * conn >= thresholds)
+        o_pred = np.bincount(cells[act], spikes[act], self.n_cells)
+        o_sub = np.bincount(cells[sub], spikes[sub], self.n_cells)
+        best = np.zeros(self.n_cells, dtype=np.int64)
+        np.maximum.at(best, cells, raw)
+        return _Evals(on, rows, cells, raw, act, o_pred, o_sub, best)
 
     def predictive_potential(self, cell: int, prev_active: Sdr | Iterable[int]) -> float:
         """Summed spike sizes of this cell's active segments."""
-        active = prev_active.active_set if isinstance(prev_active, Sdr) else frozenset(prev_active)
-        return sum(
-            seg.spike_size
-            for seg in self.segments.get(cell, ())
-            if seg.is_active(active)
-        )
-
-    def _eval_segments(self, active: frozenset) -> dict[int, _CellEval]:
-        """Distal summaries for every cell owning segments.
-
-        o_pred sums spikes of segments at or above threshold; o_sub sums
-        spikes of segments at or above half threshold; best_* tracks the raw
-        (permanence-blind) match used for learning on bursts.
-        """
-        evals: dict[int, _CellEval] = {}
-        if not active:
-            return evals
-        for cell, segs in self.segments.items():
-            ev = None
-            for seg in segs:
-                raw = 0
-                conn = 0
-                thr = seg.connect_threshold
-                for src, p in zip(seg.sources, seg.permanences):
-                    if src in active:
-                        raw += 1
-                        if p >= thr:
-                            conn += 1
-                if raw == 0:
-                    continue
-                if ev is None:
-                    ev = evals.setdefault(cell, _CellEval())
-                if conn >= seg.activation_threshold:
-                    ev.o_pred += seg.spike_size
-                    ev.active_segments.append(seg)
-                elif 2 * conn >= seg.activation_threshold:
-                    ev.o_sub += seg.spike_size
-                if raw > ev.best_overlap:
-                    ev.best_overlap = raw
-                    ev.best_segment = seg
-        return evals
+        return float(self._eval_segments(prev_active).o_pred[cell])
 
     def depolarisation_rates(
         self, x_ff: Sdr, prev_active: Sdr
@@ -355,140 +430,106 @@ class TmLayer:
         potential; the sheath sees only alpha_inh * feedforward overlap.
         """
         raw = self.pattern.raw_overlaps(x_ff)
-        active = prev_active.active_set
         d_cells = np.repeat(self.alpha * raw.astype(np.float64), self.cells_per_column)
-        if active:
-            evals = self._eval_segments(active)
-            for cell, ev in evals.items():
-                d_cells[cell] += self.beta * ev.o_pred
+        evals = self._eval_segments(prev_active)
+        matched = evals.best > 0
+        d_cells[matched] += self.beta * evals.o_pred[matched]
         d_sheaths = self.alpha_inh * raw.astype(np.float64)
         return d_cells, d_sheaths
 
     # -- stepping -----------------------------------------------------------
 
-    def _select_columns(self, raw: np.ndarray, evals: dict[int, _CellEval]) -> Sdr:
-        col_pred = np.zeros(self.n_columns, dtype=np.float64)
-        for cell, ev in evals.items():
-            if ev.o_pred > 0.0:
-                m = self.column_of(cell)
-                if self.column_score_mode == "max":
-                    col_pred[m] = max(col_pred[m], ev.o_pred)
-                else:
-                    col_pred[m] += ev.o_pred
+    def _select_columns(self, raw: np.ndarray, evals: _Evals) -> Sdr:
+        o_pred = evals.o_pred.reshape(self.n_columns, self.cells_per_column)
+        if self.column_score_mode == "max":
+            col_pred = o_pred.max(axis=1)
+        else:
+            col_pred = np.cumsum(o_pred, axis=1)[:, -1]  # left to right
         scores = self.alpha * (self.pattern.boost * raw) + self.beta * col_pred
         return self.pattern._select(scores, raw)
 
-    def _partition(
-        self, active_columns: Sdr, raw: np.ndarray, evals: dict[int, _CellEval]
-    ):
-        """Split active columns into predicted / bursting cells plus events."""
+    def _fire(self, columns: list[int], raw: np.ndarray, evals: _Evals):
+        """Fire the active columns' cells and pick one winner per column.
+
+        A column holding predictive cells fires just those, and the one with
+        the largest potential wins. Any other column bursts: every cell whose
+        drive fires within ``dtau_vert`` of the sheath. Its winner is the cell
+        with the best raw segment match at or above the learning floor, else
+        a cell with fewest segments (seeded-random or lowest-index per
+        configuration).
+        """
+        n = self.cells_per_column
+        o_pred = evals.o_pred.reshape(-1, n)[columns].tolist()
+        o_sub = evals.o_sub.reshape(-1, n)[columns].tolist()
+        best = evals.best.reshape(-1, n)[columns].tolist()
+        o_ffs = raw[columns].tolist()
+        # A cell with no segment seeing any active source never counts as
+        # predictive or matching, whatever the thresholds.
+        floor = max(self.min_match_threshold, 1)
         predicted: list[int] = []
         burst: list[int] = []
+        winners: list[int] = []
         ev_p_pred: list[FiringEvent] = []
         ev_i_pred: list[FiringEvent] = []
         ev_i_ff: list[FiringEvent] = []
         ev_p_burst: list[FiringEvent] = []
 
-        for m in active_columns:
-            o_ff = float(raw[m])
+        for m, o_ff, preds, subs, bests in zip(columns, o_ffs, o_pred, o_sub, best):
+            base = m * n
+            o_ff = float(o_ff)
             d_sheath = self.alpha_inh * o_ff
             pred_here = [
-                (c, evals[c].o_pred)
-                for c in self.cells_of(m)
-                if c in evals and evals[c].o_pred >= self.predictive_threshold
+                (base + i, p)
+                for i, p in enumerate(preds)
+                if bests[i] and p >= self.predictive_threshold
             ]
             if pred_here:
-                for c, o_pred in pred_here:
+                for c, p in pred_here:
                     predicted.append(c)
-                    ev_p_pred.append(
-                        FiringEvent(c, P_PRED, self.alpha * o_ff + self.beta * o_pred)
-                    )
+                    ev_p_pred.append(FiringEvent(c, P_PRED, self.alpha * o_ff + self.beta * p))
                 ev_i_pred.append(FiringEvent(m, I_PRED, d_sheath))
-            else:
-                ev_i_ff.append(FiringEvent(m, I_FF, d_sheath))
-                tau_sheath = firing_time(d_sheath, self.gamma_inh)
-                cutoff = tau_sheath + self.dtau_vert
-                chosen: list[tuple[int, float]] = []
-                for c in self.cells_of(m):
-                    o_sub = evals[c].o_sub if c in evals else 0.0
-                    d = self.alpha * o_ff + self.beta_sub * o_sub
-                    if firing_time(d, self.gamma_p) < cutoff:
-                        chosen.append((c, d))
-                if not chosen:
-                    # The column won the feedforward competition; its fastest
-                    # cell must represent it even when the vertical window is
-                    # narrower than the sheath margin.
-                    best = max(
-                        self.cells_of(m),
-                        key=lambda c: (
-                            self.beta_sub * (evals[c].o_sub if c in evals else 0.0),
-                            -c,
-                        ),
-                    )
-                    chosen = [
-                        (
-                            best,
-                            self.alpha * o_ff
-                            + self.beta_sub
-                            * (evals[best].o_sub if best in evals else 0.0),
-                        )
-                    ]
-                for c, d in chosen:
-                    burst.append(c)
-                    ev_p_burst.append(FiringEvent(c, P_BURST, d))
-
-        return predicted, burst, ev_p_pred, ev_i_pred, ev_i_ff, ev_p_burst
-
-    def _select_winners(
-        self,
-        active_columns: Sdr,
-        predicted: list[int],
-        evals: dict[int, _CellEval],
-    ) -> list[int]:
-        """One winner per active column.
-
-        Predicted column: the cell with maximal predictive potential. Burst
-        column: the cell with the best raw segment match at or above the
-        learning floor, else a cell with fewest segments (seeded-random or
-        lowest-index per configuration).
-        """
-        pred_set = set(predicted)
-        winners: list[int] = []
-        for m in active_columns:
-            cells = list(self.cells_of(m))
-            col_pred = [c for c in cells if c in pred_set]
-            if col_pred:
-                winners.append(
-                    max(col_pred, key=lambda c: (evals[c].o_pred, -c))
-                )
+                winners.append(max(pred_here, key=lambda cp: (cp[1], -cp[0]))[0])
                 continue
-            best_cell = None
-            best_raw = self.min_match_threshold - 1
-            for c in cells:
-                ev = evals.get(c)
-                if ev is not None and ev.best_overlap > best_raw:
-                    best_cell, best_raw = c, ev.best_overlap
-            if best_cell is not None:
-                winners.append(best_cell)
+
+            ev_i_ff.append(FiringEvent(m, I_FF, d_sheath))
+            cutoff = firing_time(d_sheath, self.gamma_inh) + self.dtau_vert
+            chosen: list[tuple[int, float]] = []
+            for i, s in enumerate(subs):
+                d = self.alpha * o_ff + self.beta_sub * s
+                if firing_time(d, self.gamma_p) < cutoff:
+                    chosen.append((base + i, d))
+            if not chosen:
+                # The column won the feedforward competition; its fastest
+                # cell must represent it even when the vertical window is
+                # narrower than the sheath margin.
+                i = max(range(n), key=lambda i: (self.beta_sub * subs[i], -i))
+                chosen = [(base + i, self.alpha * o_ff + self.beta_sub * subs[i])]
+            for c, d in chosen:
+                burst.append(c)
+                ev_p_burst.append(FiringEvent(c, P_BURST, d))
+
+            top = max(bests)
+            if top >= floor:
+                winners.append(base + bests.index(top))
                 continue
-            counts = [len(self.segments.get(c, ())) for c in cells]
+            counts = self._segment_counts[base : base + n].tolist()
             fewest = min(counts)
-            pool = [c for c, k in zip(cells, counts) if k == fewest]
+            pool = [base + i for i, k in enumerate(counts) if k == fewest]
             if self.blank_winner == "lowest":
                 winners.append(pool[0])
             else:
                 winners.append(pool[int(self._rng.integers(len(pool)))])
-        return winners
 
-    def _reinforce(self, seg: DistalSegment, prev_active: frozenset) -> None:
-        inc = 1.0 + self.sigma_inc
-        dec = 1.0 - self.sigma_dec
-        perms = seg.permanences
-        for i, src in enumerate(seg.sources):
-            if src in prev_active:
-                perms[i] = min(1.0, perms[i] * inc)
-            else:
-                perms[i] = perms[i] * dec
+        return predicted, burst, winners, ev_p_pred, ev_i_pred, ev_i_ff, ev_p_burst
+
+    def _reinforce(self, rows: np.ndarray, on: np.ndarray) -> None:
+        """Grow synapses on sources active in ``on``, shrink the rest."""
+        p = self._permanences[rows]
+        self._permanences[rows] = np.where(
+            on[self._sources[rows]],
+            np.minimum(1.0, p * (1.0 + self.sigma_inc)),
+            p * (1.0 - self.sigma_dec),
+        )
 
     def _grow_segment(self, cell: int, prev_winners: Sdr) -> None:
         candidates = [c for c in prev_winners.active if c != cell]
@@ -497,107 +538,106 @@ class TmLayer:
         k = min(self.synapses_per_segment, len(candidates))
         picked = self._rng.choice(len(candidates), size=k, replace=False)
         sources = sorted(candidates[i] for i in picked)
-        seg = DistalSegment(
-            sources,
-            [self.initial_segment_permanence] * k,
-            connect_threshold=self.pattern.connect_threshold,
-            activation_threshold=self.activation_threshold,
-            spike_size=self.spike_size,
-        )
-        segs = self.segments.setdefault(cell, [])
-        if len(segs) >= self.segments_per_cell:
-            weakest = min(
-                range(len(segs)), key=lambda i: (segs[i].total_permanence(), i)
-            )
-            segs[weakest] = seg
+        if self._segment_counts[cell] >= self.segments_per_cell:
+            rows = np.flatnonzero(self._owner[: self._n_segments] == cell).tolist()
+            # Totals summed left to right over each row; padding adds 0.0.
+            totals = [sum(self._permanences[r].tolist()) for r in rows]
+            row = rows[min(range(len(rows)), key=lambda i: (totals[i], i))]
         else:
-            segs.append(seg)
+            row = self._new_row(cell)
+        perms = [self.initial_segment_permanence] * k
+        self._store(row, cell, sources, perms, self.activation_threshold, self.spike_size)
 
     def _learn_distal(
         self,
         winners: list[int],
-        evals: dict[int, _CellEval],
-        active_column_set: set[int],
-        prev_active: frozenset,
+        evals: _Evals,
+        columns: list[int],
         prev_winners: Sdr,
     ) -> None:
-        # Mispredicted cells first: their columns stayed inactive, so the
-        # segments that produced the prediction shed a little permanence.
-        if self.sigma_punish > 0.0:
-            fade = 1.0 - self.sigma_punish
-            for cell in self._prev_predictive:
-                if self.column_of(cell) in active_column_set:
-                    continue
-                ev = evals.get(cell)
-                if ev is None:
-                    continue
-                for seg in ev.active_segments:
-                    perms = seg.permanences
-                    for i, src in enumerate(seg.sources):
-                        if src in prev_active:
-                            perms[i] = perms[i] * fade
-        for cell in winners:
-            ev = evals.get(cell)
-            if ev is not None and ev.active_segments:
-                for seg in ev.active_segments:
-                    self._reinforce(seg, prev_active)
-            elif ev is not None and ev.best_overlap >= self.min_match_threshold:
-                self._reinforce(ev.best_segment, prev_active)
+        """Punish, then reinforce, then grow.
+
+        Mispredicted cells (predictive, but their column stayed inactive)
+        fade their active segments' synapses on sources that fired. A winner
+        reinforces its active segments, else its best raw match at or above
+        ``min_match_threshold``, else grows a segment from the previous
+        winners, in winner order. Punished cells lie in inactive columns and
+        winners in active ones, so no segment is touched twice and the
+        batched row updates equal one-at-a-time ones.
+        """
+        on = evals.on
+        if self.sigma_punish > 0.0 and self._prev_predictive.active:
+            punish = np.zeros(self.n_cells, dtype=bool)
+            punish[list(self._prev_predictive.active)] = True
+            punish.reshape(self.n_columns, self.cells_per_column)[columns] = False
+            rows = evals.rows[evals.active & punish[evals.cells]]
+            p = self._permanences[rows]
+            self._permanences[rows] = np.where(
+                on[self._sources[rows]], p * (1.0 - self.sigma_punish), p
+            )
+
+        is_winner = np.zeros(self.n_cells, dtype=bool)
+        is_winner[winners] = True
+        reinforce = [evals.rows[evals.active & is_winner[evals.cells]]]
+        grow: list[int] = []
+        floor = max(self.min_match_threshold, 1)
+        for cell, o_pred, best in zip(
+            winners, evals.o_pred[winners].tolist(), evals.best[winners].tolist()
+        ):
+            if o_pred > 0.0:
+                continue  # reinforced with the active segments above
+            if best >= floor:
+                match = (evals.cells == cell) & (evals.raw == best)
+                reinforce.append(evals.rows[match][:1])
             else:
-                self._grow_segment(cell, prev_winners)
+                grow.append(cell)
+        self._reinforce(np.concatenate(reinforce), on)
+        for cell in grow:
+            self._grow_segment(cell, prev_winners)
 
     def step(self, x_ff: Sdr, learn: bool = True) -> LayerOutput:
         """Run one timestep: select columns, fire cells, learn, advance state."""
         raw = self.pattern.raw_overlaps(x_ff)
         evals = self._prev_evals
+        if evals is None:  # after reset() or from_state()
+            evals = self._eval_segments(self._prev_active)
         active_columns = self._select_columns(raw, evals)
-        predicted, burst, ev_p_pred, ev_i_pred, ev_i_ff, ev_p_burst = self._partition(
-            active_columns, raw, evals
+        columns = list(active_columns.active)
+        predicted, burst, winners, ev_p_pred, ev_i_pred, ev_i_ff, ev_p_burst = self._fire(
+            columns, raw, evals
         )
-        winners = self._select_winners(active_columns, predicted, evals)
 
-        active_set = set(active_columns.active)
-        ev_spread = [
-            FiringEvent(m, I_SPREAD, self.alpha_inh * float(raw[m]))
-            for m in range(self.n_columns)
-            if m not in active_set
-        ]
+        # Inactive columns' sheaths, fastest first, ties to the lower column.
+        inactive = np.ones(self.n_columns, dtype=bool)
+        inactive[columns] = False
+        units = np.flatnonzero(inactive)
+        rates = self.alpha_inh * raw[units].astype(np.float64)
+        spread = np.lexsort((units, -rates))
+        ev_spread = zip(units[spread].tolist(), repeat(I_SPREAD), rates[spread].tolist())
         order = lambda e: (-e.rate, e.unit)
         firing_sequence = tuple(
             sorted(ev_p_pred, key=order)
             + sorted(ev_i_pred, key=order)
             + sorted(ev_i_ff, key=order)
             + sorted(ev_p_burst, key=order)
-            + sorted(ev_spread, key=order)
+            + list(map(_new_event, ev_spread))
         )
 
         prev_pred_columns = {self.column_of(c) for c in self._prev_predictive}
-        if active_columns.active:
-            hits = sum(1 for m in active_columns if m in prev_pred_columns)
-            anomaly = 1.0 - hits / len(active_columns)
+        if columns:
+            hits = sum(1 for m in columns if m in prev_pred_columns)
+            anomaly = 1.0 - hits / len(columns)
         else:
             anomaly = 0.0
 
         if learn:
-            self._learn_distal(
-                winners,
-                evals,
-                active_set,
-                self._prev_active.active_set,
-                self._prev_winners,
-            )
+            self._learn_distal(winners, evals, columns, self._prev_winners)
             self.pattern.learn(x_ff, active_columns)
 
         active_cells = Sdr(self.n_cells, sorted(predicted + burst))
-        next_evals = self._eval_segments(active_cells.active_set)
-        predictive_next = Sdr(
-            self.n_cells,
-            sorted(
-                c
-                for c, ev in next_evals.items()
-                if ev.o_pred >= self.predictive_threshold
-            ),
-        )
+        next_evals = self._eval_segments(active_cells)
+        predictive = (next_evals.best > 0) & (next_evals.o_pred >= self.predictive_threshold)
+        predictive_next = Sdr(self.n_cells, np.flatnonzero(predictive))
 
         output = LayerOutput(
             active_columns=active_columns,
@@ -621,59 +661,24 @@ class TmLayer:
         self._prev_active = Sdr(self.n_cells)
         self._prev_winners = Sdr(self.n_cells)
         self._prev_predictive = Sdr(self.n_cells)
-        self._prev_evals = {}
+        self._prev_evals = None
 
     # -- persistence ----------------------------------------------------------
 
     def to_state(self) -> dict:
+        pattern = self.pattern
+        params = {"input_size": pattern.input_size, "n_columns": self.n_columns}
+        params["cells_per_column"] = self.cells_per_column
+        params.update((name, getattr(pattern, name)) for name in _PATTERN_PARAMS)
+        params.update((name, getattr(self, name)) for name in _DISTAL_PARAMS)
+        if not math.isfinite(self.dtau_vert):
+            params["dtau_vert"] = "inf"
         return {
-            "params": {
-                "input_size": self.pattern.input_size,
-                "n_columns": self.n_columns,
-                "cells_per_column": self.cells_per_column,
-                "n_active": self.pattern.n_active,
-                "n_synapses": self.pattern.n_synapses,
-                "connect_threshold": self.pattern.connect_threshold,
-                "delta_inc": self.pattern.delta_inc,
-                "delta_dec": self.pattern.delta_dec,
-                "min_overlap": self.pattern.min_overlap,
-                "boost_strength": self.pattern.boost_strength,
-                "duty_period": self.pattern.duty_period,
-                "alpha": self.alpha,
-                "beta": self.beta,
-                "beta_sub": self.beta_sub,
-                "alpha_inh": self.alpha_inh,
-                "gamma_p": self.gamma_p,
-                "gamma_inh": self.gamma_inh,
-                "dtau_vert": self.dtau_vert if math.isfinite(self.dtau_vert) else "inf",
-                "predictive_threshold": self.predictive_threshold,
-                "synapses_per_segment": self.synapses_per_segment,
-                "segments_per_cell": self.segments_per_cell,
-                "activation_threshold": self.activation_threshold,
-                "min_match_threshold": self.min_match_threshold,
-                "spike_size": self.spike_size,
-                "sigma_inc": self.sigma_inc,
-                "sigma_dec": self.sigma_dec,
-                "sigma_punish": self.sigma_punish,
-                "initial_segment_permanence": self.initial_segment_permanence,
-                "column_score_mode": self.column_score_mode,
-                "blank_winner": self.blank_winner,
-            },
+            "params": params,
             "pattern": self.pattern.to_state(),
             "segments": [
-                [
-                    cell,
-                    [
-                        {
-                            "sources": seg.sources,
-                            "permanences": seg.permanences,
-                            "activation_threshold": seg.activation_threshold,
-                            "spike_size": seg.spike_size,
-                        }
-                        for seg in segs
-                    ],
-                ]
-                for cell, segs in sorted(self.segments.items())
+                [cell, [seg._asdict() for seg in segs]]
+                for cell, segs in self.segments.items()
             ],
             "prev_active": list(self._prev_active.active),
             "prev_winners": list(self._prev_winners.active),
@@ -689,28 +694,19 @@ class TmLayer:
             params["dtau_vert"] = math.inf
         layer = cls(**params)
         layer.pattern._restore_state(state["pattern"])
-        layer.segments = {}
         for cell, segs in state["segments"]:
-            rebuilt = []
             for seg in segs:
-                perms = seg["permanences"]
-                if perms and (min(perms) < 0.0 or max(perms) > 1.0):
-                    raise ValueError("segment permanences outside [0, 1]")
-                rebuilt.append(
-                    DistalSegment(
-                        seg["sources"],
-                        perms,
-                        connect_threshold=layer.pattern.connect_threshold,
-                        activation_threshold=seg["activation_threshold"],
-                        spike_size=seg["spike_size"],
-                    )
+                layer.add_segment(
+                    cell,
+                    seg["sources"],
+                    seg["permanences"],
+                    seg["activation_threshold"],
+                    seg["spike_size"],
                 )
-            layer.segments[int(cell)] = rebuilt
         layer._prev_active = Sdr(layer.n_cells, state["prev_active"])
         layer._prev_winners = Sdr(layer.n_cells, state["prev_winners"])
         layer._prev_predictive = Sdr(layer.n_cells, state["prev_predictive"])
         layer._rng.bit_generator.state = state["rng"]
-        layer._prev_evals = layer._eval_segments(layer._prev_active.active_set)
         return layer
 
 

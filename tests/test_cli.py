@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from minicolumn import persistence
 from minicolumn.cli import main
 from minicolumn.experiments import ConfigError, ExperimentConfig
 
@@ -11,6 +12,15 @@ BASE_CONFIG = {
     "encoder": {"type": "category", "universe_size": 256, "active_bits": 12},
     "layer": {"n_columns": 64, "cells_per_column": 4, "n_active": 4},
     "sequences": [{"tokens": ["A", "B", "C"], "repeats": 5}],
+}
+
+
+SCALAR_ENCODER = {
+    "type": "scalar",
+    "universe_size": 256,
+    "active_bits": 12,
+    "min_value": 0,
+    "max_value": 10,
 }
 
 
@@ -102,6 +112,21 @@ class TestSequenceCommand:
             )
         assert outs[0] == outs[1]
 
+    def test_rejected_layer_value_exits_2(self, tmp_path, capsys):
+        layer = dict(BASE_CONFIG["layer"], n_active=0)
+        config = write_config(tmp_path, {"layer": layer})
+        assert main(["sequence", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "layer: n_active must be in [1, 64], got 0" in err
+
+    def test_rejected_encoder_value_exits_2(self, tmp_path, capsys):
+        encoder = dict(SCALAR_ENCODER, min_value=5, max_value=5)
+        config = write_config(tmp_path, {"encoder": encoder})
+        stream = tmp_path / "stream.txt"
+        stream.write_text("1.0\n")
+        assert main(["anomaly", "--config", str(config), str(stream)]) == 2
+        assert "encoder: need min_value < max_value" in capsys.readouterr().err
+
     def test_invalid_config_fails_cleanly(self, tmp_path, capsys):
         config = write_config(tmp_path, {"sequences": []})
         assert main(["sequence", "--config", str(config)]) == 2
@@ -144,6 +169,15 @@ class TestAnomalyCommand:
         assert main(["anomaly", "--config", str(config), str(stream)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_nan_scalar_line_reports_number(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"encoder": SCALAR_ENCODER})
+        stream = tmp_path / "stream.txt"
+        stream.write_text("1.0\n2.0\nnan\n3.0\n")
+        assert main(["anomaly", "--config", str(config), str(stream)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "finite" in err
+        assert "Traceback" not in err
+
 
 class TestPoolCommand:
     def test_pool_run_reports_stability(self, tmp_path, capsys):
@@ -174,6 +208,10 @@ class TestInspectCommand:
         assert main(["inspect", "--snapshot", str(snap)]) == 0
         out = capsys.readouterr().out
         assert "SequenceModel" in out
+        counts = persistence.load(snap).tm.distal_counts()
+        assert counts["segments"] > 0
+        assert f"total segments: {counts['segments']}" in out
+        assert f"total distal synapses: {counts['synapses']}" in out
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert main(["inspect", "--snapshot", str(tmp_path / "none.json")]) == 2

@@ -1,0 +1,145 @@
+"""Differential tests: TmLayer's flat-array distal kernel against the
+one-segment-at-a-time reference in ``oracle_distal``.
+
+Random segment sets cover per-segment activation thresholds and non-unit
+spike sizes (so spike sums expose any change of summation order), segments
+shorter than ``synapses_per_segment``, ``min_match_threshold`` down to 0,
+and cells at their ``segments_per_cell`` budget, where growth replaces the
+weakest segment.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minicolumn import Sdr, TmLayer
+from minicolumn.transition import DistalSegment
+
+import oracle_distal as oracle
+
+N_COLUMNS, CELLS = 6, 4
+N_CELLS = N_COLUMNS * CELLS
+SPIKES = [1.0, 0.1, 0.2, 0.3, 0.7, 1.25, 2.5]
+PERMANENCES = st.one_of(
+    st.sampled_from([0.0, 0.19999999999999998, 0.2, 0.25, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def models(draw):
+    """A layer and the same segments as oracle objects."""
+    layer = TmLayer(
+        16,
+        N_COLUMNS,
+        CELLS,
+        n_active=2,
+        n_synapses=8,
+        synapses_per_segment=draw(st.integers(1, 6)),
+        segments_per_cell=draw(st.integers(1, 4)),
+        activation_threshold=draw(st.integers(1, 4)),
+        min_match_threshold=draw(st.integers(0, 3)),
+        spike_size=draw(st.sampled_from(SPIKES)),
+        sigma_punish=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        sigma_inc=draw(st.sampled_from([0.1, 0.37])),
+        sigma_dec=draw(st.sampled_from([0.02, 0.11])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    segments = {}
+    for cell in draw(st.lists(st.integers(0, N_CELLS - 1), unique=True, max_size=N_CELLS)):
+        for _ in range(draw(st.integers(1, layer.segments_per_cell))):
+            others = [c for c in range(N_CELLS) if c != cell]
+            sources = draw(
+                st.lists(st.sampled_from(others), unique=True, max_size=layer.synapses_per_segment)
+            )
+            perms = draw(st.lists(PERMANENCES, min_size=len(sources), max_size=len(sources)))
+            threshold = draw(st.integers(1, 3))
+            spike = draw(st.sampled_from(SPIKES))
+            layer.add_segment(cell, sources, perms, threshold, spike)
+            segments.setdefault(cell, []).append(
+                oracle.Segment(sources, perms, layer.pattern.connect_threshold, threshold, spike)
+            )
+    return layer, segments
+
+
+cell_sets = st.lists(st.integers(0, N_CELLS - 1), unique=True)
+# Activity sets for scoring: often most cells, so several segments of one
+# cell are active together and spike sums have three or more terms.
+busy_sets = st.one_of(cell_sets, cell_sets.map(lambda off: sorted(set(range(N_CELLS)) - set(off))))
+
+
+def oracle_view(segments):
+    return {
+        cell: [
+            DistalSegment(s.sources, s.permanences, s.activation_threshold, s.spike_size)
+            for s in segs
+        ]
+        for cell, segs in sorted(segments.items())
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), busy_sets)
+def test_kernel_matches_oracle(model, active):
+    layer, segments = model
+    ev = layer._eval_segments(active)
+    expected = oracle.eval_segments(segments, frozenset(active))
+    assert layer.segments == oracle_view(segments)
+
+    row_cells = ev.cells.tolist()
+    for cell in range(N_CELLS):
+        want = expected.get(cell)
+        # "has an eval" means some segment sees at least one active source
+        assert (ev.best[cell] > 0) == (want is not None)
+        if want is None:
+            assert ev.o_pred[cell] == 0.0 and ev.o_sub[cell] == 0.0
+            continue
+        assert ev.o_pred[cell] == want.o_pred  # exact: same summation order
+        assert ev.o_sub[cell] == want.o_sub
+        assert ev.best[cell] == want.best_overlap
+        segs = segments[cell]
+        # A cell's rows are its segments in order, so rank maps row -> segment.
+        cell_rows = sorted(r for r, c in enumerate(layer._owner[: layer._n_segments]) if c == cell)
+        active_rows = [ev.rows[i] for i, c in enumerate(row_cells) if c == cell and ev.active[i]]
+        assert [cell_rows.index(r) for r in active_rows] == [
+            segs.index(s) for s in want.active_segments
+        ]
+        best_rows = [
+            ev.rows[i] for i, c in enumerate(row_cells) if c == cell and ev.raw[i] == want.best_overlap
+        ]
+        assert cell_rows.index(best_rows[0]) == segs.index(want.best_segment)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), cell_sets, cell_sets, cell_sets, st.data())
+def test_learning_matches_oracle(model, prev_active, prev_predictive, prev_winners, data):
+    layer, segments = model
+    columns = sorted(data.draw(st.lists(st.integers(0, N_COLUMNS - 1), unique=True)))
+    winners = [m * CELLS + data.draw(st.integers(0, CELLS - 1)) for m in columns]
+    seed = data.draw(st.integers(0, 2**16))
+
+    expected = oracle.eval_segments(segments, frozenset(prev_active))
+    rng = np.random.default_rng(seed)
+    oracle.learn_distal(
+        segments, winners, expected, set(columns), sorted(prev_predictive),
+        frozenset(prev_active), sorted(prev_winners), rng, layer,
+    )
+
+    layer._rng = np.random.default_rng(seed)
+    layer._prev_predictive = Sdr(N_CELLS, prev_predictive)
+    layer._learn_distal(winners, layer._eval_segments(prev_active), columns, Sdr(N_CELLS, prev_winners))
+
+    assert layer.segments == oracle_view(segments)
+    assert layer._rng.bit_generator.state == rng.bit_generator.state
+    counts = {cell: len(segs) for cell, segs in segments.items()}
+    assert layer._segment_counts.tolist() == [counts.get(c, 0) for c in range(N_CELLS)]
+
+
+def test_spike_sum_follows_segment_order():
+    # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 in binary floating point.
+    layer = TmLayer(16, 2, 2, n_active=1, synapses_per_segment=2, segments_per_cell=3)
+    for spike in (0.1, 0.2, 0.3):
+        layer.add_segment(0, [2, 3], [0.5, 0.5], activation_threshold=1, spike_size=spike)
+    evals = layer._eval_segments([2])
+    assert evals.o_pred[0] == (0.0 + 0.1 + 0.2) + 0.3
+    assert evals.o_pred[0] != (0.0 + 0.3 + 0.2) + 0.1

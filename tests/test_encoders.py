@@ -81,6 +81,11 @@ class TestScalarEncoder:
         assert enc.encode(-5.0) == enc.encode(0.0)
         assert enc.encode(99.0) == enc.encode(10.0)
 
+    def test_rejects_nan(self):
+        enc = ScalarEncoder(0.0, 10.0, 128, 16)
+        with pytest.raises(ValueError, match="NaN"):
+            enc.encode(math.nan)
+
     def test_overlap_follows_run_offset(self):
         # Oracle: start(v) = floor((v - lo)/(hi - lo) * (u - b)), so overlap
         # of two encodings is b minus the start shift (when they overlap).

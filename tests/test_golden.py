@@ -1,0 +1,189 @@
+"""Golden traces: fixed configs and seeds must keep producing the same bits.
+
+Each run hashes (sha256) the repr of every ``LayerOutput`` field of every
+step, ``firing_sequence`` and ``anomaly`` included, and then the bytes of the
+final ``persistence.save`` snapshot. The digests below were recorded with the
+object-graph distal segment store that preceded the flat-array one; any
+change to an output bit, a float's last digit or a value's type shows here.
+
+``fixtures/format1_model.json`` is a format-1 snapshot written by that same
+earlier code. It must load, save back to the same bytes and step on exactly
+as the model it was taken from did.
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+from minicolumn import CategoryEncoder, TmLayer, persistence
+from minicolumn.experiments import (
+    ExperimentConfig,
+    SequenceModel,
+    build_model,
+    run_pool,
+    run_sequence,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
+
+# (outputs digest, final snapshot digest) per run.
+GOLDEN = {
+    "sequence": (
+        "e158cd8491ce8ad8a05333f8f091c2322bcac1a151f315a47607386273bb8c45",
+        "1bf7ae7129e4703d4065df8d57165a89e545d174a64d939d80b553d1a6e4d55f",
+    ),
+    "pool": (
+        "81748c80a5940750f0c59e91443735228ec23cec90a9d40e89b77a689b87bef3",
+        "31c3e8d21ca05cc425e4b77f9dee590478140278e395836f2fe525a3d987d1a2",
+    ),
+    "paper": (
+        "16397f39f1b384c420f9762b873d9562e4e67d6ad27015e7f8e05622e45301d6",
+        "c24eaf9dbd24361e852ac30d7e44ae3b6ba91afcc6260a0d5c26fc8db9a2eaa9",
+    ),
+    "fixture_resume": "776a891e77ed86b889e6eae345530b08cd73f4b6058d060d907cb52a0ebba6fe",
+}
+
+
+def hash_outputs(h, outputs) -> None:
+    for out in outputs:
+        for f in dataclasses.fields(out):
+            h.update(f.name.encode())
+            h.update(repr(getattr(out, f.name)).encode())
+
+
+def record_steps(tm: TmLayer) -> list:
+    """Collect every output of ``tm.step`` from here on."""
+    outputs = []
+    step = tm.step
+
+    def recording(*args, **kwargs):
+        out = step(*args, **kwargs)
+        outputs.append(out)
+        return out
+
+    tm.step = recording
+    return outputs
+
+
+def snapshot_digest(model, path) -> str:
+    if isinstance(model, SequenceModel):
+        model.tm.__dict__.pop("step", None)  # drop the recording wrapper
+    persistence.save(model, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def sequence_run(tmp_path):
+    config = ExperimentConfig.from_dict(json.loads((ROOT / "configs" / "sequence.json").read_text()))
+    model = build_model(config)
+    outputs = record_steps(model.tm)
+    _, model, evaluations = run_sequence(config, model=model)
+    h = hashlib.sha256()
+    hash_outputs(h, outputs)
+    h.update(repr([(e["predicted"], e["overlap"]) for e in evaluations]).encode())
+    return h.hexdigest(), snapshot_digest(model, tmp_path / "sequence.json")
+
+
+def pool_run(tmp_path):
+    # The configs/pool.json stack with fewer cycles and a smaller proximal
+    # fan-in, so that the run and its snapshot stay small.
+    raw = json.loads((ROOT / "configs" / "pool.json").read_text())
+    raw["layer"]["n_synapses"] = 64
+    raw["pool"]["n_synapses"] = 128
+    raw["sequences"][0]["repeats"] = 8
+    raw["eval_cycles"] = 2
+    config = ExperimentConfig.from_dict(raw)
+    model = build_model(config, with_pool=True)
+    outputs = record_steps(model.tm)
+    report, model = run_pool(config, model=model)
+    h = hashlib.sha256()
+    hash_outputs(h, outputs)
+    h.update(repr([r["pooled"] for r in report.steps]).encode())
+    h.update(repr((report.summary["stability_pooled"], report.summary["stability_l4"])).encode())
+    return h.hexdigest(), snapshot_digest(model, tmp_path / "pool.json")
+
+
+def paper_run(tmp_path):
+    # Paper scale: 2048 columns x 32 cells, 40 active. Proximal fan-in is cut
+    # to 32 so the final snapshot stays small.
+    enc = CategoryEncoder(2048, 40, rng_seed=1)
+    tm = TmLayer(
+        2048, 2048, 32, n_active=40, n_synapses=32,
+        delta_inc=0.1, delta_dec=0.05, sigma_punish=0.05, seed=1,
+    )
+    sequences = ["h1 m1 m2 m3 t1", "h2 m1 m2 m3 t2", "h3 n1 n2 n3 t3", "h4 n1 n2 n3 t4"]
+    outputs = []
+    for _ in range(5):
+        for seq in sequences:
+            tm.reset()
+            outputs += [tm.step(enc.encode(tok)) for tok in seq.split()]
+    for seq in sequences:
+        tm.reset()
+        outputs += [tm.step(enc.encode(tok), learn=False) for tok in seq.split()[:-1]]
+    assert len(outputs) <= 150
+    h = hashlib.sha256()
+    hash_outputs(h, outputs)
+    return h.hexdigest(), snapshot_digest(SequenceModel(enc, tm), tmp_path / "paper.json")
+
+
+def test_sequence_config_trace(tmp_path):
+    assert sequence_run(tmp_path) == GOLDEN["sequence"]
+
+
+def test_pool_config_trace(tmp_path):
+    assert pool_run(tmp_path) == GOLDEN["pool"]
+
+
+def test_paper_scale_trace(tmp_path):
+    assert paper_run(tmp_path) == GOLDEN["paper"]
+
+
+def fixture_resume(tmp_path):
+    model = persistence.load(FIXTURE)
+    resaved = tmp_path / "resaved.json"
+    persistence.save(model, resaved)
+    assert resaved.read_bytes() == FIXTURE.read_bytes()
+    outputs = []
+    for token in "ABCDXBCYABCD":
+        out = model.tm.step(model.encode(token))
+        outputs.append(out)
+        model.pool.tp_learn(out, model.pool.tp_step(out))
+    outputs += [model.tm.step(model.encode(token), learn=False) for token in "XBC"]
+    h = hashlib.sha256()
+    hash_outputs(h, outputs)
+    h.update(snapshot_digest(model, tmp_path / "after.json").encode())
+    return h.hexdigest()
+
+
+def test_format1_fixture_loads_and_resumes_bit_exactly(tmp_path):
+    assert fixture_resume(tmp_path) == GOLDEN["fixture_resume"]
+
+
+def make_fixture(path) -> None:
+    """Write the fixture: a small trained encoder + transition + pool model.
+
+    Non-default ``activation_threshold`` and ``spike_size`` make the
+    per-segment fields in the snapshot differ from the usual defaults.
+    """
+    config = ExperimentConfig.from_dict(
+        {
+            "seed": 5,
+            "encoder": {"type": "category", "universe_size": 128, "active_bits": 8},
+            "layer": {
+                "n_columns": 32, "cells_per_column": 4, "n_active": 4, "n_synapses": 16,
+                "synapses_per_segment": 6, "segments_per_cell": 3,
+                "activation_threshold": 3, "min_match_threshold": 2, "spike_size": 0.75,
+                "predictive_threshold": 0.75, "delta_inc": 0.1, "delta_dec": 0.05,
+                "sigma_punish": 0.05,
+            },
+            "pool": {"n_columns": 16, "n_active": 3, "n_synapses": 24},
+            "sequences": [
+                {"tokens": list("ABCD"), "repeats": 6},
+                {"tokens": list("XBCY"), "repeats": 6},
+            ],
+        }
+    )
+    model = build_model(config, with_pool=True)
+    run_sequence(config, model=model)
+    persistence.save(model, path)

@@ -188,3 +188,40 @@ class TestValidation:
     def test_missing_file_surfaces_path(self, tmp_path):
         with pytest.raises(SnapshotError, match="nope.json"):
             persistence.load(tmp_path / "nope.json")
+
+
+class TestCrashSafeSave:
+    def saved(self, tmp_path):
+        path = tmp_path / "model.json"
+        layer = trained_tm()
+        persistence.save(layer, path)
+        return layer, path, path.read_bytes()
+
+    def test_to_state_failure_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        layer, path, before = self.saved(tmp_path)
+
+        def broken():
+            raise RuntimeError("to_state failed")
+
+        monkeypatch.setattr(layer, "to_state", broken)
+        with pytest.raises(RuntimeError, match="to_state failed"):
+            persistence.save(layer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_failure_mid_write_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        layer, path, before = self.saved(tmp_path)
+        layer.step(Sdr(128, range(16)))
+        state = layer.to_state()
+        state["rng"] = object()  # serialised last, after everything else
+        monkeypatch.setattr(layer, "to_state", lambda: state)
+        with pytest.raises(TypeError):
+            persistence.save(layer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        assert isinstance(persistence.load(path), TmLayer)
+
+    def test_unwritable_directory_reports_path(self, tmp_path):
+        target = tmp_path / "missing" / "model.json"
+        with pytest.raises(SnapshotError, match="missing"):
+            persistence.save(trained_tm(), target)

@@ -5,7 +5,6 @@ import pytest
 
 from minicolumn import (
     CategoryEncoder,
-    DistalSegment,
     Sdr,
     TmLayer,
     capacity,
@@ -32,27 +31,35 @@ def small_layer(**kw):
     return TmLayer(**defaults)
 
 
+def segment_overlaps(sources, permanences, active, **kw):
+    """(raw, connected) overlap of one segment, scored by the layer's kernel."""
+    layer = small_layer(synapses_per_segment=16)
+    layer.add_segment(0, sources, permanences, **kw)
+    raw, conn = layer._segment_overlaps(layer._activity(active))
+    return int(raw[0]), int(conn[0])
+
+
 class TestDistalSegment:
     def test_overlap_empty(self):
-        seg = DistalSegment([1, 2, 3], [0.5, 0.5, 0.5], activation_threshold=2)
-        assert seg.connected_overlap(frozenset()) == 0
+        _, conn = segment_overlaps([1, 2, 3], [0.5, 0.5, 0.5], frozenset(), activation_threshold=2)
+        assert conn == 0
 
     def test_overlap_all_connected_active(self):
-        seg = DistalSegment(range(16), [0.9] * 16, activation_threshold=2)
-        assert seg.connected_overlap(frozenset(range(16))) == 16
+        _, conn = segment_overlaps(range(16), [0.9] * 16, frozenset(range(16)), activation_threshold=2)
+        assert conn == 16
 
     def test_overlap_hand_case(self):
         # connected at sources {10, 30}; active {20, 30} -> 1
-        seg = DistalSegment([10, 20, 30], [0.4, 0.1, 0.3], activation_threshold=2)
-        assert seg.connected_overlap(frozenset({20, 30})) == 1
+        _, conn = segment_overlaps([10, 20, 30], [0.4, 0.1, 0.3], frozenset({20, 30}), activation_threshold=2)
+        assert conn == 1
 
     def test_matching_ignores_permanence(self):
-        seg = DistalSegment([10, 20, 30], [0.0, 0.0, 0.9], activation_threshold=2)
-        assert seg.matching_overlap(frozenset({10, 20})) == 2
+        raw, _ = segment_overlaps([10, 20, 30], [0.0, 0.0, 0.9], frozenset({10, 20}), activation_threshold=2)
+        assert raw == 2
 
     def test_rejects_duplicate_sources(self):
         with pytest.raises(ValueError):
-            DistalSegment([1, 1], [0.5, 0.5])
+            small_layer().add_segment(0, [1, 1], [0.5, 0.5])
 
 
 class TestPredictivePotential:
@@ -62,18 +69,14 @@ class TestPredictivePotential:
 
     def test_two_active_segments_sum(self):
         layer = small_layer()
-        layer.segments[5] = [
-            DistalSegment([1, 2, 3], [0.5] * 3, activation_threshold=2),
-            DistalSegment([7, 8, 9], [0.5] * 3, activation_threshold=2),
-        ]
+        layer.add_segment(5, [1, 2, 3], [0.5] * 3, activation_threshold=2)
+        layer.add_segment(5, [7, 8, 9], [0.5] * 3, activation_threshold=2)
         prev = Sdr(layer.n_cells, [1, 2, 3, 7, 8, 9])
         assert layer.predictive_potential(5, prev) == 2.0
 
     def test_subthreshold_contributes_nothing(self):
         layer = small_layer()
-        layer.segments[5] = [
-            DistalSegment([1, 2, 3], [0.5] * 3, activation_threshold=3)
-        ]
+        layer.add_segment(5, [1, 2, 3], [0.5] * 3, activation_threshold=3)
         assert layer.predictive_potential(5, Sdr(layer.n_cells, [1, 2])) == 0.0
 
 
@@ -89,9 +92,7 @@ class TestDepolarisationRates:
         )
         layer.pattern.sources = np.array([list(range(10))])
         layer.pattern.permanences = np.full((1, 10), 0.9)
-        layer.segments[0] = [
-            DistalSegment([1], [0.9], activation_threshold=1, spike_size=1.0)
-        ]
+        layer.add_segment(0, [1], [0.9], activation_threshold=1, spike_size=1.0)
         x = Sdr(16, range(10))
         d_cells, d_sheaths = layer.depolarisation_rates(x, Sdr(2, [1]))
         assert d_cells[0] == pytest.approx(12.0)
@@ -177,9 +178,7 @@ class TestFiringPartition:
         layer.pattern.permanences[0, :] = 0.9
         layer.pattern.sources[0, :20] = np.arange(20)
         # cell 1 of column 0 gets sub-threshold context (2 of 4 needed)
-        layer.segments[1] = [
-            DistalSegment([20, 21, 22, 23], [0.9] * 4, activation_threshold=4)
-        ]
+        layer.add_segment(1, [20, 21, 22, 23], [0.9] * 4, activation_threshold=4)
         layer._prev_active = Sdr(layer.n_cells, [20, 21])
         layer._prev_evals = layer._eval_segments(frozenset({20, 21}))
         x = Sdr(64, range(20))
@@ -219,9 +218,7 @@ class TestWinnerCells:
         probe = layer.pattern.raw_overlaps(x)
         target_column = int(np.argmax(probe))
         cell = target_column * 4 + 2
-        layer.segments[cell] = [
-            DistalSegment([50, 51, 52], [0.01, 0.01, 0.01], activation_threshold=3)
-        ]
+        layer.add_segment(cell, [50, 51, 52], [0.01, 0.01, 0.01], activation_threshold=3)
         layer._prev_active = Sdr(layer.n_cells, [50, 51, 52])
         layer._prev_evals = layer._eval_segments(frozenset({50, 51, 52}))
         out = layer.step(x, learn=False)
@@ -231,8 +228,9 @@ class TestWinnerCells:
 class TestDistalLearning:
     def test_reinforce_active_synapse(self):
         layer = small_layer(sigma_inc=0.1, sigma_dec=0.05)
-        seg = DistalSegment([1, 2], [0.4, 0.4], activation_threshold=1)
-        layer._reinforce(seg, frozenset({1}))
+        row = layer.add_segment(0, [1, 2], [0.4, 0.4], activation_threshold=1)
+        layer._reinforce(np.array([row]), layer._activity(frozenset({1})))
+        (seg,) = layer.segments[0]
         assert seg.permanences[0] == pytest.approx(0.44)
         assert seg.permanences[1] == pytest.approx(0.38)
 
@@ -256,9 +254,9 @@ class TestDistalLearning:
     def test_segment_budget_replaces_weakest(self):
         layer = small_layer(segments_per_cell=2)
         cell = 0
-        weak = DistalSegment([10, 11], [0.01, 0.01], activation_threshold=2)
-        strong = DistalSegment([12, 13], [0.9, 0.9], activation_threshold=2)
-        layer.segments[cell] = [weak, strong]
+        layer.add_segment(cell, [10, 11], [0.01, 0.01], activation_threshold=2)
+        layer.add_segment(cell, [12, 13], [0.9, 0.9], activation_threshold=2)
+        weak, strong = layer.segments[cell]
         layer._grow_segment(cell, Sdr(layer.n_cells, [30, 31, 32]))
         assert len(layer.segments[cell]) == 2
         assert strong in layer.segments[cell]
@@ -267,9 +265,7 @@ class TestDistalLearning:
     def test_punishment_decays_false_predictions(self):
         layer = small_layer(sigma_punish=0.5, beta=0.0)
         cell = 0  # column 0 cell: will be predicted but column 0 won't activate
-        layer.segments[cell] = [
-            DistalSegment([40, 41], [0.4, 0.4], activation_threshold=2)
-        ]
+        layer.add_segment(cell, [40, 41], [0.4, 0.4], activation_threshold=2)
         layer._prev_active = Sdr(layer.n_cells, [40, 41])
         layer._prev_predictive = Sdr(layer.n_cells, [cell])
         layer._prev_evals = layer._eval_segments(frozenset({40, 41}))
