@@ -114,12 +114,10 @@ class PatternLayer:
         self.duty_period = int(duty_period)
 
         self._rng = np.random.default_rng(seed)
-        self.sources = np.stack(
-            [
-                np.sort(self._rng.choice(input_size, size=self.n_synapses, replace=False))
-                for _ in range(n_columns)
-            ]
-        ).astype(np.int64)
+        sources = np.empty((n_columns, self.n_synapses), dtype=np.int32)
+        for row in sources:
+            row[:] = np.sort(self._rng.choice(input_size, size=self.n_synapses, replace=False))
+        self.sources = sources
         # Roughly half the synapses start connected.
         low = max(0.0, self.connect_threshold - 0.1)
         high = min(1.0, self.connect_threshold + 0.1)
@@ -128,8 +126,56 @@ class PatternLayer:
         self.active_duty = np.zeros(n_columns, dtype=np.float64)
         self.overlap_duty = np.zeros(n_columns, dtype=np.float64)
 
+    @property
+    def sources(self) -> np.ndarray:
+        """Read-only (n_columns, n_synapses) int32 matrix of sampled input bits.
+
+        Learning never changes it. To change it, assign a new array: the
+        setter validates and copies it and drops the inverse index that
+        ``raw_overlaps`` keeps.
+        """
+        return self._sources
+
+    @sources.setter
+    def sources(self, value) -> None:
+        value = _as_array("sources", value)
+        if not np.issubdtype(value.dtype, np.integer):
+            raise ValueError(f"sources must be integers, got dtype {value.dtype}")
+        shape = (self.n_columns, self.n_synapses)
+        if value.shape != shape:
+            raise ValueError(f"sources must have shape {shape}, got {value.shape}")
+        if value.min() < 0 or value.max() >= self.input_size:
+            raise ValueError(f"sources must lie in [0, {self.input_size})")
+        value = np.array(value, dtype=np.int32)
+        if not (value[:, 1:] > value[:, :-1]).all():  # rows not strictly ascending
+            rows = np.sort(value, axis=1)
+            if (rows[:, 1:] == rows[:, :-1]).any():
+                raise ValueError("sources must be distinct within each row")
+        value.flags.writeable = False
+        self._sources = value
+        self._index = None
+
+    def _source_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse of ``sources`` in CSR form, built on first use.
+
+        ``order`` lists every flat synapse slot ``row * n_synapses + slot``
+        grouped by the input bit it samples; the slots of bit ``i`` are
+        ``order[indptr[i]:indptr[i + 1]]``.
+        """
+        if self._index is None:
+            keys = self._sources.ravel()
+            if self.input_size <= 1 << 16:
+                # numpy sorts 16-bit keys with a radix sort: about twice as
+                # fast as sorting int32 keys at 2048 x 1024
+                keys = keys.astype(np.uint16)
+            order = np.argsort(keys, kind="stable").astype(np.int32)
+            indptr = np.zeros(self.input_size + 1, dtype=np.intp)
+            np.cumsum(np.bincount(keys, minlength=self.input_size), out=indptr[1:])
+            self._index = order, indptr
+        return self._index
+
     def dendrite(self, j: int) -> ProximalDendrite:
-        """View of neuron ``j``'s dendrite (shares layer memory)."""
+        """View of neuron ``j``'s dendrite (shares the layer's permanences)."""
         return ProximalDendrite(
             self.input_size, self.sources[j], self.permanences[j], self.connect_threshold
         )
@@ -143,9 +189,15 @@ class PatternLayer:
     def raw_overlaps(self, x_ff: Sdr) -> np.ndarray:
         """Unboosted overlap score of every neuron with the input."""
         self._check_input(x_ff)
-        dense = x_ff.dense()
-        connected = self.permanences >= self.connect_threshold
-        return np.count_nonzero(dense[self.sources] & connected, axis=1)
+        order, indptr = self._source_index()
+        active = np.fromiter(x_ff.active, dtype=np.intp, count=len(x_ff.active))
+        starts = indptr[active]
+        lengths = indptr[active + 1] - starts
+        # the active bits' groups of ``order``, one after another
+        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        slots = order[offsets + np.arange(offsets.size)]
+        connected = slots[self.permanences.take(slots) >= self.connect_threshold]
+        return np.bincount(connected // self.n_synapses, minlength=self.n_columns)
 
     def _select(self, scores: np.ndarray, raw: np.ndarray) -> Sdr:
         """Top ``n_active`` by score among neurons passing the stimulus floor.
@@ -181,7 +233,8 @@ class PatternLayer:
             return
         w = list(winners.active)
         rows = self.permanences[w]
-        on = x_ff.dense()[self.sources[w]]
+        # take() gathers with int32 indices ~2x faster than fancy indexing
+        on = x_ff.dense().take(self.sources[w])
         self.permanences[w] = np.where(
             on,
             np.minimum(1.0, rows * (1.0 + self.delta_inc)),
@@ -218,12 +271,9 @@ class PatternLayer:
             raise DimensionError(
                 f"winners width {winners.universe_size} != layer size {self.n_columns}"
             )
-        out = np.zeros(self.input_size, dtype=np.int64)
-        if winners.active:
-            w = list(winners.active)
-            connected = self.permanences[w] >= self.connect_threshold
-            np.add.at(out, self.sources[w][connected], 1)
-        return out
+        w = list(winners.active)
+        connected = self.permanences[w] >= self.connect_threshold
+        return np.bincount(self.sources[w][connected], minlength=self.input_size)
 
     def masked_reconstruct(self, winners: Sdr, x_ff: Sdr) -> np.ndarray:
         """Back-projection restricted to the input's on-bits."""
@@ -255,14 +305,19 @@ class PatternLayer:
         }
 
     def _restore_state(self, state: dict) -> None:
-        perms = np.asarray(state["permanences"], dtype=np.float64)
-        if perms.size and (perms.min() < 0.0 or perms.max() > 1.0):
+        perms = _as_array("permanences", state["permanences"], np.float64)
+        shape = (self.n_columns, self.n_synapses)
+        if perms.shape != shape:
+            raise ValueError(f"permanences must have shape {shape}, got {perms.shape}")
+        if not ((perms >= 0.0) & (perms <= 1.0)).all():
             raise ValueError("permanences outside [0, 1]")
-        self.sources = np.asarray(state["sources"], dtype=np.int64)
+        self.sources = state["sources"]
         self.permanences = perms
-        self.boost = np.asarray(state["boost"], dtype=np.float64)
-        self.active_duty = np.asarray(state["active_duty"], dtype=np.float64)
-        self.overlap_duty = np.asarray(state["overlap_duty"], dtype=np.float64)
+        for name in ("boost", "active_duty", "overlap_duty"):
+            values = _as_array(name, state[name], np.float64)
+            if values.shape != (self.n_columns,):
+                raise ValueError(f"{name} must have shape ({self.n_columns},), got {values.shape}")
+            setattr(self, name, values)
         self._rng.bit_generator.state = state["rng"]
 
     @classmethod
@@ -270,6 +325,14 @@ class PatternLayer:
         layer = cls(**state["params"])
         layer._restore_state(state)
         return layer
+
+
+def _as_array(name: str, value, dtype=None) -> np.ndarray:
+    """``np.asarray`` whose errors (ragged rows, non-numbers) name the field."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def reconstruction_error(x_ff: Sdr, x_hat) -> float:

@@ -65,6 +65,35 @@ def _kind_of(model) -> str:
     raise SnapshotError(f"cannot snapshot object of type {type(model).__name__}")
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _write_json(fh, value) -> None:
+    """Write ``value`` exactly as ``json.dump(value, fh)`` would.
+
+    ``json.dump`` never uses the C encoder, so the containers are written
+    here and every leaf and every list of leaves (one matrix row) goes to
+    ``json.dumps``. A dict with a key that is not a string goes to
+    ``json.dumps`` whole, which converts the key the way ``json.dump`` does.
+    """
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(", " if i else "")
+            fh.write(json.dumps(key))
+            fh.write(": ")
+            _write_json(fh, item)
+        fh.write("}")
+    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], _CONTAINERS):
+        fh.write("[")
+        for i, item in enumerate(value):
+            fh.write(", " if i else "")
+            _write_json(fh, item)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value))
+
+
 def save(model, path: str | Path) -> None:
     """Write a self-describing snapshot of the model to ``path``.
 
@@ -81,7 +110,7 @@ def save(model, path: str | Path) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w") as fh:
-            json.dump(document, fh)
+            _write_json(fh, document)
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())

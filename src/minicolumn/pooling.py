@@ -96,8 +96,8 @@ class PoolingLayer(PatternLayer):
         if not winners.active:
             return
         w = list(winners.active)
-        on = l4.active_cells.dense()[self.sources[w]]
-        pred_src = l4.predicted_cells.dense()[self.sources[w]]
+        on = l4.active_cells.dense().take(self.sources[w])
+        pred_src = l4.predicted_cells.dense().take(self.sources[w])
         inc = np.where(pred_src, self.delta_inc_pred, self.delta_inc_burst)
         dec = np.where(pred_src, self.delta_dec_pred, self.delta_dec_burst)
         rows = self.permanences[w]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from minicolumn.persistence import (
     SnapshotFormatError,
     SnapshotValidationError,
 )
+
+
+FORMAT1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
 
 
 def rand_sdr(rng, universe, k):
@@ -183,6 +187,36 @@ class TestValidation:
         doc["state"]["segments"][0][1][0]["permanences"][0] = -0.5
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotValidationError):
+            persistence.load(path)
+
+    @pytest.mark.parametrize("layer", ["tm", "pool"])
+    @pytest.mark.parametrize(
+        "field, mutate",
+        [
+            ("sources", lambda rows: rows[:-1]),
+            ("sources", lambda rows: [row[:-1] for row in rows]),
+            ("sources", lambda rows: [row[:-1] for row in rows[:1]] + rows[1:]),
+            ("sources", lambda rows: [[-1] + rows[0][1:]] + rows[1:]),
+            ("sources", lambda rows: [rows[0][:-1] + [10**6]] + rows[1:]),
+            ("sources", lambda rows: [[rows[0][1]] + rows[0][1:]] + rows[1:]),
+            ("sources", lambda rows: [[rows[0][0] + 0.5] + rows[0][1:]] + rows[1:]),
+            ("permanences", lambda rows: rows[:-1]),
+            ("permanences", lambda rows: [row + [0.5] for row in rows]),
+            ("permanences", lambda rows: [[None] + rows[0][1:]] + rows[1:]),
+            ("boost", lambda values: values[:-1]),
+            ("active_duty", lambda values: values + [0.0]),
+            ("overlap_duty", lambda values: [values]),
+        ],
+    )
+    def test_mutated_format1_pattern_state_rejected(self, tmp_path, layer, field, mutate):
+        doc = json.loads(FORMAT1_FIXTURE.read_text())
+        state = doc["state"][layer]
+        if layer == "tm":
+            state = state["pattern"]
+        state[field] = mutate(state[field])
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotValidationError, match=field):
             persistence.load(path)
 
     def test_missing_file_surfaces_path(self, tmp_path):

@@ -176,7 +176,9 @@ class TestFiringPartition:
         )
         # column 0 dominates the feedforward competition
         layer.pattern.permanences[0, :] = 0.9
-        layer.pattern.sources[0, :20] = np.arange(20)
+        sources = layer.pattern.sources.copy()
+        sources[0, :20] = np.arange(20)
+        layer.pattern.sources = sources
         # cell 1 of column 0 gets sub-threshold context (2 of 4 needed)
         layer.add_segment(1, [20, 21, 22, 23], [0.9] * 4, activation_threshold=4)
         layer._prev_active = Sdr(layer.n_cells, [20, 21])
