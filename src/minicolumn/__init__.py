@@ -7,7 +7,7 @@ with multi-cell columns, and temporal pooling of predictable sequences.
 
 from .encoders import CategoryEncoder, ScalarEncoder
 from .metrics import RunReport, prediction_accuracy, sdr_overlap_curve
-from .pattern import PatternLayer, ProximalDendrite, reconstruction_error
+from .pattern import PatternLayer, reconstruction_error
 from .pooling import PoolingLayer, stability
 from .sdr import DimensionError, Sdr, flip_noise, overlap, sparsity, union
 from .transition import (
@@ -28,7 +28,6 @@ __all__ = [
     "LayerOutput",
     "PatternLayer",
     "PoolingLayer",
-    "ProximalDendrite",
     "RunReport",
     "ScalarEncoder",
     "Sdr",

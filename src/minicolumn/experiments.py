@@ -7,6 +7,7 @@ RunReports; the command-line front end handles file I/O around them.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,6 +16,7 @@ import numpy as np
 
 from .encoders import CategoryEncoder, ScalarEncoder
 from .metrics import RunReport, prediction_accuracy
+from .pattern import PatternLayer
 from .pooling import PoolingLayer, stability
 from .sdr import Sdr, flip_noise
 from .transition import LayerOutput, TmLayer
@@ -44,58 +46,16 @@ _ENCODER_KEYS = {
     "scalar": {"type", "universe_size", "active_bits", "min_value", "max_value"},
 }
 
-_LAYER_KEYS = {
-    "n_columns",
-    "cells_per_column",
-    "n_active",
-    "sparsity",
-    "n_synapses",
-    "potential_fraction",
-    "connect_threshold",
-    "delta_inc",
-    "delta_dec",
-    "min_overlap",
-    "boost_strength",
-    "duty_period",
-    "alpha",
-    "beta",
-    "beta_sub",
-    "alpha_inh",
-    "gamma_p",
-    "gamma_inh",
-    "dtau_vert",
-    "predictive_threshold",
-    "synapses_per_segment",
-    "segments_per_cell",
-    "activation_threshold",
-    "min_match_threshold",
-    "spike_size",
-    "sigma_inc",
-    "sigma_dec",
-    "sigma_punish",
-    "initial_segment_permanence",
-    "column_score_mode",
-    "blank_winner",
-}
 
-_POOL_KEYS = {
-    "n_columns",
-    "n_active",
-    "sparsity",
-    "n_synapses",
-    "potential_fraction",
-    "connect_threshold",
-    "delta_inc",
-    "delta_dec",
-    "min_overlap",
-    "boost_strength",
-    "duty_period",
-    "persistence",
-    "delta_inc_pred",
-    "delta_dec_pred",
-    "delta_inc_burst",
-    "delta_dec_burst",
-}
+def _keywords(*classes) -> frozenset:
+    """Constructor keywords a config section may set; ``build_model``
+    supplies ``input_size`` and ``seed`` itself."""
+    names = {name for cls in classes for name in inspect.signature(cls).parameters}
+    return frozenset(names - {"input_size", "seed", "kwargs"})
+
+
+_LAYER_KEYS = _keywords(TmLayer)
+_POOL_KEYS = _keywords(PoolingLayer, PatternLayer)
 
 
 @dataclass

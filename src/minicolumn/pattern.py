@@ -1,9 +1,9 @@
 """Spatial pooling: proximal dendrites, k-WTA inhibition, Hebbian learning.
 
 A layer of neurons each samples a random subspace of the feedforward input.
-Per step the neurons are ranked by boosted overlap and the top ``n_active``
-win (global inhibition). Winners strengthen synapses that saw an on-bit and
-weaken the rest; homeostatic boosting keeps idle neurons competitive.
+Per step the neurons are ranked by overlap and the top ``n_active`` win
+(global inhibition). Winners strengthen synapses that saw an on-bit and
+weaken the rest.
 """
 
 from __future__ import annotations
@@ -12,57 +12,17 @@ import numpy as np
 
 from .sdr import DimensionError, Sdr
 
-__all__ = ["ProximalDendrite", "PatternLayer", "reconstruction_error"]
-
-
-class ProximalDendrite:
-    """One neuron's sampled feedforward subspace.
-
-    ``sources`` are distinct input indices, ``permanences`` the matching
-    synapse strengths in [0, 1]. A synapse is connected when its permanence
-    is >= ``connect_threshold`` (equality connects, matching the learning
-    rule's increment branch).
-    """
-
-    __slots__ = ("input_size", "sources", "permanences", "connect_threshold")
-
-    def __init__(self, input_size, sources, permanences, connect_threshold=0.2):
-        sources = np.asarray(sources, dtype=np.int64)
-        permanences = np.asarray(permanences, dtype=np.float64)
-        if sources.shape != permanences.shape or sources.ndim != 1:
-            raise ValueError("sources and permanences must be 1-d and equal length")
-        if len(np.unique(sources)) != sources.size:
-            raise ValueError("sources must be distinct")
-        if sources.size and (sources.min() < 0 or sources.max() >= input_size):
-            raise ValueError(f"sources must lie in [0, {input_size})")
-        self.input_size = int(input_size)
-        self.sources = sources
-        self.permanences = permanences
-        self.connect_threshold = float(connect_threshold)
-
-    def connection_vector(self) -> np.ndarray:
-        """Binary vector marking connected synapses."""
-        return (self.permanences >= self.connect_threshold).astype(np.uint8)
-
-    def overlap(self, x_ff: Sdr) -> int:
-        """Count of connected synapses receiving an on-bit."""
-        if x_ff.universe_size != self.input_size:
-            raise DimensionError(
-                f"input width {x_ff.universe_size} != dendrite width {self.input_size}"
-            )
-        connected = self.permanences >= self.connect_threshold
-        active = x_ff.active_set
-        return int(
-            sum(1 for i, s in enumerate(self.sources) if connected[i] and int(s) in active)
-        )
+__all__ = ["PatternLayer", "reconstruction_error"]
 
 
 class PatternLayer:
     """Layer of neurons converting feedforward bits into a sparse code.
 
     All per-neuron arrays are stacked: ``sources`` and ``permanences`` are
-    (n_columns, n_synapses) matrices. Scoring is a pure read and may run
-    concurrently; learn/boost updates need exclusive access.
+    (n_columns, n_synapses) matrices. A synapse is connected when its
+    permanence is >= ``connect_threshold`` (equality connects, matching the
+    learning rule's increment branch). Scoring is a pure read and may run
+    concurrently; learning needs exclusive access.
     """
 
     def __init__(
@@ -78,8 +38,6 @@ class PatternLayer:
         delta_inc: float = 0.05,
         delta_dec: float = 0.008,
         min_overlap: int = 1,
-        boost_strength: float = 0.0,
-        duty_period: int = 1000,
         seed=0,
     ):
         if input_size <= 0 or n_columns <= 0:
@@ -96,22 +54,17 @@ class PatternLayer:
             raise ValueError(f"n_synapses must be in [1, {input_size}], got {n_synapses}")
         if not 0.0 <= connect_threshold <= 1.0:
             raise ValueError("connect_threshold must be in [0, 1]")
-        if delta_inc < 0 or delta_dec < 0 or boost_strength < 0:
-            raise ValueError("delta_inc, delta_dec and boost_strength must be >= 0")
-        if duty_period < 1:
-            raise ValueError("duty_period must be >= 1")
+        if delta_inc < 0 or delta_dec < 0:
+            raise ValueError("delta_inc and delta_dec must be >= 0")
 
         self.input_size = int(input_size)
         self.n_columns = int(n_columns)
         self.n_active = int(n_active)
-        self.sparsity = self.n_active / self.n_columns
         self.n_synapses = int(n_synapses)
         self.connect_threshold = float(connect_threshold)
         self.delta_inc = float(delta_inc)
         self.delta_dec = float(delta_dec)
         self.min_overlap = int(min_overlap)
-        self.boost_strength = float(boost_strength)
-        self.duty_period = int(duty_period)
 
         self._rng = np.random.default_rng(seed)
         sources = np.empty((n_columns, self.n_synapses), dtype=np.int32)
@@ -122,9 +75,6 @@ class PatternLayer:
         low = max(0.0, self.connect_threshold - 0.1)
         high = min(1.0, self.connect_threshold + 0.1)
         self.permanences = self._rng.uniform(low, high, size=(n_columns, self.n_synapses))
-        self.boost = np.ones(n_columns, dtype=np.float64)
-        self.active_duty = np.zeros(n_columns, dtype=np.float64)
-        self.overlap_duty = np.zeros(n_columns, dtype=np.float64)
 
     @property
     def sources(self) -> np.ndarray:
@@ -174,12 +124,6 @@ class PatternLayer:
             self._index = order, indptr
         return self._index
 
-    def dendrite(self, j: int) -> ProximalDendrite:
-        """View of neuron ``j``'s dendrite (shares the layer's permanences)."""
-        return ProximalDendrite(
-            self.input_size, self.sources[j], self.permanences[j], self.connect_threshold
-        )
-
     def _check_input(self, x_ff: Sdr) -> None:
         if x_ff.universe_size != self.input_size:
             raise DimensionError(
@@ -187,7 +131,8 @@ class PatternLayer:
             )
 
     def raw_overlaps(self, x_ff: Sdr) -> np.ndarray:
-        """Unboosted overlap score of every neuron with the input."""
+        """Overlap score of every neuron with the input: its connected
+        synapses that see an on-bit."""
         self._check_input(x_ff)
         order, indptr = self._source_index()
         active = np.fromiter(x_ff.active, dtype=np.intp, count=len(x_ff.active))
@@ -211,9 +156,9 @@ class PatternLayer:
         return Sdr(self.n_columns, np.sort(order[: self.n_active]))
 
     def compute_sdr(self, x_ff: Sdr) -> Sdr:
-        """Winning neurons for this input (boosted k-WTA)."""
+        """Winning neurons for this input (k-WTA)."""
         raw = self.raw_overlaps(x_ff)
-        return self._select(self.boost * raw, raw)
+        return self._select(raw, raw)
 
     def learn(self, x_ff: Sdr, winners: Sdr) -> None:
         """Hebbian update on the winning neurons only.
@@ -240,30 +185,6 @@ class PatternLayer:
             np.minimum(1.0, rows * (1.0 + self.delta_inc)),
             rows * (1.0 - self.delta_dec),
         )
-
-    def boost_update(self, winners: Sdr, overlaps: np.ndarray) -> None:
-        """Refresh duty cycles, boost factors and the weak-neuron nudge.
-
-        Boost is exp(boost_strength * (target - active_duty)) with the layer
-        sparsity as target. Neurons whose overlap duty falls below 10% of the
-        layer median get all permanences raised by 0.1 * connect_threshold.
-        """
-        overlaps = np.asarray(overlaps, dtype=np.float64)
-        if overlaps.shape != (self.n_columns,):
-            raise ValueError(f"overlaps must have shape ({self.n_columns},)")
-        period = self.duty_period
-        active = np.zeros(self.n_columns, dtype=np.float64)
-        if winners.active:
-            active[list(winners.active)] = 1.0
-        self.active_duty = (self.active_duty * (period - 1) + active) / period
-        self.overlap_duty = (self.overlap_duty * (period - 1) + overlaps) / period
-        self.boost = np.exp(self.boost_strength * (self.sparsity - self.active_duty))
-        floor = 0.1 * float(np.median(self.overlap_duty))
-        weak = np.nonzero(self.overlap_duty < floor)[0]
-        if weak.size:
-            self.permanences[weak] = np.minimum(
-                1.0, self.permanences[weak] + 0.1 * self.connect_threshold
-            )
 
     def reconstruct(self, winners: Sdr) -> np.ndarray:
         """Summed back-projection of the winners' connected synapses."""
@@ -293,14 +214,9 @@ class PatternLayer:
                 "delta_inc": self.delta_inc,
                 "delta_dec": self.delta_dec,
                 "min_overlap": self.min_overlap,
-                "boost_strength": self.boost_strength,
-                "duty_period": self.duty_period,
             },
             "sources": self.sources.tolist(),
             "permanences": self.permanences.tolist(),
-            "boost": self.boost.tolist(),
-            "active_duty": self.active_duty.tolist(),
-            "overlap_duty": self.overlap_duty.tolist(),
             "rng": self._rng.bit_generator.state,
         }
 
@@ -313,11 +229,6 @@ class PatternLayer:
             raise ValueError("permanences outside [0, 1]")
         self.sources = state["sources"]
         self.permanences = perms
-        for name in ("boost", "active_duty", "overlap_duty"):
-            values = _as_array(name, state[name], np.float64)
-            if values.shape != (self.n_columns,):
-                raise ValueError(f"{name} must have shape ({self.n_columns},), got {values.shape}")
-            setattr(self, name, values)
         self._rng.bit_generator.state = state["rng"]
 
     @classmethod

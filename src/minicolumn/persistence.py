@@ -1,9 +1,9 @@
 """Versioned save/load of encoders, layers and model bundles.
 
 Snapshots are JSON documents with explicit field names. Floats are written
-with Python's shortest round-trip representation, so permanences, duty
-cycles and rng state survive a save/load cycle bit-exactly and a resumed run
-reproduces an uninterrupted one.
+with Python's shortest round-trip representation, so permanences and rng
+state survive a save/load cycle bit-exactly and a resumed run reproduces an
+uninterrupted one. Format-1 snapshots are read through ``_upgrade_v1``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = [
     "load",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SnapshotError(Exception):
@@ -54,15 +54,40 @@ def _registry() -> dict:
 
 
 def _kind_of(model) -> str:
-    # Subclass check order matters: PoolingLayer is a PatternLayer.
-    registry = _registry()
-    for kind in ("pooling_layer",):
-        if isinstance(model, registry[kind]):
-            return kind
-    for kind, cls in registry.items():
+    for kind, cls in _registry().items():
         if type(model) is cls:
             return kind
     raise SnapshotError(f"cannot snapshot object of type {type(model).__name__}")
+
+
+def _upgrade_v1(kind: str, state: dict) -> None:
+    """Turn a format-1 ``state`` of ``kind`` into format 2, in place.
+
+    Format 2 drops the pattern layers' homeostasis (``boost_strength``,
+    ``duty_period``, ``boost``, ``active_duty``, ``overlap_duty``), which no
+    step ever updated, and the transition layer's ``column_score_mode``. A
+    state in which they would change an output is refused: a ``boost`` entry
+    other than 1.0, or any ``column_score_mode`` but ``"max"``.
+    """
+    if kind == "sequence_model":
+        _upgrade_v1("tm_layer", state["tm"])
+        if "pool" in state:
+            _upgrade_v1("pooling_layer", state["pool"])
+    elif kind == "tm_layer":
+        params = state["params"]
+        mode = params.pop("column_score_mode")
+        if mode != "max":
+            raise SnapshotFormatError(
+                f"column_score_mode {mode!r} is no longer supported; columns score "
+                "their best cell ('max')"
+            )
+        del params["boost_strength"], params["duty_period"]
+        _upgrade_v1("pattern_layer", state["pattern"])
+    elif kind in ("pattern_layer", "pooling_layer"):
+        del state["params"]["boost_strength"], state["params"]["duty_period"]
+        if any(value != 1.0 for value in state.pop("boost")):
+            raise SnapshotFormatError("boost other than 1.0 is no longer supported")
+        del state["active_duty"], state["overlap_duty"]
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -137,16 +162,20 @@ def load(path: str | Path):
     if not isinstance(document, dict) or "format_version" not in document:
         raise SnapshotFormatError(f"snapshot {path}: missing format_version")
     version = document["format_version"]
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise SnapshotFormatError(
             f"snapshot {path}: unknown format_version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads versions 1 and {FORMAT_VERSION})"
         )
     registry = _registry()
     kind = document.get("kind")
     if kind not in registry:
         raise SnapshotFormatError(f"snapshot {path}: unknown kind {kind!r}")
     try:
+        if version == 1:
+            _upgrade_v1(kind, document["state"])
         return registry[kind].from_state(document["state"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except SnapshotFormatError as exc:
+        raise SnapshotFormatError(f"snapshot {path}: format 1: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SnapshotValidationError(f"snapshot {path}: invalid state: {exc}") from exc

@@ -68,7 +68,7 @@ class PoolingLayer(PatternLayer):
                 f"width {self.input_size}"
             )
         raw = self.raw_overlaps(l4.active_cells)
-        scores = self.boost * raw
+        scores = raw.astype(np.float64)
         if self.persistence > 0.0 and self.active_prev.active and l4.predicted_cells.active:
             prev = list(self.active_prev.active)
             pred_raw = self.raw_overlaps(l4.predicted_cells)

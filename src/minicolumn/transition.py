@@ -128,21 +128,20 @@ def _resized(a: np.ndarray, rows: int, fill) -> np.ndarray:
 # itself, in snapshot order after input_size, n_columns and cells_per_column.
 _PATTERN_PARAMS = (
     "n_active", "n_synapses", "connect_threshold", "delta_inc", "delta_dec",
-    "min_overlap", "boost_strength", "duty_period",
+    "min_overlap",
 )
 _DISTAL_PARAMS = (
     "alpha", "beta", "beta_sub", "alpha_inh", "gamma_p", "gamma_inh", "dtau_vert",
     "predictive_threshold", "synapses_per_segment", "segments_per_cell",
     "activation_threshold", "min_match_threshold", "spike_size", "sigma_inc",
-    "sigma_dec", "sigma_punish", "initial_segment_permanence", "column_score_mode",
-    "blank_winner",
+    "sigma_dec", "sigma_punish", "initial_segment_permanence", "blank_winner",
 )
 
 
 class TmLayer:
     """Columns-of-cells sequence memory with prediction-assisted inhibition.
 
-    Column selection is global top-k over alpha * boosted feedforward overlap
+    Column selection is global top-k over alpha * feedforward overlap
     plus beta * the best member-cell predictive potential, standing in for the
     spreading-inhibition wavefront. Scoring phases are pure reads; stepping
     and learning require exclusive access.
@@ -162,8 +161,6 @@ class TmLayer:
         delta_inc: float = 0.05,
         delta_dec: float = 0.008,
         min_overlap: int = 1,
-        boost_strength: float = 0.0,
-        duty_period: int = 1000,
         alpha: float = 1.0,
         beta: float = 0.5,
         beta_sub: float = 0.0,
@@ -181,7 +178,6 @@ class TmLayer:
         sigma_dec: float = 0.02,
         sigma_punish: float = 0.004,
         initial_segment_permanence: float | None = None,
-        column_score_mode: str = "max",
         blank_winner: str = "random",
         seed: int = 0,
     ):
@@ -198,8 +194,6 @@ class TmLayer:
                 "need alpha_inh > alpha * gamma_inh / gamma_p so the sheath "
                 "outpaces unpredicted cells"
             )
-        if column_score_mode not in ("max", "sum"):
-            raise ValueError(f"column_score_mode must be 'max' or 'sum', got {column_score_mode!r}")
         if blank_winner not in ("random", "lowest"):
             raise ValueError(f"blank_winner must be 'random' or 'lowest', got {blank_winner!r}")
         if synapses_per_segment < 1 or segments_per_cell < 1:
@@ -221,8 +215,6 @@ class TmLayer:
             delta_inc=delta_inc,
             delta_dec=delta_dec,
             min_overlap=min_overlap,
-            boost_strength=boost_strength,
-            duty_period=duty_period,
             seed=pattern_ss,
         )
         self._rng = np.random.default_rng(distal_ss)
@@ -251,7 +243,6 @@ class TmLayer:
             if initial_segment_permanence is None
             else float(initial_segment_permanence)
         )
-        self.column_score_mode = column_score_mode
         self.blank_winner = blank_winner
 
         # Distal segments, one row each; the first ``_n_segments`` rows are in
@@ -441,11 +432,7 @@ class TmLayer:
 
     def _select_columns(self, raw: np.ndarray, evals: _Evals) -> Sdr:
         o_pred = evals.o_pred.reshape(self.n_columns, self.cells_per_column)
-        if self.column_score_mode == "max":
-            col_pred = o_pred.max(axis=1)
-        else:
-            col_pred = np.cumsum(o_pred, axis=1)[:, -1]  # left to right
-        scores = self.alpha * (self.pattern.boost * raw) + self.beta * col_pred
+        scores = self.alpha * raw + self.beta * o_pred.max(axis=1)
         return self.pattern._select(scores, raw)
 
     def _fire(self, columns: list[int], raw: np.ndarray, evals: _Evals):

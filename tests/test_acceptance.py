@@ -208,9 +208,7 @@ def test_05_first_order_oracle_equivalence():
 def _convergence_setup():
     rng = np.random.default_rng(42)
     inputs = [Sdr(512, rng.choice(512, 40, replace=False)) for _ in range(10)]
-    layer = PatternLayer(
-        512, 256, n_active=8, potential_fraction=0.5, seed=42, boost_strength=0.0
-    )
+    layer = PatternLayer(512, 256, n_active=8, potential_fraction=0.5, seed=42)
     return inputs, layer
 
 

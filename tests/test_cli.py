@@ -1,10 +1,14 @@
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
-from minicolumn import persistence
+from minicolumn import PatternLayer, PoolingLayer, TmLayer, persistence
 from minicolumn.cli import main
-from minicolumn.experiments import ConfigError, ExperimentConfig
+from minicolumn.experiments import ConfigError, ExperimentConfig, build_model
+
+FORMAT1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
 
 
 BASE_CONFIG = {
@@ -73,6 +77,55 @@ class TestConfigValidation:
         raw["layer"]["columns"] = 64
         with pytest.raises(ConfigError, match="columns"):
             ExperimentConfig.from_dict(raw)
+
+
+def keyword_defaults(*classes) -> dict:
+    """Every constructor keyword with a default, except ``seed``; a later
+    class's default wins."""
+    return {
+        name: param.default
+        for cls in classes
+        for name, param in inspect.signature(cls).parameters.items()
+        if param.default is not param.empty and name != "seed"
+    }
+
+
+class TestConfigKeys:
+    def test_every_constructor_keyword_accepted(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["layer"] = {**keyword_defaults(TmLayer), **raw["layer"]}
+        raw["pool"] = {**keyword_defaults(PatternLayer, PoolingLayer), "n_columns": 32}
+        assert set(raw["layer"]) == set(inspect.signature(TmLayer).parameters) - {
+            "input_size", "seed"
+        }
+        assert set(raw["pool"]) == (
+            set(inspect.signature(PatternLayer).parameters)
+            | set(inspect.signature(PoolingLayer).parameters)
+        ) - {"input_size", "seed", "kwargs"}
+        model = build_model(ExperimentConfig.from_dict(raw), with_pool=True)
+        assert model.pool.n_columns == 32
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("layer", "boost_strength", 0.0),
+            ("layer", "duty_period", 1000),
+            ("layer", "column_score_mode", "max"),
+            ("pool", "boost_strength", 0.0),
+            ("pool", "duty_period", 1000),
+        ],
+    )
+    def test_removed_keys_unknown(self, tmp_path, capsys, section, key, value):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["pool"] = {"n_columns": 32}
+        raw[section][key] = value
+        with pytest.raises(ConfigError, match=f"unknown {section} key {key!r}"):
+            ExperimentConfig.from_dict(raw)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["sequence", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
 
 class TestCapacityCommand:
@@ -215,3 +268,35 @@ class TestInspectCommand:
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert main(["inspect", "--snapshot", str(tmp_path / "none.json")]) == 2
+
+    def test_inspect_format1_fixture(self, capsys):
+        assert main(["inspect", "--snapshot", str(FORMAT1_FIXTURE)]) == 0
+        out = capsys.readouterr().out
+        assert "SequenceModel" in out
+        assert "column_score_mode" not in out and "boost_strength" not in out
+
+
+def set_boost(state):
+    state["boost"][0] = 1.5
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: set_boost(doc["state"]["tm"]["pattern"]),
+        lambda doc: set_boost(doc["state"]["pool"]),
+        lambda doc: doc["state"]["tm"]["params"].update(column_score_mode="sum"),
+        lambda doc: doc.update(format_version=3),
+    ],
+    ids=["tm-boost", "pool-boost", "column-score-sum", "format-3"],
+)
+def test_unreadable_format1_snapshot_exits_2(tmp_path, capsys, mutate):
+    doc = json.loads(FORMAT1_FIXTURE.read_text())
+    mutate(doc)
+    snap = tmp_path / "model.json"
+    snap.write_text(json.dumps(doc))
+    config = write_config(tmp_path)
+    assert main(["inspect", "--snapshot", str(snap)]) == 2
+    assert main(["sequence", "--config", str(config), "--resume", str(snap)]) == 2
+    err = capsys.readouterr().err
+    assert "model.json" in err and "Traceback" not in err

@@ -2,13 +2,16 @@
 
 Each run hashes (sha256) the repr of every ``LayerOutput`` field of every
 step, ``firing_sequence`` and ``anomaly`` included, and then the bytes of the
-final ``persistence.save`` snapshot. The digests below were recorded with the
-object-graph distal segment store that preceded the flat-array one; any
-change to an output bit, a float's last digit or a value's type shows here.
+final ``persistence.save`` snapshot. The outputs digests below were recorded
+with the object-graph distal segment store that preceded the flat-array one;
+any change to an output bit, a float's last digit or a value's type shows
+here. The snapshot digests were recorded again when format 2 dropped the
+inert homeostasis fields; those snapshots equal the format-1 ones with
+exactly those fields removed.
 
 ``fixtures/format1_model.json`` is a format-1 snapshot written by that same
-earlier code. It must load, save back to the same bytes and step on exactly
-as the model it was taken from did.
+earlier code. It must load, save back as the same document without the
+removed fields, and step on exactly as the model it was taken from did.
 """
 
 import dataclasses
@@ -32,17 +35,20 @@ FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
 GOLDEN = {
     "sequence": (
         "e158cd8491ce8ad8a05333f8f091c2322bcac1a151f315a47607386273bb8c45",
-        "1bf7ae7129e4703d4065df8d57165a89e545d174a64d939d80b553d1a6e4d55f",
+        "155760f2401ab6975232c778b72d2dfca82c8af20b735bed2ab66d8b8fed987f",
     ),
     "pool": (
         "81748c80a5940750f0c59e91443735228ec23cec90a9d40e89b77a689b87bef3",
-        "31c3e8d21ca05cc425e4b77f9dee590478140278e395836f2fe525a3d987d1a2",
+        "6ee045deb1490fce2dc38ca94176c7b195b166bf33e14f3130d16eb6e54db86d",
     ),
     "paper": (
         "16397f39f1b384c420f9762b873d9562e4e67d6ad27015e7f8e05622e45301d6",
-        "c24eaf9dbd24361e852ac30d7e44ae3b6ba91afcc6260a0d5c26fc8db9a2eaa9",
+        "e3cfb63f17df1b7e8e5840c210e00cc98db941bcaab96e3215550048b420b9a1",
     ),
-    "fixture_resume": "776a891e77ed86b889e6eae345530b08cd73f4b6058d060d907cb52a0ebba6fe",
+    "fixture_resume": (
+        "1be1a010320f8d09882d5506339ea2ab8d01d91daf952ae6341ee947b2ddf255",
+        "c903c6264f5064c2c6d433c57c252b99060915e37f061dbd5c2236443e561d68",
+    ),
 }
 
 
@@ -139,11 +145,28 @@ def test_paper_scale_trace(tmp_path):
     assert paper_run(tmp_path) == GOLDEN["paper"]
 
 
+def format2_of_fixture() -> bytes:
+    """The fixture's bytes as format 2 writes them: without the pattern
+    layers' homeostasis fields and the transition layer's column scoring
+    switch."""
+    doc = json.loads(FIXTURE.read_text())
+    doc["format_version"] = 2
+    tm, pool = doc["state"]["tm"], doc["state"]["pool"]
+    for name in ("boost_strength", "duty_period", "column_score_mode"):
+        del tm["params"][name]
+    for pattern in (tm["pattern"], pool):
+        for name in ("boost_strength", "duty_period"):
+            del pattern["params"][name]
+        for name in ("boost", "active_duty", "overlap_duty"):
+            del pattern[name]
+    return (json.dumps(doc) + "\n").encode()
+
+
 def fixture_resume(tmp_path):
     model = persistence.load(FIXTURE)
     resaved = tmp_path / "resaved.json"
     persistence.save(model, resaved)
-    assert resaved.read_bytes() == FIXTURE.read_bytes()
+    assert resaved.read_bytes() == format2_of_fixture()
     outputs = []
     for token in "ABCDXBCYABCD":
         out = model.tm.step(model.encode(token))
@@ -152,8 +175,7 @@ def fixture_resume(tmp_path):
     outputs += [model.tm.step(model.encode(token), learn=False) for token in "XBC"]
     h = hashlib.sha256()
     hash_outputs(h, outputs)
-    h.update(snapshot_digest(model, tmp_path / "after.json").encode())
-    return h.hexdigest()
+    return h.hexdigest(), snapshot_digest(model, tmp_path / "after.json")
 
 
 def test_format1_fixture_loads_and_resumes_bit_exactly(tmp_path):

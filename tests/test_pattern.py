@@ -1,46 +1,59 @@
 import numpy as np
 import pytest
 
-from minicolumn import DimensionError, PatternLayer, ProximalDendrite, Sdr
+from minicolumn import DimensionError, PatternLayer, Sdr
 from minicolumn.pattern import reconstruction_error
 
 
-def make_dendrite(sources, permanences, input_size=16, threshold=0.2):
-    return ProximalDendrite(input_size, sources, permanences, threshold)
+def one_column(sources, permanences, input_size=16, threshold=0.2):
+    layer = PatternLayer(
+        input_size, 1, n_active=1, n_synapses=len(sources), connect_threshold=threshold, seed=0
+    )
+    layer.sources = np.array([sources])
+    layer.permanences = np.array([permanences], dtype=np.float64)
+    return layer
+
+
+def connected_synapses(layer):
+    """Per synapse of the one column: does an input on its source count?"""
+    return [
+        int(layer.raw_overlaps(Sdr(layer.input_size, [source]))[0])
+        for source in layer.sources[0]
+    ]
 
 
 class TestConnectionVector:
     def test_elementwise_threshold(self):
-        d = make_dendrite([0, 1, 2], [0.3, 0.1, 0.25])
-        assert d.connection_vector().tolist() == [1, 0, 1]
+        layer = one_column([0, 1, 2], [0.3, 0.1, 0.25])
+        assert connected_synapses(layer) == [1, 0, 1]
 
     def test_equality_connects(self):
-        d = make_dendrite([0], [0.2])
-        assert d.connection_vector().tolist() == [1]
+        layer = one_column([0], [0.2])
+        assert connected_synapses(layer) == [1]
 
     def test_all_zero(self):
-        d = make_dendrite([0, 1], [0.0, 0.0])
-        assert d.connection_vector().tolist() == [0, 0]
+        layer = one_column([0, 1], [0.0, 0.0])
+        assert connected_synapses(layer) == [0, 0]
 
 
 class TestFfOverlap:
     def test_maximum(self):
-        d = make_dendrite([2, 5, 7], [0.9, 0.9, 0.9])
-        assert d.overlap(Sdr(16, [2, 5, 7])) == 3
+        layer = one_column([2, 5, 7], [0.9, 0.9, 0.9])
+        assert layer.raw_overlaps(Sdr(16, [2, 5, 7])).tolist() == [3]
 
     def test_empty_input(self):
-        d = make_dendrite([2, 5, 7], [0.9, 0.9, 0.9])
-        assert d.overlap(Sdr(16)) == 0
+        layer = one_column([2, 5, 7], [0.9, 0.9, 0.9])
+        assert layer.raw_overlaps(Sdr(16)).tolist() == [0]
 
     def test_hand_intersection(self):
         # connected synapses at inputs {2, 7}; input covers {5, 7} -> 1
-        d = make_dendrite([2, 5, 7], [0.4, 0.1, 0.3])
-        assert d.overlap(Sdr(16, [5, 7])) == 1
+        layer = one_column([2, 5, 7], [0.4, 0.1, 0.3])
+        assert layer.raw_overlaps(Sdr(16, [5, 7])).tolist() == [1]
 
     def test_dimension_error(self):
-        d = make_dendrite([2], [0.4])
+        layer = one_column([2], [0.4])
         with pytest.raises(DimensionError):
-            d.overlap(Sdr(8, [2]))
+            layer.raw_overlaps(Sdr(8, [2]))
 
 
 class TestComputeSdr:
@@ -108,50 +121,6 @@ class TestLearn:
         assert layer.permanences.max() <= 1.0
 
 
-class TestBoost:
-    def test_boost_is_exp_of_duty_deficit(self):
-        layer = PatternLayer(64, 8, n_active=2, boost_strength=2.0, seed=0)
-        layer.boost_update(Sdr(8, [0, 5]), np.full(8, 4.0))
-        expected = np.exp(2.0 * (layer.sparsity - layer.active_duty))
-        assert layer.boost == pytest.approx(expected)
-
-    def test_on_target_duty_gives_unit_boost(self):
-        layer = PatternLayer(64, 8, n_active=2, boost_strength=2.0, seed=0)
-        # steer the duty EMA exactly onto the target, then the exponent is zero
-        layer.active_duty[:] = layer.sparsity * layer.duty_period / (layer.duty_period - 1)
-        layer.boost_update(Sdr(8), np.full(8, 4.0))
-        assert layer.active_duty == pytest.approx(np.full(8, layer.sparsity))
-        assert layer.boost == pytest.approx(np.ones(8))
-
-    def test_zero_strength_disables(self):
-        layer = PatternLayer(64, 8, n_active=2, boost_strength=0.0, seed=0)
-        for _ in range(5):
-            layer.boost_update(Sdr(8, [0]), np.arange(8, dtype=float))
-        assert layer.boost == pytest.approx(np.ones(8))
-
-    def test_never_active_boost_value(self):
-        # a neuron that never wins keeps duty 0: boost = exp(strength * s)
-        layer = PatternLayer(100, 100, n_active=2, boost_strength=2.0, seed=0)
-        assert layer.sparsity == 0.02
-        for _ in range(10):
-            layer.boost_update(Sdr(100, [0]), np.full(100, 5.0))
-        assert layer.boost[1] == pytest.approx(np.exp(0.04))
-
-    def test_weak_overlap_nudge(self):
-        layer = PatternLayer(64, 8, n_active=2, seed=0)
-        layer.overlap_duty[:] = 10.0
-        layer.overlap_duty[3] = 0.0
-        before = layer.permanences.copy()
-        overlaps = np.full(8, 10.0)
-        overlaps[3] = 0.0
-        layer.boost_update(Sdr(8), overlaps)
-        bump = 0.1 * layer.connect_threshold
-        assert layer.permanences[3] == pytest.approx(
-            np.minimum(1.0, before[3] + bump)
-        )
-        assert layer.permanences[0] == pytest.approx(before[0])
-
-
 class TestReconstruction:
     def test_empty_winners(self):
         layer = PatternLayer(16, 4, n_active=2, seed=0)
@@ -197,7 +166,7 @@ class TestReconstruction:
 
 def test_monotone_reconstruction_on_fixed_input():
     # Fixed input repeated: masked reconstruction error never increases.
-    layer = PatternLayer(128, 64, n_active=4, boost_strength=0.0, seed=9)
+    layer = PatternLayer(128, 64, n_active=4, seed=9)
     x = Sdr(128, np.random.default_rng(5).choice(128, 16, replace=False))
     errors = []
     for _ in range(50):
@@ -206,9 +175,3 @@ def test_monotone_reconstruction_on_fixed_input():
         layer.learn(x, winners)
     assert all(a >= b for a, b in zip(errors, errors[1:]))
 
-
-def test_dendrite_view_shares_layer_memory():
-    layer = PatternLayer(64, 8, n_active=2, seed=0)
-    d = layer.dendrite(3)
-    layer.permanences[3, 0] = 0.77
-    assert d.permanences[0] == 0.77

@@ -23,6 +23,20 @@ from minicolumn.persistence import (
 FORMAT1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
 
 
+def format1_layer_doc(layer: str) -> dict:
+    """The fixture's transition or pooling layer as a standalone format-1
+    snapshot, as format 1 saved such a layer on its own."""
+    state = json.loads(FORMAT1_FIXTURE.read_text())["state"][layer]
+    kind = {"tm": "tm_layer", "pool": "pooling_layer"}[layer]
+    return {"format_version": 1, "kind": kind, "state": state}
+
+
+def format1_pattern(doc: dict) -> dict:
+    """The pattern-layer state inside a standalone layer snapshot."""
+    state = doc["state"]
+    return state["pattern"] if doc["kind"] == "tm_layer" else state
+
+
 def rand_sdr(rng, universe, k):
     return Sdr(universe, rng.choice(universe, k, replace=False))
 
@@ -203,9 +217,6 @@ class TestValidation:
             ("permanences", lambda rows: rows[:-1]),
             ("permanences", lambda rows: [row + [0.5] for row in rows]),
             ("permanences", lambda rows: [[None] + rows[0][1:]] + rows[1:]),
-            ("boost", lambda values: values[:-1]),
-            ("active_duty", lambda values: values + [0.0]),
-            ("overlap_duty", lambda values: [values]),
         ],
     )
     def test_mutated_format1_pattern_state_rejected(self, tmp_path, layer, field, mutate):
@@ -217,6 +228,46 @@ class TestValidation:
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotValidationError, match=field):
+            persistence.load(path)
+
+    @pytest.mark.parametrize("layer", ["tm", "pool"])
+    def test_format1_layer_snapshot_upgrades(self, tmp_path, layer):
+        doc = format1_layer_doc(layer)
+        path = tmp_path / "format1.json"
+        path.write_text(json.dumps(doc))
+        persistence.save(persistence.load(path), path)
+        state = doc["state"]
+        pattern = format1_pattern(doc)
+        if layer == "tm":
+            del state["params"]["column_score_mode"]
+            del state["params"]["boost_strength"], state["params"]["duty_period"]
+        del pattern["params"]["boost_strength"], pattern["params"]["duty_period"]
+        del pattern["boost"], pattern["active_duty"], pattern["overlap_duty"]
+        assert json.loads(path.read_text()) == dict(doc, format_version=2)
+
+    @pytest.mark.parametrize("layer", ["tm", "pool"])
+    def test_format1_boost_other_than_one_rejected(self, tmp_path, layer):
+        doc = format1_layer_doc(layer)
+        format1_pattern(doc)["boost"][3] = 1.5
+        path = tmp_path / "boosted.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotFormatError, match="boost"):
+            persistence.load(path)
+
+    def test_format1_summed_column_scores_rejected(self, tmp_path):
+        doc = format1_layer_doc("tm")
+        doc["state"]["params"]["column_score_mode"] = "sum"
+        path = tmp_path / "summed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotFormatError, match="column_score_mode 'sum'"):
+            persistence.load(path)
+
+    @pytest.mark.parametrize("layer", ["tm", "pool"])
+    def test_format_version_3_rejected(self, tmp_path, layer):
+        doc = dict(format1_layer_doc(layer), format_version=3)
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotFormatError, match="format_version 3"):
             persistence.load(path)
 
     def test_missing_file_surfaces_path(self, tmp_path):

@@ -3,11 +3,11 @@ against the dense formula it replaced.
 
 ``PatternLayer.raw_overlaps`` reads permanences live through an index built
 from ``sources``, so the tests interleave every way the layer's state can
-change (``learn``, ``tp_learn``, ``boost_update``, in-place permanence
-writes, ``sources`` assignment, a ``to_state`` / ``from_state`` round trip)
-and compare after each one. Shapes include one synapse per neuron and
-``n_synapses == input_size``; thresholds include 0 and 1; inputs include
-the empty and the full input.
+change (``learn``, ``tp_learn``, in-place permanence writes, ``sources``
+assignment, a ``to_state`` / ``from_state`` round trip) and compare after
+each one. Shapes include one synapse per neuron and ``n_synapses ==
+input_size``; thresholds include 0 and 1; inputs include the empty and the
+full input.
 """
 
 import numpy as np
@@ -59,8 +59,6 @@ def layers(draw):
         n_synapses=n_synapses,
         connect_threshold=draw(UNIT),
         min_overlap=draw(st.integers(0, 2)),
-        boost_strength=draw(st.sampled_from([0.0, 1.5])),
-        duty_period=draw(st.integers(1, 5)),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -86,7 +84,7 @@ def layer_output(active, predicted):
     )
 
 
-OPS = ["learn", "tp_learn", "boost", "write_one", "write_row", "assign", "round_trip"]
+OPS = ["learn", "tp_learn", "write_one", "write_row", "assign", "round_trip"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -100,8 +98,6 @@ def test_overlaps_match_dense_formula(layer, data):
             predicted = data.draw(st.sets(st.sampled_from(x.active))) if x.active else ()
             out = layer_output(x, Sdr(layer.input_size, predicted))
             layer.tp_learn(out, layer.tp_step(out))
-        elif op == "boost":
-            layer.boost_update(layer.compute_sdr(x), layer.raw_overlaps(x))
         elif op == "write_one":
             row = data.draw(st.integers(0, layer.n_columns - 1))
             col = data.draw(st.integers(0, layer.n_synapses - 1))
