@@ -209,11 +209,22 @@ class SequenceModel:
     @classmethod
     def from_state(cls, state: dict) -> "SequenceModel":
         enc_cls = ScalarEncoder if state["encoder_kind"] == "scalar" else CategoryEncoder
-        return cls(
+        model = cls(
             encoder=enc_cls.from_state(state["encoder"]),
             tm=TmLayer.from_state(state["tm"]),
             pool=PoolingLayer.from_state(state["pool"]) if "pool" in state else None,
         )
+        # The parts must fit together as build_model makes them.
+        if model.tm.pattern.input_size != model.encoder.universe_size:
+            raise ValueError(
+                f"tm input_size {model.tm.pattern.input_size} != encoder universe_size "
+                f"{model.encoder.universe_size}"
+            )
+        if model.pool is not None and model.pool.input_size != model.tm.n_cells:
+            raise ValueError(
+                f"pool input_size {model.pool.input_size} != tm cell count {model.tm.n_cells}"
+            )
+        return model
 
 
 def _construct(section: str, cls, **kwargs):

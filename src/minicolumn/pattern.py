@@ -40,31 +40,16 @@ class PatternLayer:
         min_overlap: int = 1,
         seed=0,
     ):
-        if input_size <= 0 or n_columns <= 0:
-            raise ValueError("input_size and n_columns must be positive")
         if n_active is None:
             if not 0.0 < sparsity < 1.0:
                 raise ValueError(f"sparsity must be in (0, 1), got {sparsity}")
             n_active = int(round(sparsity * n_columns))
-        if not 1 <= n_active <= n_columns:
-            raise ValueError(f"n_active must be in [1, {n_columns}], got {n_active}")
         if n_synapses is None:
             n_synapses = max(1, int(round(potential_fraction * input_size)))
-        if not 1 <= n_synapses <= input_size:
-            raise ValueError(f"n_synapses must be in [1, {input_size}], got {n_synapses}")
-        if not 0.0 <= connect_threshold <= 1.0:
-            raise ValueError("connect_threshold must be in [0, 1]")
-        if delta_inc < 0 or delta_dec < 0:
-            raise ValueError("delta_inc and delta_dec must be >= 0")
-
-        self.input_size = int(input_size)
-        self.n_columns = int(n_columns)
-        self.n_active = int(n_active)
-        self.n_synapses = int(n_synapses)
-        self.connect_threshold = float(connect_threshold)
-        self.delta_inc = float(delta_inc)
-        self.delta_dec = float(delta_dec)
-        self.min_overlap = int(min_overlap)
+        self._configure(
+            input_size, n_columns, n_active, n_synapses, connect_threshold, delta_inc,
+            delta_dec, min_overlap,
+        )
 
         self._rng = np.random.default_rng(seed)
         sources = np.empty((n_columns, self.n_synapses), dtype=np.int32)
@@ -75,6 +60,30 @@ class PatternLayer:
         low = max(0.0, self.connect_threshold - 0.1)
         high = min(1.0, self.connect_threshold + 0.1)
         self.permanences = self._rng.uniform(low, high, size=(n_columns, self.n_synapses))
+
+    def _configure(
+        self, input_size, n_columns, n_active, n_synapses, connect_threshold, delta_inc,
+        delta_dec, min_overlap,
+    ) -> None:
+        """Check and store the resolved parameters, as snapshots hold them."""
+        if input_size <= 0 or n_columns <= 0:
+            raise ValueError("input_size and n_columns must be positive")
+        if not 1 <= n_active <= n_columns:
+            raise ValueError(f"n_active must be in [1, {n_columns}], got {n_active}")
+        if not 1 <= n_synapses <= input_size:
+            raise ValueError(f"n_synapses must be in [1, {input_size}], got {n_synapses}")
+        if not 0.0 <= connect_threshold <= 1.0:
+            raise ValueError("connect_threshold must be in [0, 1]")
+        if delta_inc < 0 or delta_dec < 0:
+            raise ValueError("delta_inc and delta_dec must be >= 0")
+        self.input_size = int(input_size)
+        self.n_columns = int(n_columns)
+        self.n_active = int(n_active)
+        self.n_synapses = int(n_synapses)
+        self.connect_threshold = float(connect_threshold)
+        self.delta_inc = float(delta_inc)
+        self.delta_dec = float(delta_dec)
+        self.min_overlap = int(min_overlap)
 
     @property
     def sources(self) -> np.ndarray:
@@ -215,33 +224,39 @@ class PatternLayer:
                 "delta_dec": self.delta_dec,
                 "min_overlap": self.min_overlap,
             },
-            "sources": self.sources.tolist(),
-            "permanences": self.permanences.tolist(),
+            "sources": self.sources,
+            "permanences": self.permanences.copy(),
             "rng": self._rng.bit_generator.state,
         }
 
     def _restore_state(self, state: dict) -> None:
-        perms = _as_array("permanences", state["permanences"], np.float64)
+        perms = _as_array("permanences", state["permanences"])
+        if perms.dtype != np.float64:
+            raise ValueError(f"permanences must be float64, got dtype {perms.dtype}")
         shape = (self.n_columns, self.n_synapses)
         if perms.shape != shape:
             raise ValueError(f"permanences must have shape {shape}, got {perms.shape}")
         if not ((perms >= 0.0) & (perms <= 1.0)).all():
             raise ValueError("permanences outside [0, 1]")
         self.sources = state["sources"]
-        self.permanences = perms
+        self.permanences = np.array(perms, order="C")
+        self._rng = np.random.default_rng(0)
         self._rng.bit_generator.state = state["rng"]
 
     @classmethod
     def from_state(cls, state: dict) -> "PatternLayer":
-        layer = cls(**state["params"])
+        # Not through __init__: its random sources and permanences would
+        # only be overwritten.
+        layer = cls.__new__(cls)
+        layer._configure(**state["params"])
         layer._restore_state(state)
         return layer
 
 
-def _as_array(name: str, value, dtype=None) -> np.ndarray:
-    """``np.asarray`` whose errors (ragged rows, non-numbers) name the field."""
+def _as_array(name: str, value) -> np.ndarray:
+    """``np.asarray`` whose errors (ragged rows) name the field."""
     try:
-        return np.asarray(value, dtype=dtype)
+        return np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
 

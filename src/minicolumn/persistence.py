@@ -1,16 +1,26 @@
 """Versioned save/load of encoders, layers and model bundles.
 
-Snapshots are JSON documents with explicit field names. Floats are written
-with Python's shortest round-trip representation, so permanences and rng
-state survive a save/load cycle bit-exactly and a resumed run reproduces an
-uninterrupted one. Format-1 snapshots are read through ``_upgrade_v1``.
+A format-3 snapshot is one uncompressed zip written by ``np.savez``. Its
+``header`` member holds ``format_version``, ``kind`` and the model's state
+tree as UTF-8 JSON; every array in the tree is a ``.npy`` member of its own,
+in the dtype the model holds, named by its path in the tree (say
+``state.tm.pattern.permanences``), and the header refers to it as
+``{"$array": name}``. Arrays keep their bits and JSON floats are written with
+Python's shortest round-trip representation, so permanences and rng state
+survive a save/load cycle bit-exactly and a resumed run reproduces an
+uninterrupted one. Format-1 and format-2 snapshots, which were JSON
+documents, still load; format 1 through ``_upgrade_v1``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tokenize
+import zipfile
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "FORMAT_VERSION",
@@ -21,7 +31,7 @@ __all__ = [
     "load",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class SnapshotError(Exception):
@@ -90,53 +100,59 @@ def _upgrade_v1(kind: str, state: dict) -> None:
         del state["active_duty"], state["overlap_duty"]
 
 
-_CONTAINERS = (dict, list, tuple)
+# Format 3 is a zip written by ``np.savez``; formats 1 and 2 are JSON text.
+_ZIP_MAGIC = b"PK\x03\x04"
+_HEADER = "header"
+_REF = "$array"  # {"$array": member} stands for an array leaf in the header
 
 
-def _write_json(fh, value) -> None:
-    """Write ``value`` exactly as ``json.dump(value, fh)`` would.
+def _detach_arrays(value, arrays: dict, name: str):
+    """``value`` with every array leaf moved into ``arrays`` under its path
+    in the state and replaced by a reference to that member."""
+    if isinstance(value, np.ndarray):
+        arrays[name] = value
+        return {_REF: name}
+    if isinstance(value, dict):
+        return {key: _detach_arrays(item, arrays, f"{name}.{key}") for key, item in value.items()}
+    return value
 
-    ``json.dump`` never uses the C encoder, so the containers are written
-    here and every leaf and every list of leaves (one matrix row) goes to
-    ``json.dumps``. A dict with a key that is not a string goes to
-    ``json.dumps`` whole, which converts the key the way ``json.dump`` does.
-    """
-    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
-        fh.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            fh.write(", " if i else "")
-            fh.write(json.dumps(key))
-            fh.write(": ")
-            _write_json(fh, item)
-        fh.write("}")
-    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], _CONTAINERS):
-        fh.write("[")
-        for i, item in enumerate(value):
-            fh.write(", " if i else "")
-            _write_json(fh, item)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(value))
+
+def _array_hook(members):
+    """A ``json.loads`` object hook that replaces each reference by its member."""
+
+    def hook(obj: dict):
+        if obj.keys() != {_REF}:
+            return obj
+        name = obj[_REF]
+        if not isinstance(name, str) or name not in members:
+            raise SnapshotFormatError(f"reference to missing array member {name!r}")
+        if not isinstance(members[name], np.ndarray):
+            raise SnapshotFormatError(f"member {name!r} is not an .npy array")
+        return members[name]
+
+    return hook
 
 
 def save(model, path: str | Path) -> None:
-    """Write a self-describing snapshot of the model to ``path``.
+    """Write a self-describing format-3 snapshot of the model to ``path``.
 
-    The snapshot is streamed to a temporary file next to ``path`` and moved
+    The snapshot is written to a temporary file next to ``path`` and moved
     over it only once complete, so a failed save leaves any previous
     snapshot at ``path`` as it was.
     """
-    document = {
+    arrays: dict[str, np.ndarray] = {}
+    header = {
         "format_version": FORMAT_VERSION,
         "kind": _kind_of(model),
-        "state": model.to_state(),
+        "state": _detach_arrays(model.to_state(), arrays, "state"),
     }
+    encoded = np.frombuffer(json.dumps(header, separators=(",", ":")).encode(), np.uint8)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w") as fh:
-            _write_json(fh, document)
-            fh.write("\n")
+        with tmp.open("wb") as fh:
+            # Given an open file, np.savez writes there and adds no ".npz".
+            np.savez(fh, allow_pickle=False, **{_HEADER: encoded}, **arrays)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -146,26 +162,68 @@ def save(model, path: str | Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _read_zip(fh) -> dict:
+    """The format-3 document in ``fh``, with its arrays in place."""
+    try:
+        with np.load(fh, allow_pickle=False) as npz:
+            if _HEADER not in npz.files:
+                raise SnapshotFormatError(f"no {_HEADER!r} member")
+            members = {name: npz[name] for name in npz.files}
+    # ValueError covers an object array, which is refused, never unpickled.
+    # zipfile raises NotImplementedError for an unknown compression method and
+    # RuntimeError for an encrypted member. A damaged .npy header can fail in
+    # numpy's tokenizer, or declare a shape too large to allocate.
+    except (
+        zipfile.BadZipFile, OSError, EOFError, ValueError, NotImplementedError, RuntimeError,
+        tokenize.TokenError, MemoryError,
+    ) as exc:
+        raise SnapshotFormatError(f"unreadable zip: {exc}") from exc
+    header = members[_HEADER]
+    if not (isinstance(header, np.ndarray) and header.dtype == np.uint8 and header.ndim == 1):
+        raise SnapshotFormatError(f"{_HEADER!r} member is not a uint8 vector")
+    try:
+        document = json.loads(header.tobytes().decode(), object_hook=_array_hook(members))
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{_HEADER!r} member is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise SnapshotFormatError(f"{_HEADER!r} member is not a JSON object")
+    return document
+
+
 def load(path: str | Path):
-    """Rebuild a model from a snapshot; subsequent outputs are bit-identical."""
+    """Rebuild a model from a snapshot; subsequent outputs are bit-identical.
+
+    The format is told by the file's first bytes: a zip is format 3, anything
+    else is read as a format-1 or format-2 JSON document.
+    """
     path = Path(path)
     try:
-        with path.open("r") as fh:
-            document = json.load(fh)
+        with path.open("rb") as fh:
+            is_zip = fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
+            fh.seek(0)
+            if is_zip:
+                document, versions = _read_zip(fh), (FORMAT_VERSION,)
+            else:
+                document, versions = json.loads(fh.read()), (1, 2)
+    except SnapshotFormatError as exc:
+        raise SnapshotFormatError(f"snapshot {path}: {exc}") from exc
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SnapshotError(
+        raise SnapshotFormatError(
             f"snapshot {path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(f"snapshot {path}: neither a zip nor JSON text: {exc}") from exc
     if not isinstance(document, dict) or "format_version" not in document:
         raise SnapshotFormatError(f"snapshot {path}: missing format_version")
     version = document["format_version"]
-    if version not in (1, FORMAT_VERSION):
+    if version not in versions:
         raise SnapshotFormatError(
-            f"snapshot {path}: unknown format_version {version!r} "
-            f"(this build reads versions 1 and {FORMAT_VERSION})"
+            f"snapshot {path}: unknown format_version {version!r} for a "
+            f"{'zip' if is_zip else 'JSON'} snapshot (format 3 is a zip, formats 1 "
+            "and 2 are JSON)"
         )
     registry = _registry()
     kind = document.get("kind")

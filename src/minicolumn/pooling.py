@@ -19,6 +19,11 @@ from .transition import LayerOutput
 
 __all__ = ["PoolingLayer", "stability"]
 
+# Parameters the pooling layer adds to the pattern layer's, in snapshot order.
+_POOLING_PARAMS = (
+    "persistence", "delta_inc_pred", "delta_dec_pred", "delta_inc_burst", "delta_dec_burst",
+)
+
 
 class PoolingLayer(PatternLayer):
     """Pattern layer with prediction-gated hysteresis and modulated learning.
@@ -40,6 +45,15 @@ class PoolingLayer(PatternLayer):
         min_overlap: int = 2,
         **kwargs,
     ):
+        self._configure_pooling(
+            persistence, delta_inc_pred, delta_dec_pred, delta_inc_burst, delta_dec_burst
+        )
+        super().__init__(input_size, n_columns, min_overlap=min_overlap, **kwargs)
+        self.active_prev = Sdr(self.n_columns)
+
+    def _configure_pooling(
+        self, persistence, delta_inc_pred, delta_dec_pred, delta_inc_burst, delta_dec_burst
+    ) -> None:
         if not 0.0 <= persistence < 1.0:
             raise ValueError(f"persistence must be in [0, 1), got {persistence}")
         if delta_inc_pred < delta_inc_burst or delta_dec_pred > delta_dec_burst:
@@ -47,13 +61,11 @@ class PoolingLayer(PatternLayer):
                 "predicted sources must learn at least as fast as bursting ones "
                 "(delta_inc_pred >= delta_inc_burst, delta_dec_pred <= delta_dec_burst)"
             )
-        super().__init__(input_size, n_columns, min_overlap=min_overlap, **kwargs)
         self.persistence = float(persistence)
         self.delta_inc_pred = float(delta_inc_pred)
         self.delta_dec_pred = float(delta_dec_pred)
         self.delta_inc_burst = float(delta_inc_burst)
         self.delta_dec_burst = float(delta_dec_burst)
-        self.active_prev = Sdr(self.n_columns)
 
     def tp_step(self, l4: LayerOutput) -> Sdr:
         """Pooled SDR for one step of the layer below.
@@ -109,19 +121,16 @@ class PoolingLayer(PatternLayer):
 
     def to_state(self) -> dict:
         state = super().to_state()
-        state["params"].update(
-            persistence=self.persistence,
-            delta_inc_pred=self.delta_inc_pred,
-            delta_dec_pred=self.delta_dec_pred,
-            delta_inc_burst=self.delta_inc_burst,
-            delta_dec_burst=self.delta_dec_burst,
-        )
+        state["params"].update((name, getattr(self, name)) for name in _POOLING_PARAMS)
         state["active_prev"] = list(self.active_prev.active)
         return state
 
     @classmethod
     def from_state(cls, state: dict) -> "PoolingLayer":
-        pool = cls(**state["params"])
+        params = dict(state["params"])
+        pool = cls.__new__(cls)  # no random draws, as in PatternLayer.from_state
+        pool._configure_pooling(*(params.pop(name) for name in _POOLING_PARAMS))
+        pool._configure(**params)
         pool._restore_state(state)
         pool.active_prev = Sdr(pool.n_columns, state["active_prev"])
         return pool

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pattern import PatternLayer
+from .pattern import PatternLayer, _as_array
 from .sdr import Sdr
 
 __all__ = [
@@ -112,10 +112,35 @@ class _Evals(NamedTuple):
 
 
 def _check_spike(activation_threshold, spike_size) -> None:
-    if activation_threshold < 1:
+    """Check one threshold and spike size, or arrays of them."""
+    if np.any(np.less(activation_threshold, 1)):
         raise ValueError("activation_threshold must be >= 1")
-    if not spike_size > 0:
+    if not np.all(np.greater(spike_size, 0)):
         raise ValueError("spike_size must be positive")
+
+
+def _flat(name: str, values, dtype) -> np.ndarray:
+    """``values`` as a 1-D array of ``dtype``. Raises ``ValueError`` naming
+    the field unless every value is an integer, or a real number when
+    ``dtype`` is a float type."""
+    array = _as_array(name, values)
+    real = np.dtype(dtype).kind == "f"
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be flat lists of numbers, got shape {array.shape}")
+    if array.size and array.dtype.kind not in ("iuf" if real else "iu"):
+        what = "real numbers" if real else "integers"
+        raise ValueError(f"{name} must be {what}, got dtype {array.dtype}")
+    return array.astype(dtype)
+
+
+def _ragged(name: str, rows, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ``rows`` as by ``_flat``, and the length of each row."""
+    try:
+        lengths = np.fromiter(map(len, rows), dtype=np.intp)
+        values = list(chain.from_iterable(rows))
+    except TypeError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    return _flat(name, values, dtype), lengths
 
 
 def _resized(a: np.ndarray, rows: int, fill) -> np.ndarray:
@@ -181,6 +206,35 @@ class TmLayer:
         blank_winner: str = "random",
         seed: int = 0,
     ):
+        if initial_segment_permanence is None:
+            initial_segment_permanence = connect_threshold + 0.05
+        given = locals()  # the distal arguments, by the names in _DISTAL_PARAMS
+        self._configure(cells_per_column, **{name: given[name] for name in _DISTAL_PARAMS})
+        root = np.random.SeedSequence(seed)
+        pattern_ss, distal_ss = root.spawn(2)
+        pattern = PatternLayer(
+            input_size,
+            n_columns,
+            n_active=n_active,
+            sparsity=sparsity,
+            n_synapses=n_synapses,
+            potential_fraction=potential_fraction,
+            connect_threshold=connect_threshold,
+            delta_inc=delta_inc,
+            delta_dec=delta_dec,
+            min_overlap=min_overlap,
+            seed=pattern_ss,
+        )
+        self._attach(pattern, np.random.default_rng(distal_ss))
+
+    def _configure(
+        self, cells_per_column, *, alpha, beta, beta_sub, alpha_inh, gamma_p, gamma_inh,
+        dtau_vert, predictive_threshold, synapses_per_segment, segments_per_cell,
+        activation_threshold, min_match_threshold, spike_size, sigma_inc, sigma_dec,
+        sigma_punish, initial_segment_permanence, blank_winner,
+    ) -> None:
+        """Check and store the layer's own resolved parameters, as snapshots
+        hold them."""
         if cells_per_column < 1:
             raise ValueError("cells_per_column must be >= 1")
         if min(alpha, gamma_p, gamma_inh) <= 0 or dtau_vert <= 0:
@@ -202,26 +256,7 @@ class TmLayer:
         if sigma_inc < 0 or sigma_dec < 0 or sigma_punish < 0:
             raise ValueError("sigma rates must be >= 0")
 
-        root = np.random.SeedSequence(seed)
-        pattern_ss, distal_ss = root.spawn(2)
-        self.pattern = PatternLayer(
-            input_size,
-            n_columns,
-            n_active=n_active,
-            sparsity=sparsity,
-            n_synapses=n_synapses,
-            potential_fraction=potential_fraction,
-            connect_threshold=connect_threshold,
-            delta_inc=delta_inc,
-            delta_dec=delta_dec,
-            min_overlap=min_overlap,
-            seed=pattern_ss,
-        )
-        self._rng = np.random.default_rng(distal_ss)
-
-        self.n_columns = self.pattern.n_columns
         self.cells_per_column = int(cells_per_column)
-        self.n_cells = self.n_columns * self.cells_per_column
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.beta_sub = float(beta_sub)
@@ -238,12 +273,16 @@ class TmLayer:
         self.sigma_inc = float(sigma_inc)
         self.sigma_dec = float(sigma_dec)
         self.sigma_punish = float(sigma_punish)
-        self.initial_segment_permanence = (
-            connect_threshold + 0.05
-            if initial_segment_permanence is None
-            else float(initial_segment_permanence)
-        )
+        self.initial_segment_permanence = float(initial_segment_permanence)
         self.blank_winner = blank_winner
+
+    def _attach(self, pattern: PatternLayer, rng: np.random.Generator) -> None:
+        """Take the proximal layer and the distal rng; start with no segments
+        and no sequence state."""
+        self.pattern = pattern
+        self._rng = rng
+        self.n_columns = pattern.n_columns
+        self.n_cells = self.n_columns * self.cells_per_column
 
         # Distal segments, one row each; the first ``_n_segments`` rows are in
         # use and capacity doubles as they fill. A cell's segments are its
@@ -291,17 +330,18 @@ class TmLayer:
         """Copy of every cell's segments in segment order; cells without
         segments are left out."""
         n = self._n_segments
-        owners = self._owner[:n].tolist()
-        lengths = np.count_nonzero(self._sources[:n] != self.n_cells, axis=1).tolist()
-        thresholds = self._thresholds[:n].tolist()
-        spikes = self._spikes[:n].tolist()
+        order = np.argsort(self._owner[:n], kind="stable")
+        lengths = np.count_nonzero(self._sources[order] != self.n_cells, axis=1)
         out: dict[int, list[DistalSegment]] = {}
-        for r in np.argsort(self._owner[:n], kind="stable").tolist():
-            k = lengths[r]
-            sources, perms = self._sources[r, :k].tolist(), self._permanences[r, :k].tolist()
-            out.setdefault(owners[r], []).append(
-                DistalSegment(sources, perms, thresholds[r], spikes[r])
-            )
+        for cell, k, sources, perms, threshold, spike in zip(
+            self._owner[order].tolist(),
+            lengths.tolist(),
+            self._sources[order].tolist(),
+            self._permanences[order].tolist(),
+            self._thresholds[order].tolist(),
+            self._spikes[order].tolist(),
+        ):
+            out.setdefault(cell, []).append(DistalSegment(sources[:k], perms[:k], threshold, spike))
         return out
 
     def add_segment(
@@ -317,44 +357,78 @@ class TmLayer:
         Thresholds default to the layer's. Raises ``ValueError`` for anything
         the layer could not hold or score.
         """
-        cell = int(cell)
-        sources = [int(s) for s in sources]
-        permanences = [float(p) for p in permanences]
         if activation_threshold is None:
             activation_threshold = self.activation_threshold
         if spike_size is None:
             spike_size = self.spike_size
-        activation_threshold, spike_size = int(activation_threshold), float(spike_size)
-        if not 0 <= cell < self.n_cells:
-            raise ValueError(f"segment cell {cell} outside [0, {self.n_cells})")
-        if len(sources) != len(permanences):
-            raise ValueError("sources and permanences must have equal length")
-        if len(sources) > self.synapses_per_segment:
-            raise ValueError(f"more than synapses_per_segment={self.synapses_per_segment} sources")
-        if len(set(sources)) != len(sources):
-            raise ValueError("sources must be distinct")
-        if sources and not (0 <= min(sources) and max(sources) < self.n_cells):
-            raise ValueError(f"segment sources must lie in [0, {self.n_cells})")
-        if not all(0.0 <= p <= 1.0 for p in permanences):
-            raise ValueError("segment permanences outside [0, 1]")
-        _check_spike(activation_threshold, spike_size)
-        if self._segment_counts[cell] >= self.segments_per_cell:
-            raise ValueError(
-                f"cell {cell} already has segments_per_cell={self.segments_per_cell} segments"
-            )
-        row = self._new_row(cell)
-        self._store(row, cell, sources, permanences, activation_threshold, spike_size)
-        return row
+        self._add_segments([cell], [sources], [permanences], [activation_threshold], [spike_size])
+        return self._n_segments - 1
 
-    def _new_row(self, cell: int) -> int:
-        row = self._n_segments
-        if row == len(self._owner):
-            size = max(64, 2 * row)
+    def _add_segments(self, cells, sources, permanences, thresholds, spikes) -> None:
+        """Append one segment per entry of ``cells``, in order: ``sources[i]``
+        and ``permanences[i]`` are sequences, ``thresholds[i]`` and
+        ``spikes[i]`` numbers.
+
+        Every segment is checked before any is stored. Raises ``ValueError``,
+        naming the field, for anything the layer could not hold or score.
+        """
+        n_cells, width = self.n_cells, self.synapses_per_segment
+        cells = _flat("segment cells", cells, np.int64)
+        flat_sources, lengths = _ragged("segment sources", sources, np.int64)
+        flat_perms, perm_lengths = _ragged("segment permanences", permanences, np.float64)
+        thresholds = _flat("activation_threshold", thresholds, np.int64)
+        spikes = _flat("spike_size", spikes, np.float64)
+        if cells.size and not (cells.min() >= 0 and cells.max() < n_cells):
+            raise ValueError(f"segment cells must lie in [0, {n_cells})")
+        if not np.array_equal(lengths, perm_lengths):
+            raise ValueError("segment sources and permanences must have equal length")
+        if lengths.size and lengths.max() > width:
+            raise ValueError(f"more than synapses_per_segment={width} segment sources")
+        if flat_sources.size and not (flat_sources.min() >= 0 and flat_sources.max() < n_cells):
+            raise ValueError(f"segment sources must lie in [0, {n_cells})")
+        if not ((flat_perms >= 0.0) & (flat_perms <= 1.0)).all():
+            raise ValueError("segment permanences outside [0, 1]")
+        _check_spike(thresholds, spikes)
+        counts = self._segment_counts + np.bincount(cells, minlength=n_cells)
+        if counts.max(initial=0) > self.segments_per_cell:
+            cell = int(np.argmax(counts > self.segments_per_cell))
+            raise ValueError(
+                f"cell {cell} would have more than segments_per_cell={self.segments_per_cell} "
+                "segments"
+            )
+        # Segment i's synapses fill the first lengths[i] slots of its row.
+        rows = np.repeat(np.arange(cells.size), lengths)
+        slots = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        block = np.full((cells.size, width), n_cells, dtype=np.int64)
+        block[rows, slots] = flat_sources
+        ordered = np.sort(block, axis=1)
+        if ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != n_cells)).any():
+            raise ValueError("segment sources must be distinct")
+
+        start, stop = self._n_segments, self._n_segments + cells.size
+        self._reserve(stop)
+        self._sources[start:stop] = block
+        self._permanences[start:stop] = 0.0
+        self._permanences[start + rows, slots] = flat_perms
+        self._owner[start:stop] = cells
+        self._thresholds[start:stop] = thresholds
+        self._spikes[start:stop] = spikes
+        self._n_segments = stop
+        self._segment_counts = counts
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` segments; capacity at least doubles as it grows."""
+        if rows > len(self._owner):
+            size = max(64, 2 * len(self._owner), rows)
             self._sources = _resized(self._sources, size, self.n_cells)
             self._permanences = _resized(self._permanences, size, 0.0)
             self._owner = _resized(self._owner, size, 0)
             self._thresholds = _resized(self._thresholds, size, 0)
             self._spikes = _resized(self._spikes, size, 0.0)
+
+    def _new_row(self, cell: int) -> int:
+        row = self._n_segments
+        self._reserve(row + 1)
         self._n_segments = row + 1
         self._segment_counts[cell] += 1
         return row
@@ -676,24 +750,29 @@ class TmLayer:
     @classmethod
     def from_state(cls, state: dict) -> "TmLayer":
         params = dict(state["params"])
-        dtau = params.get("dtau_vert")
-        if dtau == "inf":
+        if params.get("dtau_vert") == "inf":
             params["dtau_vert"] = math.inf
-        layer = cls(**params)
-        layer.pattern._restore_state(state["pattern"])
+        pattern_params = {
+            name: params.pop(name) for name in ("input_size", "n_columns", *_PATTERN_PARAMS)
+        }
+        # Not through __init__: every array and both rngs come from the state.
+        layer = cls.__new__(cls)
+        layer._configure(**params)
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = state["rng"]
+        layer._attach(PatternLayer.from_state(dict(state["pattern"], params=pattern_params)), rng)
+        cells, sources, permanences, thresholds, spikes = [], [], [], [], []
         for cell, segs in state["segments"]:
             for seg in segs:
-                layer.add_segment(
-                    cell,
-                    seg["sources"],
-                    seg["permanences"],
-                    seg["activation_threshold"],
-                    seg["spike_size"],
-                )
+                cells.append(cell)
+                sources.append(seg["sources"])
+                permanences.append(seg["permanences"])
+                thresholds.append(seg["activation_threshold"])
+                spikes.append(seg["spike_size"])
+        layer._add_segments(cells, sources, permanences, thresholds, spikes)
         layer._prev_active = Sdr(layer.n_cells, state["prev_active"])
         layer._prev_winners = Sdr(layer.n_cells, state["prev_winners"])
         layer._prev_predictive = Sdr(layer.n_cells, state["prev_predictive"])
-        layer._rng.bit_generator.state = state["rng"]
         return layer
 
 

@@ -8,6 +8,8 @@ from minicolumn import PatternLayer, PoolingLayer, TmLayer, persistence
 from minicolumn.cli import main
 from minicolumn.experiments import ConfigError, ExperimentConfig, build_model
 
+import snapshot_mutations as mutations
+
 FORMAT1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
 
 
@@ -295,6 +297,18 @@ def test_unreadable_format1_snapshot_exits_2(tmp_path, capsys, mutate):
     mutate(doc)
     snap = tmp_path / "model.json"
     snap.write_text(json.dumps(doc))
+    config = write_config(tmp_path)
+    assert main(["inspect", "--snapshot", str(snap)]) == 2
+    assert main(["sequence", "--config", str(config), "--resume", str(snap)]) == 2
+    err = capsys.readouterr().err
+    assert "model.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case_id", mutations.IDS)
+def test_hostile_format3_snapshot_exits_2(tmp_path, capsys, case_id):
+    snap = tmp_path / "model.json"
+    persistence.save(persistence.load(FORMAT1_FIXTURE), snap)
+    mutations.apply(snap, case_id)
     config = write_config(tmp_path)
     assert main(["inspect", "--snapshot", str(snap)]) == 2
     assert main(["sequence", "--config", str(config), "--resume", str(snap)]) == 2

@@ -5,19 +5,22 @@ step, ``firing_sequence`` and ``anomaly`` included, and then the bytes of the
 final ``persistence.save`` snapshot. The outputs digests below were recorded
 with the object-graph distal segment store that preceded the flat-array one;
 any change to an output bit, a float's last digit or a value's type shows
-here. The snapshot digests were recorded again when format 2 dropped the
-inert homeostasis fields; those snapshots equal the format-1 ones with
-exactly those fields removed.
+here. The snapshot digests were recorded again for format 3; each format-3
+snapshot loads to the same state as the format-2 snapshot it replaced, and
+both resume to the same outputs.
 
 ``fixtures/format1_model.json`` is a format-1 snapshot written by that same
-earlier code. It must load, save back as the same document without the
-removed fields, and step on exactly as the model it was taken from did.
+earlier code. It must load, save and load back to the same state without
+the fields format 2 removed, and step on exactly as the model it was taken
+from did.
 """
 
 import dataclasses
 import hashlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 from minicolumn import CategoryEncoder, TmLayer, persistence
 from minicolumn.experiments import (
@@ -35,19 +38,19 @@ FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
 GOLDEN = {
     "sequence": (
         "e158cd8491ce8ad8a05333f8f091c2322bcac1a151f315a47607386273bb8c45",
-        "155760f2401ab6975232c778b72d2dfca82c8af20b735bed2ab66d8b8fed987f",
+        "88b5138f5069441933dd88bc61a5eb523a2a61b4035b31947a511f99b18248f4",
     ),
     "pool": (
         "81748c80a5940750f0c59e91443735228ec23cec90a9d40e89b77a689b87bef3",
-        "6ee045deb1490fce2dc38ca94176c7b195b166bf33e14f3130d16eb6e54db86d",
+        "dac94ba94cf02ba8a67b62144cc33591a204b6de144cf6149ba81fb828a91404",
     ),
     "paper": (
         "16397f39f1b384c420f9762b873d9562e4e67d6ad27015e7f8e05622e45301d6",
-        "e3cfb63f17df1b7e8e5840c210e00cc98db941bcaab96e3215550048b420b9a1",
+        "c4d4de0f50b0fdbee34c8aca673dfd340ab60f8eb2e6db209167136a906d2311",
     ),
     "fixture_resume": (
         "1be1a010320f8d09882d5506339ea2ab8d01d91daf952ae6341ee947b2ddf255",
-        "c903c6264f5064c2c6d433c57c252b99060915e37f061dbd5c2236443e561d68",
+        "6a596801ef724f5de741278e85d1a150f351c31cde9dbe08aa38696ca429cff6",
     ),
 }
 
@@ -145,12 +148,10 @@ def test_paper_scale_trace(tmp_path):
     assert paper_run(tmp_path) == GOLDEN["paper"]
 
 
-def format2_of_fixture() -> bytes:
-    """The fixture's bytes as format 2 writes them: without the pattern
-    layers' homeostasis fields and the transition layer's column scoring
-    switch."""
+def format2_of_fixture() -> dict:
+    """The fixture's state as format 2 holds it: without the pattern layers'
+    homeostasis fields and the transition layer's column scoring switch."""
     doc = json.loads(FIXTURE.read_text())
-    doc["format_version"] = 2
     tm, pool = doc["state"]["tm"], doc["state"]["pool"]
     for name in ("boost_strength", "duty_period", "column_score_mode"):
         del tm["params"][name]
@@ -159,14 +160,23 @@ def format2_of_fixture() -> bytes:
             del pattern["params"][name]
         for name in ("boost", "active_duty", "overlap_duty"):
             del pattern[name]
-    return (json.dumps(doc) + "\n").encode()
+    return doc["state"]
+
+
+def plain(value):
+    """``value`` with every array turned into nested lists, as JSON holds it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    return value
 
 
 def fixture_resume(tmp_path):
     model = persistence.load(FIXTURE)
     resaved = tmp_path / "resaved.json"
     persistence.save(model, resaved)
-    assert resaved.read_bytes() == format2_of_fixture()
+    assert plain(persistence.load(resaved).to_state()) == format2_of_fixture()
     outputs = []
     for token in "ABCDXBCYABCD":
         out = model.tm.step(model.encode(token))

@@ -1,8 +1,12 @@
 import json
+import pickle
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minicolumn import (
     CategoryEncoder,
@@ -18,6 +22,8 @@ from minicolumn.persistence import (
     SnapshotFormatError,
     SnapshotValidationError,
 )
+
+import snapshot_mutations as mutations
 
 
 FORMAT1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
@@ -35,6 +41,21 @@ def format1_pattern(doc: dict) -> dict:
     """The pattern-layer state inside a standalone layer snapshot."""
     state = doc["state"]
     return state["pattern"] if doc["kind"] == "tm_layer" else state
+
+
+def plain(value):
+    """``value`` with every array turned into nested lists, as JSON holds it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    return value
+
+
+def format2_doc(model) -> dict:
+    """The format-2 JSON document of ``model``, as format 2 was saved."""
+    kind = persistence._kind_of(model)
+    return {"format_version": 2, "kind": kind, "state": plain(model.to_state())}
 
 
 def rand_sdr(rng, universe, k):
@@ -162,9 +183,7 @@ class TestRoundTrip:
 class TestValidation:
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad_version.json"
-        layer = PatternLayer(16, 4, n_active=1, seed=0)
-        persistence.save(layer, path)
-        doc = json.loads(path.read_text())
+        doc = format2_doc(PatternLayer(16, 4, n_active=1, seed=0))
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotFormatError):
@@ -184,9 +203,7 @@ class TestValidation:
 
     def test_out_of_range_permanence_rejected(self, tmp_path):
         path = tmp_path / "bad_perm.json"
-        layer = PatternLayer(16, 4, n_active=1, seed=0)
-        persistence.save(layer, path)
-        doc = json.loads(path.read_text())
+        doc = format2_doc(PatternLayer(16, 4, n_active=1, seed=0))
         doc["state"]["permanences"][0][0] = 1.7
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotValidationError):
@@ -194,9 +211,7 @@ class TestValidation:
 
     def test_bad_segment_permanence_rejected(self, tmp_path):
         path = tmp_path / "bad_segment.json"
-        layer = trained_tm()
-        persistence.save(layer, path)
-        doc = json.loads(path.read_text())
+        doc = format2_doc(trained_tm())
         assert doc["state"]["segments"], "trained layer should have segments"
         doc["state"]["segments"][0][1][0]["permanences"][0] = -0.5
         path.write_text(json.dumps(doc))
@@ -243,7 +258,7 @@ class TestValidation:
             del state["params"]["boost_strength"], state["params"]["duty_period"]
         del pattern["params"]["boost_strength"], pattern["params"]["duty_period"]
         del pattern["boost"], pattern["active_duty"], pattern["overlap_duty"]
-        assert json.loads(path.read_text()) == dict(doc, format_version=2)
+        assert plain(persistence.load(path).to_state()) == state
 
     @pytest.mark.parametrize("layer", ["tm", "pool"])
     def test_format1_boost_other_than_one_rejected(self, tmp_path, layer):
@@ -310,3 +325,195 @@ class TestCrashSafeSave:
         target = tmp_path / "missing" / "model.json"
         with pytest.raises(SnapshotError, match="missing"):
             persistence.save(trained_tm(), target)
+
+
+def fixture_model():
+    """The format-1 fixture's encoder + transition + pool model."""
+    return persistence.load(FORMAT1_FIXTURE)
+
+
+def step_all(model, tokens) -> list:
+    """Step ``model`` (a ``SequenceModel``, its pool included) over ``tokens``
+    with learning on."""
+    outputs = []
+    for token in tokens:
+        out = model.tm.step(model.encode(token))
+        outputs.append(out)
+        if model.pool is not None:
+            model.pool.tp_learn(out, model.pool.tp_step(out))
+    return outputs
+
+
+class TestFormat3:
+    @pytest.mark.parametrize("name", ["m.json", "m"])
+    def test_writes_exactly_the_given_path(self, tmp_path, name):
+        persistence.save(trained_tm(), tmp_path / name)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).read_bytes()[:4] == b"PK\x03\x04"
+        assert isinstance(persistence.load(tmp_path / name), TmLayer)
+
+    def test_two_saves_are_byte_identical(self, tmp_path):
+        model = fixture_model()
+        persistence.save(model, tmp_path / "a")
+        persistence.save(model, tmp_path / "b")
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_members_keep_the_layers_dtypes(self, tmp_path):
+        path = tmp_path / "m"
+        persistence.save(fixture_model(), path)
+        members = mutations.read_members(path)
+        dtypes = {name: array.dtype for name, array in members.items()}
+        assert dtypes == {
+            "header": np.uint8,
+            "state.tm.pattern.sources": np.int32,
+            "state.tm.pattern.permanences": np.float64,
+            "state.pool.sources": np.int32,
+            "state.pool.permanences": np.float64,
+        }
+        document = mutations.header(members)
+        assert (document["format_version"], document["kind"]) == (3, "sequence_model")
+        assert document["state"]["pool"]["permanences"] == {"$array": "state.pool.permanences"}
+
+    def test_loaded_model_learns_like_the_original(self, tmp_path):
+        path = tmp_path / "m"
+        model = fixture_model()
+        persistence.save(model, path)
+        loaded = persistence.load(path)
+        assert step_all(loaded, "ABCDXBCY") == step_all(model, "ABCDXBCY")
+        assert np.array_equal(loaded.tm.pattern.permanences, model.tm.pattern.permanences)
+        assert np.array_equal(loaded.pool.permanences, model.pool.permanences)
+        assert loaded.tm.segments == model.tm.segments
+
+    def test_segments_keep_their_documented_shape(self, tmp_path):
+        path = tmp_path / "m"
+        persistence.save(trained_tm(), path)
+        segments = persistence.load(path).to_state()["segments"]
+        assert segments == trained_tm().to_state()["segments"]
+        assert segments
+        for cell, segs in segments:
+            assert type(cell) is int
+            for seg in segs:
+                assert set(seg) == {"sources", "permanences", "activation_threshold", "spike_size"}
+                assert all(type(s) is int for s in seg["sources"])
+                assert all(type(p) is float for p in seg["permanences"])
+
+    def test_paper_scale_top_cell_source_round_trips(self, tmp_path):
+        # 65536 cells: the padding source id does not fit in 16 bits.
+        layer = TmLayer(2048, 2048, 32, n_active=40, n_synapses=32, seed=1)
+        top = layer.n_cells - 1
+        layer.add_segment(0, [top, 5], [0.5, 0.25], activation_threshold=1)
+        layer.add_segment(top, [0, top - 1], [1.0, 0.0], activation_threshold=1)
+        path = tmp_path / "paper"
+        persistence.save(layer, path)
+        loaded = persistence.load(path)
+        assert loaded.segments == layer.segments
+        assert loaded.distal_counts() == layer.distal_counts()
+        x = Sdr(2048, range(0, 2048, 50))
+        assert loaded.step(x) == layer.step(x)
+
+    def test_format2_snapshot_loads_and_saves_as_format3(self, tmp_path):
+        layer = trained_tm()
+        doc = format2_doc(layer)
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(doc))
+        persistence.save(persistence.load(path), path)
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
+        assert plain(persistence.load(path).to_state()) == doc["state"]
+
+
+class _Tripwire(np.random.Generator):
+    """A generator that fails on the draws a layer constructor makes."""
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("load drew a random sources matrix")
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("load drew a random permanences matrix")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PatternLayer(64, 16, n_active=3, seed=2),
+        lambda: PoolingLayer(64, 16, n_active=3, seed=2),
+        trained_tm,
+        fixture_model,
+    ],
+    ids=["pattern_layer", "pooling_layer", "tm_layer", "sequence_model"],
+)
+def test_load_makes_no_random_draws(tmp_path, monkeypatch, make):
+    model = make()
+    path = tmp_path / "m"
+    persistence.save(model, path)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _Tripwire(np.random.PCG64(seed)))
+    assert plain(persistence.load(path).to_state()) == plain(model.to_state())
+
+
+def _refuse_unpickling(*args, **kwargs):
+    raise AssertionError("a snapshot member was unpickled")
+
+
+@pytest.mark.parametrize("case", mutations.CASES, ids=mutations.IDS)
+def test_hostile_format3_snapshot_rejected(tmp_path, monkeypatch, case):
+    case_id, _, error, fragment = case
+    path = tmp_path / "model.npz"
+    persistence.save(fixture_model(), path)
+    mutations.apply(path, case_id)
+    monkeypatch.setattr(pickle, "load", _refuse_unpickling)
+    monkeypatch.setattr(pickle, "loads", _refuse_unpickling)
+    with pytest.raises(error, match=re.escape(fragment)):
+        persistence.load(path)
+
+
+_BASE = {}
+
+
+def base_members(tmp_path_factory) -> dict:
+    """Members of the fixture model's format-3 snapshot, read once."""
+    if not _BASE:
+        path = tmp_path_factory.mktemp("base") / "model"
+        persistence.save(fixture_model(), path)
+        _BASE.update(mutations.read_members(path))
+    return dict(_BASE)
+
+
+DTYPES = [np.int8, np.uint16, np.int32, np.int64, np.float16, np.float32, np.float64,
+          np.bool_, np.complex128, "U4"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_members_load_into_a_working_model_or_raise(tmp_path_factory, data):
+    members = base_members(tmp_path_factory)
+    name = data.draw(st.sampled_from(sorted(members)), label="member")
+    array = members[name]
+    op = data.draw(st.sampled_from(["set", "astype", "reshape", "drop", "byte"]), label="op")
+    if op == "drop":
+        del members[name]
+    elif op == "astype":
+        members[name] = array.astype(data.draw(st.sampled_from(DTYPES), label="dtype"))
+    elif op == "reshape":
+        shapes = [array[:-1], array[..., :-1], array.T, array.ravel(), array[None], array[:0]]
+        members[name] = data.draw(st.sampled_from(shapes), label="reshaped")
+    elif op == "set":
+        array = array.copy()
+        index = data.draw(st.integers(0, array.size - 1), label="index")
+        if array.dtype == np.uint8:  # a byte of the JSON header
+            value = data.draw(st.integers(0, 255), label="byte")
+        elif array.dtype.kind == "i":
+            value = data.draw(st.integers(-(2**31), 2**31 - 1), label="int")
+        else:
+            value = data.draw(st.floats() | st.sampled_from([0.0, 0.2, 1.0]), label="float")
+        array.flat[index] = value
+        members[name] = array
+    path = tmp_path_factory.mktemp("mutated") / "model"
+    mutations.write_members(path, members)
+    if op == "byte":  # any byte of the file: zip records, .npy headers or data
+        raw = bytearray(path.read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(raw))
+    try:
+        model = persistence.load(path)
+    except (SnapshotFormatError, SnapshotValidationError):
+        return
+    step_all(model, "ABCDXBCYA")

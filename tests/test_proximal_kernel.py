@@ -143,7 +143,7 @@ class TestSourcesSetter:
         new[0, 0] = 9
         assert layer.sources.dtype == np.int32
         assert layer.sources.tolist() == [[1, 2], [3, 4]]
-        assert type(layer.to_state()["sources"][0][0]) is int
+        assert np.array_equal(layer.to_state()["sources"], [[1, 2], [3, 4]])
 
     @pytest.mark.parametrize(
         "sources, message",
