@@ -8,6 +8,8 @@ weaken the rest.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .sdr import DimensionError, Sdr
@@ -40,6 +42,7 @@ class PatternLayer:
         min_overlap: int = 1,
         seed=0,
     ):
+        _check_finite(potential_fraction=potential_fraction)
         if n_active is None:
             if not 0.0 < sparsity < 1.0:
                 raise ValueError(f"sparsity must be in (0, 1), got {sparsity}")
@@ -66,6 +69,10 @@ class PatternLayer:
         delta_dec, min_overlap,
     ) -> None:
         """Check and store the resolved parameters, as snapshots hold them."""
+        _check_finite(
+            input_size=input_size, n_columns=n_columns, n_active=n_active, n_synapses=n_synapses,
+            delta_inc=delta_inc, delta_dec=delta_dec, min_overlap=min_overlap,
+        )
         if input_size <= 0 or n_columns <= 0:
             raise ValueError("input_size and n_columns must be positive")
         if not 1 <= n_active <= n_columns:
@@ -74,8 +81,9 @@ class PatternLayer:
             raise ValueError(f"n_synapses must be in [1, {input_size}], got {n_synapses}")
         if not 0.0 <= connect_threshold <= 1.0:
             raise ValueError("connect_threshold must be in [0, 1]")
-        if delta_inc < 0 or delta_dec < 0:
-            raise ValueError("delta_inc and delta_dec must be >= 0")
+        if delta_inc < 0:
+            raise ValueError("delta_inc must be >= 0")
+        _check_unit(delta_dec=delta_dec)
         self.input_size = int(input_size)
         self.n_columns = int(n_columns)
         self.n_active = int(n_active)
@@ -158,11 +166,9 @@ class PatternLayer:
 
         Equal scores break to the lower neuron index.
         """
-        eligible = np.nonzero(raw >= self.min_overlap)[0]
-        if eligible.size == 0:
-            return Sdr(self.n_columns)
+        eligible = np.flatnonzero(raw >= self.min_overlap)
         order = eligible[np.argsort(-scores[eligible], kind="stable")]
-        return Sdr(self.n_columns, np.sort(order[: self.n_active]))
+        return Sdr._from_sorted(self.n_columns, np.sort(order[: self.n_active]))
 
     def compute_sdr(self, x_ff: Sdr) -> Sdr:
         """Winning neurons for this input (k-WTA)."""
@@ -251,6 +257,20 @@ class PatternLayer:
         layer._configure(**state["params"])
         layer._restore_state(state)
         return layer
+
+
+def _check_finite(**params) -> None:
+    """Raise ``ValueError`` naming the first parameter that is infinite or NaN."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_unit(**params) -> None:
+    """Raise ``ValueError`` naming the first parameter outside [0, 1]."""
+    for name, value in params.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 def _as_array(name: str, value) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Sparse binary vectors stored as sorted index tuples.
 
 Layer activity runs near 2% density, so only the active indices are kept.
-Instances are immutable after construction and safe to share across threads;
-kernels that want dense scratch buffers build them on demand.
+Instances are immutable after construction and safe to share across threads:
+the only state filled in later is the ``active_set`` cache, built from
+``active`` on first use, and two threads that both build it get equal sets.
+Kernels that want dense scratch buffers build them on demand.
 """
 
 from __future__ import annotations
@@ -43,7 +45,17 @@ class Sdr:
                     raise ValueError(f"duplicate active index {a}")
         self.universe_size = universe_size
         self.active = idx
-        self._active_set = frozenset(idx)
+        self._active_set = None
+
+    @classmethod
+    def _from_sorted(cls, universe_size: int, active: np.ndarray) -> "Sdr":
+        """An ``Sdr`` over indices known to be ascending, distinct and in
+        ``[0, universe_size)``, taken without checks."""
+        sdr = cls.__new__(cls)
+        sdr.universe_size = universe_size
+        sdr.active = tuple(active.tolist())
+        sdr._active_set = None
+        return sdr
 
     @classmethod
     def from_dense(cls, bits) -> "Sdr":
@@ -56,6 +68,8 @@ class Sdr:
 
     @property
     def active_set(self) -> frozenset:
+        if self._active_set is None:
+            self._active_set = frozenset(self.active)
         return self._active_set
 
     def dense(self) -> np.ndarray:
@@ -72,7 +86,7 @@ class Sdr:
         return iter(self.active)
 
     def __contains__(self, index) -> bool:
-        return index in self._active_set
+        return index in self.active_set
 
     def __eq__(self, other) -> bool:
         return (

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pattern import PatternLayer, _as_array
+from .pattern import PatternLayer, _as_array, _check_finite, _check_unit
 from .sdr import Sdr
 
 __all__ = [
@@ -52,9 +52,14 @@ class FiringEvent(NamedTuple):
     rate: float  # depolarisation rate; firing time = gamma / rate
 
 
-# Builds a FiringEvent from a (unit, kind, rate) tuple without a Python-level
-# call, for the thousands of sheath events of a large layer.
-_new_event = partial(tuple.__new__, FiringEvent)
+def _events(units: np.ndarray, kind: str, rates: np.ndarray):
+    """One class's events, fastest first. ``units`` are ascending, so the
+    stable sort breaks rate ties to the lower unit. The events are built
+    without a Python-level call each, for the thousands of sheath events of
+    a large layer."""
+    order = np.argsort(-rates, kind="stable")
+    fields = zip(units[order].tolist(), repeat(kind), rates[order].tolist())
+    return map(tuple.__new__, repeat(FiringEvent), fields)
 
 
 def firing_time(rate: float, gamma: float = 1.0) -> float:
@@ -115,8 +120,8 @@ def _check_spike(activation_threshold, spike_size) -> None:
     """Check one threshold and spike size, or arrays of them."""
     if np.any(np.less(activation_threshold, 1)):
         raise ValueError("activation_threshold must be >= 1")
-    if not np.all(np.greater(spike_size, 0)):
-        raise ValueError("spike_size must be positive")
+    if not np.all(np.greater(spike_size, 0) & np.isfinite(spike_size)):
+        raise ValueError("spike_size must be positive and finite")
 
 
 def _flat(name: str, values, dtype) -> np.ndarray:
@@ -235,9 +240,18 @@ class TmLayer:
     ) -> None:
         """Check and store the layer's own resolved parameters, as snapshots
         hold them."""
+        _check_finite(
+            cells_per_column=cells_per_column, alpha=alpha, beta=beta, beta_sub=beta_sub,
+            alpha_inh=alpha_inh, gamma_p=gamma_p, gamma_inh=gamma_inh,
+            predictive_threshold=predictive_threshold,
+            synapses_per_segment=synapses_per_segment, segments_per_cell=segments_per_cell,
+            activation_threshold=activation_threshold, min_match_threshold=min_match_threshold,
+            sigma_inc=sigma_inc,
+        )
         if cells_per_column < 1:
             raise ValueError("cells_per_column must be >= 1")
-        if min(alpha, gamma_p, gamma_inh) <= 0 or dtau_vert <= 0:
+        # dtau_vert may be +inf: an unbounded vertical window.
+        if min(alpha, gamma_p, gamma_inh) <= 0 or not dtau_vert > 0:
             raise ValueError("alpha, gamma_p, gamma_inh and dtau_vert must be > 0")
         if beta < 0 or beta_sub < 0:
             raise ValueError("beta and beta_sub must be >= 0")
@@ -253,8 +267,12 @@ class TmLayer:
         if synapses_per_segment < 1 or segments_per_cell < 1:
             raise ValueError("segment budgets must be >= 1")
         _check_spike(activation_threshold, spike_size)
-        if sigma_inc < 0 or sigma_dec < 0 or sigma_punish < 0:
-            raise ValueError("sigma rates must be >= 0")
+        if sigma_inc < 0:
+            raise ValueError("sigma_inc must be >= 0")
+        _check_unit(
+            sigma_dec=sigma_dec, sigma_punish=sigma_punish,
+            initial_segment_permanence=initial_segment_permanence,
+        )
 
         self.cells_per_column = int(cells_per_column)
         self.alpha = float(alpha)
@@ -446,9 +464,9 @@ class TmLayer:
     # -- distal evaluation --------------------------------------------------
 
     def _activity(self, active) -> np.ndarray:
-        """Dense activity of an ``Sdr`` or iterable of cell ids; the extra
-        last slot is the padding source and stays off."""
-        idx = np.fromiter(active, dtype=np.int64)
+        """Dense activity of an array, ``Sdr`` or iterable of cell ids; the
+        extra last slot is the padding source and stays off."""
+        idx = active if isinstance(active, np.ndarray) else np.fromiter(active, dtype=np.int64)
         if idx.size and not (idx.min() >= 0 and idx.max() < self.n_cells):
             raise ValueError(f"active cells must lie in [0, {self.n_cells})")
         on = np.zeros(self.n_cells + 1, dtype=bool)
@@ -505,11 +523,15 @@ class TmLayer:
     # -- stepping -----------------------------------------------------------
 
     def _select_columns(self, raw: np.ndarray, evals: _Evals) -> Sdr:
-        o_pred = evals.o_pred.reshape(self.n_columns, self.cells_per_column)
-        scores = self.alpha * raw + self.beta * o_pred.max(axis=1)
+        # Each column's largest cell potential. Only cells with an active
+        # segment have a nonzero one, and no potential is negative.
+        cells = evals.cells[evals.active]
+        top = np.zeros(self.n_columns)
+        np.maximum.at(top, cells // self.cells_per_column, evals.o_pred[cells])
+        scores = self.alpha * raw + self.beta * top
         return self.pattern._select(scores, raw)
 
-    def _fire(self, columns: list[int], raw: np.ndarray, evals: _Evals):
+    def _fire(self, columns: np.ndarray, raw: np.ndarray, sheath: np.ndarray, evals: _Evals):
         """Fire the active columns' cells and pick one winner per column.
 
         A column holding predictive cells fires just those, and the one with
@@ -517,71 +539,67 @@ class TmLayer:
         drive fires within ``dtau_vert`` of the sheath. Its winner is the cell
         with the best raw segment match at or above the learning floor, else
         a cell with fewest segments (seeded-random or lowest-index per
-        configuration).
+        configuration). Ties go to the lower cell.
+
+        Works on the ``[len(columns), cells_per_column]`` block of the active
+        columns' cells, one row per column. Returns the fired, predicted,
+        burst and winner cells, each ascending, and the firing-sequence
+        classes ``P_pred``, ``I_pred``, ``I_ff`` and ``P_burst`` as
+        ``(units, kind, rates)`` with ascending units.
         """
         n = self.cells_per_column
-        o_pred = evals.o_pred.reshape(-1, n)[columns].tolist()
-        o_sub = evals.o_sub.reshape(-1, n)[columns].tolist()
-        best = evals.best.reshape(-1, n)[columns].tolist()
-        o_ffs = raw[columns].tolist()
+        cells = columns[:, None] * n + np.arange(n)
+        o_pred = evals.o_pred[cells]
+        best = evals.best[cells]
+        o_ff = self.alpha * raw[columns]
+        sheaths = sheath[columns]
         # A cell with no segment seeing any active source never counts as
         # predictive or matching, whatever the thresholds.
-        floor = max(self.min_match_threshold, 1)
-        predicted: list[int] = []
-        burst: list[int] = []
-        winners: list[int] = []
-        ev_p_pred: list[FiringEvent] = []
-        ev_i_pred: list[FiringEvent] = []
-        ev_i_ff: list[FiringEvent] = []
-        ev_p_burst: list[FiringEvent] = []
+        pred = (best > 0) & (o_pred >= self.predictive_threshold)
+        predicted_columns = pred.any(axis=1)
+        winners = np.argmax(np.where(pred, o_pred, -np.inf), axis=1)
+        predicted = cells[pred]
+        classes = [
+            (predicted, P_PRED, (o_ff[:, None] + self.beta * o_pred)[pred]),
+            (columns[predicted_columns], I_PRED, sheaths[predicted_columns]),
+        ]
+        if predicted_columns.all():
+            empty = columns[:0]
+            classes += [(empty, I_FF, sheaths[:0]), (empty, P_BURST, o_ff[:0])]
+            return predicted, predicted, empty, columns * n + winners, classes
 
-        for m, o_ff, preds, subs, bests in zip(columns, o_ffs, o_pred, o_sub, best):
-            base = m * n
-            o_ff = float(o_ff)
-            d_sheath = self.alpha_inh * o_ff
-            pred_here = [
-                (base + i, p)
-                for i, p in enumerate(preds)
-                if bests[i] and p >= self.predictive_threshold
-            ]
-            if pred_here:
-                for c, p in pred_here:
-                    predicted.append(c)
-                    ev_p_pred.append(FiringEvent(c, P_PRED, self.alpha * o_ff + self.beta * p))
-                ev_i_pred.append(FiringEvent(m, I_PRED, d_sheath))
-                winners.append(max(pred_here, key=lambda cp: (cp[1], -cp[0]))[0])
-                continue
+        bursting = ~predicted_columns
+        sub = self.beta_sub * evals.o_sub[cells]
+        d = o_ff[:, None] + sub
+        t_cell = np.divide(self.gamma_p, d, out=np.full(d.shape, np.inf), where=d > 0)
+        t_sheath = np.divide(
+            self.gamma_inh, sheaths, out=np.full(sheaths.shape, np.inf), where=sheaths > 0
+        )
+        fire = t_cell < (t_sheath + self.dtau_vert)[:, None]
+        # The column won the feedforward competition; its fastest cell must
+        # represent it even when the vertical window is narrower than the
+        # sheath margin.
+        rows = np.arange(len(columns))
+        fire[rows, np.argmax(sub, axis=1)] |= ~fire.any(axis=1)
+        fire &= bursting[:, None]
+        burst = cells[fire]
+        classes += [(columns[bursting], I_FF, sheaths[bursting]), (burst, P_BURST, d[fire])]
 
-            ev_i_ff.append(FiringEvent(m, I_FF, d_sheath))
-            cutoff = firing_time(d_sheath, self.gamma_inh) + self.dtau_vert
-            chosen: list[tuple[int, float]] = []
-            for i, s in enumerate(subs):
-                d = self.alpha * o_ff + self.beta_sub * s
-                if firing_time(d, self.gamma_p) < cutoff:
-                    chosen.append((base + i, d))
-            if not chosen:
-                # The column won the feedforward competition; its fastest
-                # cell must represent it even when the vertical window is
-                # narrower than the sheath margin.
-                i = max(range(n), key=lambda i: (self.beta_sub * subs[i], -i))
-                chosen = [(base + i, self.alpha * o_ff + self.beta_sub * subs[i])]
-            for c, d in chosen:
-                burst.append(c)
-                ev_p_burst.append(FiringEvent(c, P_BURST, d))
-
-            top = max(bests)
-            if top >= floor:
-                winners.append(base + bests.index(top))
-                continue
-            counts = self._segment_counts[base : base + n].tolist()
-            fewest = min(counts)
-            pool = [base + i for i, k in enumerate(counts) if k == fewest]
+        matched = np.argmax(best, axis=1)
+        winners = np.where(bursting, matched, winners)
+        blank = bursting & (best[rows, matched] < max(self.min_match_threshold, 1))
+        if blank.any():
+            counts = self._segment_counts[cells[blank]]
             if self.blank_winner == "lowest":
-                winners.append(pool[0])
+                winners[blank] = np.argmin(counts, axis=1)
             else:
-                winners.append(pool[int(self._rng.integers(len(pool)))])
-
-        return predicted, burst, winners, ev_p_pred, ev_i_pred, ev_i_ff, ev_p_burst
+                picks = []
+                for row in counts.tolist():
+                    fewest = min(row)
+                    pool = [i for i, k in enumerate(row) if k == fewest]
+                    picks.append(pool[int(self._rng.integers(len(pool)))])
+                winners[blank] = picks
+        return cells[pred | fire], predicted, burst, columns * n + winners, classes
 
     def _reinforce(self, rows: np.ndarray, on: np.ndarray) -> None:
         """Grow synapses on sources active in ``on``, shrink the rest."""
@@ -663,31 +681,22 @@ class TmLayer:
         if evals is None:  # after reset() or from_state()
             evals = self._eval_segments(self._prev_active)
         active_columns = self._select_columns(raw, evals)
-        columns = list(active_columns.active)
-        predicted, burst, winners, ev_p_pred, ev_i_pred, ev_i_ff, ev_p_burst = self._fire(
-            columns, raw, evals
-        )
+        columns = np.array(active_columns.active, dtype=np.intp)
+        sheath = self.alpha_inh * raw
+        active, predicted, burst, winners, classes = self._fire(columns, raw, sheath, evals)
 
-        # Inactive columns' sheaths, fastest first, ties to the lower column.
+        # Inactive columns' sheaths come last.
         inactive = np.ones(self.n_columns, dtype=bool)
         inactive[columns] = False
-        units = np.flatnonzero(inactive)
-        rates = self.alpha_inh * raw[units].astype(np.float64)
-        spread = np.lexsort((units, -rates))
-        ev_spread = zip(units[spread].tolist(), repeat(I_SPREAD), rates[spread].tolist())
-        order = lambda e: (-e.rate, e.unit)
-        firing_sequence = tuple(
-            sorted(ev_p_pred, key=order)
-            + sorted(ev_i_pred, key=order)
-            + sorted(ev_i_ff, key=order)
-            + sorted(ev_p_burst, key=order)
-            + list(map(_new_event, ev_spread))
-        )
+        spread = np.flatnonzero(inactive)
+        classes.append((spread, I_SPREAD, sheath[spread]))
+        firing_sequence = tuple(chain.from_iterable(_events(*c) for c in classes))
 
-        prev_pred_columns = {self.column_of(c) for c in self._prev_predictive}
-        if columns:
-            hits = sum(1 for m in columns if m in prev_pred_columns)
-            anomaly = 1.0 - hits / len(columns)
+        if columns.size:
+            prev_predictive = np.array(self._prev_predictive.active, dtype=np.intp)
+            prev_predicted = np.zeros(self.n_columns, dtype=bool)
+            prev_predicted[prev_predictive // self.cells_per_column] = True
+            anomaly = 1.0 - int(np.count_nonzero(prev_predicted[columns])) / columns.size
         else:
             anomaly = 0.0
 
@@ -695,25 +704,23 @@ class TmLayer:
             self._learn_distal(winners, evals, columns, self._prev_winners)
             self.pattern.learn(x_ff, active_columns)
 
-        active_cells = Sdr(self.n_cells, sorted(predicted + burst))
-        next_evals = self._eval_segments(active_cells)
+        next_evals = self._eval_segments(active)
         predictive = (next_evals.best > 0) & (next_evals.o_pred >= self.predictive_threshold)
-        predictive_next = Sdr(self.n_cells, np.flatnonzero(predictive))
-
+        sdr = partial(Sdr._from_sorted, self.n_cells)
         output = LayerOutput(
             active_columns=active_columns,
-            active_cells=active_cells,
-            predicted_cells=Sdr(self.n_cells, sorted(predicted)),
-            burst_cells=Sdr(self.n_cells, sorted(burst)),
-            winner_cells=Sdr(self.n_cells, sorted(winners)),
+            active_cells=sdr(active),
+            predicted_cells=sdr(predicted),
+            burst_cells=sdr(burst),
+            winner_cells=sdr(winners),
             firing_sequence=firing_sequence,
-            predictive_cells_next=predictive_next,
+            predictive_cells_next=sdr(np.flatnonzero(predictive)),
             anomaly=anomaly,
         )
 
-        self._prev_active = active_cells
+        self._prev_active = output.active_cells
         self._prev_winners = output.winner_cells
-        self._prev_predictive = predictive_next
+        self._prev_predictive = output.predictive_cells_next
         self._prev_evals = next_evals
         return output
 

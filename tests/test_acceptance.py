@@ -375,6 +375,36 @@ def test_10_invariant_suite(tmp_path):
             )
             cases += 1
 
+    # the same invariants where segments can become active, so that columns
+    # are predicted: a grown segment holds at most n_active = 4 sources, and
+    # 3 of them reach activation_threshold. A column fires predicted cells
+    # exactly when it holds a cell the previous step left predictive.
+    sweep_rng = np.random.default_rng(321)
+    for stream in range(10):
+        layer = TmLayer(
+            128, 32, 4, n_active=4, activation_threshold=3, min_match_threshold=2, seed=stream
+        )
+        cycle = [Sdr(128, sweep_rng.choice(128, 16, replace=False)) for _ in range(4)]
+        predicted = 0
+        prev_predictive = set()
+        for _ in range(8):
+            for x in cycle:
+                out = layer.step(x)
+                assert overlap(out.predicted_cells, out.burst_cells) == 0
+                assert set(out.active_cells) == (
+                    set(out.predicted_cells) | set(out.burst_cells)
+                )
+                assert len(out.active_columns) <= layer.pattern.n_active
+                assert set(out.predicted_cells) <= prev_predictive
+                for m in out.active_columns:
+                    cells = set(range(m * 4, m * 4 + 4))
+                    assert bool(cells & set(out.predicted_cells)) == bool(cells & prev_predictive)
+                    assert len(cells & set(out.winner_cells)) == 1
+                predicted += len(out.predicted_cells)
+                prev_predictive = set(out.predictive_cells_next)
+                cases += 1
+        assert predicted > 0, f"stream {stream} never predicted a cell"
+
     # permanence clamping under sustained learning
     layer = PatternLayer(128, 32, n_active=4, delta_inc=0.3, delta_dec=0.2, seed=1)
     for _ in range(200):

@@ -174,6 +174,27 @@ class TestSequenceCommand:
         err = capsys.readouterr().err
         assert "layer: n_active must be in [1, 64], got 0" in err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("delta_dec", "1.5", "delta_dec must be in [0, 1], got 1.5"),
+            ("beta", "NaN", "beta must be finite, got nan"),
+            ("spike_size", "Infinity", "spike_size must be positive and finite"),
+            ("activation_threshold", "Infinity", "activation_threshold must be finite, got inf"),
+        ],
+    )
+    def test_value_the_model_cannot_use_exits_2(self, tmp_path, capsys, key, value, message):
+        # JSON has no NaN or Infinity, but Python's parser reads both.
+        text = json.dumps(BASE_CONFIG).replace('"n_active": 4', f'"n_active": 4, "{key}": {value}')
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        snap = tmp_path / "model.json"
+        assert main(["sequence", "--config", str(config), "--snapshot", str(snap)]) == 2
+        err = capsys.readouterr().err
+        assert f"layer: {message}" in err
+        assert "Traceback" not in err
+        assert not snap.exists()
+
     def test_rejected_encoder_value_exits_2(self, tmp_path, capsys):
         encoder = dict(SCALAR_ENCODER, min_value=5, max_value=5)
         config = write_config(tmp_path, {"encoder": encoder})

@@ -129,3 +129,18 @@ class TestStability:
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
             stability([Sdr(8, [1])])
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("delta_dec_pred", 1.5),
+        ("delta_dec_burst", float("nan")),
+        ("delta_inc_pred", float("inf")),
+        ("delta_inc_burst", float("nan")),
+        ("delta_dec", 1.5),
+    ],
+)
+def test_rejected_parameter(name, value):
+    with pytest.raises(ValueError, match=name):
+        PoolingLayer(64, 16, n_active=2, **{name: value})

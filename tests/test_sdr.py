@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,3 +136,38 @@ def test_inclusion_exclusion(a, b):
 def test_flip_noise_preserves_cardinality(active, fraction, seed):
     s = Sdr(128, active)
     assert flip_noise(s, fraction, seed).cardinality == s.cardinality
+
+
+class TestFromSorted:
+    """``Sdr._from_sorted`` takes indices a layer already holds sorted and
+    distinct, and must give exactly the checked constructor's value."""
+
+    @settings(max_examples=200)
+    @given(
+        st.sets(st.integers(0, 63), max_size=64),
+        st.sets(st.integers(0, 63), max_size=64),
+        st.sampled_from([np.int64, np.intp, np.int32]),
+    )
+    def test_equals_checked_sdr(self, active, other, dtype):
+        trusted = Sdr._from_sorted(64, np.array(sorted(active), dtype=dtype))
+        checked = Sdr(64, active)
+        b = Sdr(64, other)
+        assert trusted == checked and checked == trusted
+        assert hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
+        assert all(type(i) is int for i in trusted.active)
+        assert [i in trusted for i in range(64)] == [i in checked for i in range(64)]
+        assert trusted.active_set == checked.active_set
+        assert overlap(trusted, b) == overlap(checked, b) == overlap(b, trusted)
+        assert union(trusted, b) == union(checked, b) == union(b, trusted)
+
+    def test_active_set_built_once(self):
+        s = Sdr._from_sorted(16, np.array([2, 5]))
+        assert s._active_set is None  # nothing built until asked
+        first = s.active_set
+        assert first == frozenset({2, 5})
+        assert 5 in s and 3 not in s
+        assert s.active_set is first
+
+    def test_empty(self):
+        assert Sdr._from_sorted(8, np.array([], dtype=np.intp)) == Sdr(8)

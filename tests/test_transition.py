@@ -410,3 +410,48 @@ class TestCardinalityBounds:
             if len(out.active_columns) == layer.pattern.n_active:
                 assert layer.pattern.n_active <= len(out.active_cells)
                 assert len(out.active_cells) <= layer.pattern.n_active * 4
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestParameterChecks:
+    """Values a layer could not score with, or whose snapshot it could not
+    load back, are rejected when the layer is built."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("initial_segment_permanence", 1.5),
+            ("initial_segment_permanence", -0.1),
+            ("initial_segment_permanence", NAN),
+            ("delta_dec", 1.5),
+            ("delta_inc", NAN),
+            ("sigma_dec", 1.5),
+            ("sigma_punish", 1.5),
+            ("beta", NAN),
+            ("beta", INF),
+            ("beta_sub", NAN),
+            ("predictive_threshold", NAN),
+            ("dtau_vert", NAN),
+            ("dtau_vert", -INF),
+            ("spike_size", INF),
+            ("alpha_inh", INF),
+            ("activation_threshold", INF),
+            ("potential_fraction", INF),
+        ],
+    )
+    def test_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            small_layer(**{name: value})
+
+    def test_infinite_vertical_window_accepted(self):
+        assert small_layer(dtau_vert=INF).dtau_vert == INF
+
+    def test_bounds_accepted(self):
+        layer = small_layer(initial_segment_permanence=1.0, sigma_dec=1.0, delta_dec=0.0)
+        assert (layer.initial_segment_permanence, layer.sigma_dec) == (1.0, 1.0)
+
+    def test_infinite_segment_spike_rejected(self):
+        with pytest.raises(ValueError, match="spike_size"):
+            small_layer().add_segment(0, [5], [0.5], spike_size=INF)
