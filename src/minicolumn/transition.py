@@ -563,11 +563,6 @@ class TmLayer:
             (predicted, P_PRED, (o_ff[:, None] + self.beta * o_pred)[pred]),
             (columns[predicted_columns], I_PRED, sheaths[predicted_columns]),
         ]
-        if predicted_columns.all():
-            empty = columns[:0]
-            classes += [(empty, I_FF, sheaths[:0]), (empty, P_BURST, o_ff[:0])]
-            return predicted, predicted, empty, columns * n + winners, classes
-
         bursting = ~predicted_columns
         sub = self.beta_sub * evals.o_sub[cells]
         d = o_ff[:, None] + sub
@@ -629,9 +624,9 @@ class TmLayer:
 
     def _learn_distal(
         self,
-        winners: list[int],
+        winners: np.ndarray,
         evals: _Evals,
-        columns: list[int],
+        columns: np.ndarray,
         prev_winners: Sdr,
     ) -> None:
         """Punish, then reinforce, then grow.
