@@ -563,6 +563,13 @@ class TmLayer:
             (predicted, P_PRED, (o_ff[:, None] + self.beta * o_pred)[pred]),
             (columns[predicted_columns], I_PRED, sheaths[predicted_columns]),
         ]
+        # Most steps of a trained layer burst no column; the general path
+        # below gives the same result, but with a dozen more numpy calls.
+        if predicted_columns.all():
+            empty = columns[:0]
+            classes += [(empty, I_FF, sheaths[:0]), (empty, P_BURST, o_ff[:0])]
+            return predicted, predicted, empty, columns * n + winners, classes
+
         bursting = ~predicted_columns
         sub = self.beta_sub * evals.o_sub[cells]
         d = o_ff[:, None] + sub
