@@ -26,11 +26,22 @@ from .transition import TmLayer, capacity
 __all__ = ["main"]
 
 
+def _decode(data: bytes, what: str) -> str:
+    """``data`` as strict UTF-8; anything else is a ``ConfigError`` naming
+    the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{what}: not UTF-8 at byte offset {exc.start}"]) from None
+
+
 def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
+    try:
+        raw = json.loads(_decode(data, f"config {path}"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"config {path}: parse error at line {exc.lineno}: {exc.msg}"]
@@ -44,7 +55,11 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
 
 
 def _read_stream(path: str, scalar: bool) -> list:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    try:
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError([f"cannot read stream {path}: {exc}"]) from exc
+    text = _decode(data, "stream stdin" if path == "-" else f"stream {path}")
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         token = line.strip()

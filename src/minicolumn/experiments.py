@@ -192,8 +192,6 @@ class SequenceModel:
     pool: PoolingLayer | None = None
 
     def encode(self, token):
-        if isinstance(self.encoder, ScalarEncoder):
-            return self.encoder.encode(float(token))
         return self.encoder.encode(token)
 
     def to_state(self) -> dict:

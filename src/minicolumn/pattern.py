@@ -16,6 +16,12 @@ from .sdr import DimensionError, Sdr
 
 __all__ = ["PatternLayer", "reconstruction_error"]
 
+# Resolved parameters, in snapshot order; ``_configure`` takes them by these names.
+_PATTERN_PARAMS = (
+    "input_size", "n_columns", "n_active", "n_synapses", "connect_threshold", "delta_inc",
+    "delta_dec", "min_overlap",
+)
+
 
 class PatternLayer:
     """Layer of neurons converting feedforward bits into a sparse code.
@@ -147,6 +153,12 @@ class PatternLayer:
                 f"input width {x_ff.universe_size} != layer width {self.input_size}"
             )
 
+    def _check_winners(self, winners: Sdr) -> None:
+        if winners.universe_size != self.n_columns:
+            raise DimensionError(
+                f"winners width {winners.universe_size} != layer size {self.n_columns}"
+            )
+
     def raw_overlaps(self, x_ff: Sdr) -> np.ndarray:
         """Overlap score of every neuron with the input: its connected
         synapses that see an on-bit."""
@@ -185,28 +197,17 @@ class PatternLayer:
         cover its input; this is what makes recognition survive noise.
         """
         self._check_input(x_ff)
-        if winners.universe_size != self.n_columns:
-            raise DimensionError(
-                f"winners width {winners.universe_size} != layer size {self.n_columns}"
-            )
+        self._check_winners(winners)
         if not winners.active:
             return
         w = list(winners.active)
-        rows = self.permanences[w]
         # take() gathers with int32 indices ~2x faster than fancy indexing
         on = x_ff.dense().take(self.sources[w])
-        self.permanences[w] = np.where(
-            on,
-            np.minimum(1.0, rows * (1.0 + self.delta_inc)),
-            rows * (1.0 - self.delta_dec),
-        )
+        self.permanences[w] = _hebbian(self.permanences[w], on, self.delta_inc, self.delta_dec)
 
     def reconstruct(self, winners: Sdr) -> np.ndarray:
         """Summed back-projection of the winners' connected synapses."""
-        if winners.universe_size != self.n_columns:
-            raise DimensionError(
-                f"winners width {winners.universe_size} != layer size {self.n_columns}"
-            )
+        self._check_winners(winners)
         w = list(winners.active)
         connected = self.permanences[w] >= self.connect_threshold
         return np.bincount(self.sources[w][connected], minlength=self.input_size)
@@ -220,16 +221,7 @@ class PatternLayer:
 
     def to_state(self) -> dict:
         return {
-            "params": {
-                "input_size": self.input_size,
-                "n_columns": self.n_columns,
-                "n_active": self.n_active,
-                "n_synapses": self.n_synapses,
-                "connect_threshold": self.connect_threshold,
-                "delta_inc": self.delta_inc,
-                "delta_dec": self.delta_dec,
-                "min_overlap": self.min_overlap,
-            },
+            "params": {name: getattr(self, name) for name in _PATTERN_PARAMS},
             "sources": self.sources,
             "permanences": self.permanences.copy(),
             "rng": self._rng.bit_generator.state,
@@ -257,6 +249,16 @@ class PatternLayer:
         layer._configure(**state["params"])
         layer._restore_state(state)
         return layer
+
+
+def _hebbian(p: np.ndarray, on: np.ndarray, inc, dec) -> np.ndarray:
+    """The multiplicative Hebbian update of permanences ``p``.
+
+    A synapse whose source is ``on`` is multiplied by (1 + inc) and clamped
+    to 1; any other by (1 - dec). ``inc`` and ``dec`` are scalars or arrays
+    shaped like ``p``.
+    """
+    return np.where(on, np.minimum(1.0, p * (1.0 + inc)), p * (1.0 - dec))
 
 
 def _check_finite(**params) -> None:

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .pattern import PatternLayer, _check_finite, _check_unit
-from .sdr import DimensionError, Sdr, overlap
+from .pattern import PatternLayer, _check_finite, _check_unit, _hebbian
+from .sdr import Sdr, overlap
 from .transition import LayerOutput
 
 __all__ = ["PoolingLayer", "stability"]
@@ -76,11 +76,6 @@ class PoolingLayer(PatternLayer):
         overlap with the predicted sub-input to their score, so a pooled code
         persists exactly while the sequence below stays predictable.
         """
-        if l4.active_cells.universe_size != self.input_size:
-            raise DimensionError(
-                f"cellular width {l4.active_cells.universe_size} != pool input "
-                f"width {self.input_size}"
-            )
         raw = self.raw_overlaps(l4.active_cells)
         scores = raw.astype(np.float64)
         if self.persistence > 0.0 and self.active_prev.active and l4.predicted_cells.active:
@@ -98,15 +93,8 @@ class PoolingLayer(PatternLayer):
         onto bursting cells the bursting pair; synapses whose source stayed
         silent decay at the bursting rate.
         """
-        if l4.active_cells.universe_size != self.input_size:
-            raise DimensionError(
-                f"cellular width {l4.active_cells.universe_size} != pool input "
-                f"width {self.input_size}"
-            )
-        if winners.universe_size != self.n_columns:
-            raise DimensionError(
-                f"winners width {winners.universe_size} != pool size {self.n_columns}"
-            )
+        self._check_input(l4.active_cells)
+        self._check_winners(winners)
         if not winners.active:
             return
         w = list(winners.active)
@@ -114,12 +102,7 @@ class PoolingLayer(PatternLayer):
         pred_src = l4.predicted_cells.dense().take(self.sources[w])
         inc = np.where(pred_src, self.delta_inc_pred, self.delta_inc_burst)
         dec = np.where(pred_src, self.delta_dec_pred, self.delta_dec_burst)
-        rows = self.permanences[w]
-        self.permanences[w] = np.where(
-            on,
-            np.minimum(1.0, rows * (1.0 + inc)),
-            rows * (1.0 - dec),
-        )
+        self.permanences[w] = _hebbian(self.permanences[w], on, inc, dec)
 
     def to_state(self) -> dict:
         state = super().to_state()

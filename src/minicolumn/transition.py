@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pattern import PatternLayer, _as_array, _check_finite, _check_unit
+from .pattern import _PATTERN_PARAMS, PatternLayer, _as_array, _check_finite, _check_unit, _hebbian
 from .sdr import Sdr
 
 __all__ = [
@@ -102,8 +102,9 @@ class _Evals(NamedTuple):
     cell, raw (permanence-blind) overlap, and whether the connected overlap
     reaches its activation threshold. Per cell: ``o_pred`` sums the spikes
     of active segments, ``o_sub`` those of segments at or above half
-    threshold, and ``best`` is the largest raw overlap, 0 when no segment of
-    the cell sees an active source.
+    threshold, ``best`` is the largest raw overlap, 0 when no segment of
+    the cell sees an active source, and ``predictive`` marks the cells with
+    ``best`` above 0 whose ``o_pred`` reaches ``predictive_threshold``.
     """
 
     on: np.ndarray  # dense activity, one slot longer than the cell count
@@ -114,6 +115,7 @@ class _Evals(NamedTuple):
     o_pred: np.ndarray
     o_sub: np.ndarray
     best: np.ndarray
+    predictive: np.ndarray
 
 
 def _check_spike(activation_threshold, spike_size) -> None:
@@ -154,12 +156,8 @@ def _resized(a: np.ndarray, rows: int, fill) -> np.ndarray:
     return out
 
 
-# Constructor arguments held by the pattern layer and by the transition layer
-# itself, in snapshot order after input_size, n_columns and cells_per_column.
-_PATTERN_PARAMS = (
-    "n_active", "n_synapses", "connect_threshold", "delta_inc", "delta_dec",
-    "min_overlap",
-)
+# Constructor arguments held by the transition layer itself. Snapshot params
+# list the pattern layer's, with cells_per_column after n_columns, then these.
 _DISTAL_PARAMS = (
     "alpha", "beta", "beta_sub", "alpha_inh", "gamma_p", "gamma_inh", "dtau_vert",
     "predictive_threshold", "synapses_per_segment", "segments_per_cell",
@@ -373,13 +371,17 @@ class TmLayer:
         """Give ``cell`` one more distal segment and return its row.
 
         Thresholds default to the layer's. Raises ``ValueError`` for anything
-        the layer could not hold or score.
+        the layer could not hold or score. ``prev_predictive`` and the next
+        step see the new segment, as they would in a saved and reloaded copy.
         """
         if activation_threshold is None:
             activation_threshold = self.activation_threshold
         if spike_size is None:
             spike_size = self.spike_size
         self._add_segments([cell], [sources], [permanences], [activation_threshold], [spike_size])
+        predictive = self._eval_segments(self._prev_active).predictive
+        self._prev_predictive = Sdr._from_sorted(self.n_cells, np.flatnonzero(predictive))
+        self._prev_evals = None  # the next step scores prev_active again
         return self._n_segments - 1
 
     def _add_segments(self, cells, sources, permanences, thresholds, spikes) -> None:
@@ -498,7 +500,11 @@ class TmLayer:
         o_sub = np.bincount(cells[sub], spikes[sub], self.n_cells)
         best = np.zeros(self.n_cells, dtype=np.int64)
         np.maximum.at(best, cells, raw)
-        return _Evals(on, rows, cells, raw, act, o_pred, o_sub, best)
+        # A cell with no segment seeing any active source (best 0) never
+        # counts as predictive, whatever the thresholds.
+        predictive = np.zeros(self.n_cells, dtype=bool)
+        predictive[cells] = o_pred[cells] >= self.predictive_threshold
+        return _Evals(on, rows, cells, raw, act, o_pred, o_sub, best, predictive)
 
     def predictive_potential(self, cell: int, prev_active: Sdr | Iterable[int]) -> float:
         """Summed spike sizes of this cell's active segments."""
@@ -553,9 +559,7 @@ class TmLayer:
         best = evals.best[cells]
         o_ff = self.alpha * raw[columns]
         sheaths = sheath[columns]
-        # A cell with no segment seeing any active source never counts as
-        # predictive or matching, whatever the thresholds.
-        pred = (best > 0) & (o_pred >= self.predictive_threshold)
+        pred = evals.predictive[cells]
         predicted_columns = pred.any(axis=1)
         winners = np.argmax(np.where(pred, o_pred, -np.inf), axis=1)
         predicted = cells[pred]
@@ -605,11 +609,8 @@ class TmLayer:
 
     def _reinforce(self, rows: np.ndarray, on: np.ndarray) -> None:
         """Grow synapses on sources active in ``on``, shrink the rest."""
-        p = self._permanences[rows]
-        self._permanences[rows] = np.where(
-            on[self._sources[rows]],
-            np.minimum(1.0, p * (1.0 + self.sigma_inc)),
-            p * (1.0 - self.sigma_dec),
+        self._permanences[rows] = _hebbian(
+            self._permanences[rows], on[self._sources[rows]], self.sigma_inc, self.sigma_dec
         )
 
     def _grow_segment(self, cell: int, prev_winners: Sdr) -> None:
@@ -707,7 +708,6 @@ class TmLayer:
             self.pattern.learn(x_ff, active_columns)
 
         next_evals = self._eval_segments(active)
-        predictive = (next_evals.best > 0) & (next_evals.o_pred >= self.predictive_threshold)
         sdr = partial(Sdr._from_sorted, self.n_cells)
         output = LayerOutput(
             active_columns=active_columns,
@@ -716,7 +716,7 @@ class TmLayer:
             burst_cells=sdr(burst),
             winner_cells=sdr(winners),
             firing_sequence=firing_sequence,
-            predictive_cells_next=sdr(np.flatnonzero(predictive)),
+            predictive_cells_next=sdr(np.flatnonzero(next_evals.predictive)),
             anomaly=anomaly,
         )
 
@@ -737,9 +737,9 @@ class TmLayer:
 
     def to_state(self) -> dict:
         pattern = self.pattern
-        params = {"input_size": pattern.input_size, "n_columns": self.n_columns}
+        params = {name: getattr(pattern, name) for name in _PATTERN_PARAMS[:2]}
         params["cells_per_column"] = self.cells_per_column
-        params.update((name, getattr(pattern, name)) for name in _PATTERN_PARAMS)
+        params.update((name, getattr(pattern, name)) for name in _PATTERN_PARAMS[2:])
         params.update((name, getattr(self, name)) for name in _DISTAL_PARAMS)
         if not math.isfinite(self.dtau_vert):
             params["dtau_vert"] = "inf"
@@ -761,9 +761,7 @@ class TmLayer:
         params = dict(state["params"])
         if params.get("dtau_vert") == "inf":
             params["dtau_vert"] = math.inf
-        pattern_params = {
-            name: params.pop(name) for name in ("input_size", "n_columns", *_PATTERN_PARAMS)
-        }
+        pattern_params = {name: params.pop(name) for name in _PATTERN_PARAMS}
         # Not through __init__: every array and both rngs come from the state.
         layer = cls.__new__(cls)
         layer._configure(**params)

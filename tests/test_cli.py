@@ -1,5 +1,7 @@
 import inspect
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,31 @@ class TestConfigValidation:
         raw["layer"]["columns"] = 64
         with pytest.raises(ConfigError, match="columns"):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"noise": 0.1}, "noise section must be an object"),
+            ({"noise": {"flip_fraction": 0.1, "rate": 1}}, "unknown noise key 'rate'"),
+            ({"noise": {"flip_fraction": 1.5}}, "noise.flip_fraction must be a number in [0, 1]"),
+            ({"noise": {"flip_fraction": -0.1}}, "noise.flip_fraction must be a number in [0, 1]"),
+            ({"eval_cycles": 1}, "eval_cycles must be an integer >= 2"),
+            ({"sequences": [["A", "B"]]}, "sequences[0] must be an object"),
+            (
+                {"sequences": [{"tokens": ["A", "B"], "repeats": 0}]},
+                "sequences[0].repeats must be a positive integer",
+            ),
+            (
+                {"sequences": [{"tokens": ["A", "B"], "repeats": "2"}]},
+                "sequences[0].repeats must be a positive integer",
+            ),
+            ({"pool": [64]}, "pool section must be an object"),
+        ],
+    )
+    def test_bad_section_rejected(self, overrides, message):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(dict(BASE_CONFIG, **overrides))
+        assert err.value.errors == [message]
 
 
 def keyword_defaults(*classes) -> dict:
@@ -208,6 +235,14 @@ class TestSequenceCommand:
         assert main(["sequence", "--config", str(config)]) == 2
         assert "sequences" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": 7, "name": "\xff"}')
+        assert main(["sequence", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config {config}: not UTF-8 at byte offset 21" in err
+        assert "Traceback" not in err
+
     def test_snapshot_and_resume(self, tmp_path):
         config = write_config(tmp_path)
         snap = tmp_path / "model.json"
@@ -226,6 +261,33 @@ class TestAnomalyCommand:
         records = (out_dir / "anomaly_records.jsonl").read_text().splitlines()
         assert len(records) == 30
         assert json.loads(records[0])["anomaly"] == 1.0
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_stream_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        config = write_config(tmp_path)
+        stream = tmp_path / "stream.txt"
+        stream.write_bytes(b"A\nB\n\xff\xfe\n")
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stream.read_bytes())))
+            name, arg = "stdin", "-"
+        else:
+            name = arg = str(stream)
+        assert main(["anomaly", "--config", str(config), arg]) == 2
+        err = capsys.readouterr().err
+        assert f"stream {name}: not UTF-8 at byte offset 4" in err
+        assert "Traceback" not in err
+
+    def test_stdin_stream_run(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"A\r\nB\nC\n")))
+        assert main(["anomaly", "--config", str(config), "-"]) == 0
+        assert capsys.readouterr().out.startswith("steps: 3 ")
+
+    def test_missing_stream_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        missing = tmp_path / "missing.txt"
+        assert main(["anomaly", "--config", str(config), str(missing)]) == 2
+        assert f"cannot read stream {missing}" in capsys.readouterr().err
 
     def test_unparseable_scalar_line_reports_number(self, tmp_path, capsys):
         config = write_config(

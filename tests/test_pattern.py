@@ -164,6 +164,22 @@ class TestReconstruction:
             reconstruction_error(Sdr(16, [1]), np.zeros(8))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda layer, winners: layer.learn(Sdr(16, [1]), winners),
+        lambda layer, winners: layer.reconstruct(winners),
+    ],
+    ids=["learn", "reconstruct"],
+)
+def test_winner_width_checked(call):
+    layer = PatternLayer(16, 4, n_active=1, seed=0)
+    before = layer.permanences.copy()
+    with pytest.raises(DimensionError, match="winners width 5 != layer size 4"):
+        call(layer, Sdr(5, [0]))
+    assert np.array_equal(layer.permanences, before)
+
+
 def test_monotone_reconstruction_on_fixed_input():
     # Fixed input repeated: masked reconstruction error never increases.
     layer = PatternLayer(128, 64, n_active=4, seed=9)

@@ -16,7 +16,8 @@ from minicolumn import (
     TmLayer,
 )
 from minicolumn import persistence
-from minicolumn.experiments import SequenceModel
+from minicolumn.encoders import ScalarEncoder
+from minicolumn.experiments import ExperimentConfig, SequenceModel, build_model
 from minicolumn.persistence import (
     SnapshotError,
     SnapshotFormatError,
@@ -164,6 +165,54 @@ class TestRoundTrip:
         oa = model.tm.step(model.encode("A"))
         ob = loaded.tm.step(loaded.encode("A"))
         assert oa.active_cells == ob.active_cells
+
+    def test_scalar_sequence_model_resumes_like_uninterrupted(self, tmp_path):
+        config = ExperimentConfig.from_dict(
+            {
+                "seed": 3,
+                "encoder": {
+                    "type": "scalar", "universe_size": 128, "active_bits": 10,
+                    "min_value": 0, "max_value": 5,
+                },
+                "layer": {"n_columns": 32, "cells_per_column": 4, "n_active": 4},
+                "sequences": [{"tokens": [0, 1]}],
+            }
+        )
+        values = [0.5 * (i % 7) for i in range(40)]
+        uninterrupted, resumed = build_model(config), build_model(config)
+        expected = step_all(uninterrupted, values)
+        outputs = step_all(resumed, values[:20])
+        persistence.save(resumed, tmp_path / "half.json")
+        resumed = persistence.load(tmp_path / "half.json")
+        assert isinstance(resumed.encoder, ScalarEncoder)
+        outputs += step_all(resumed, values[20:])
+        assert outputs == expected
+        persistence.save(uninterrupted, tmp_path / "a.json")
+        persistence.save(resumed, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_add_segment_between_steps_resumes_identically(self, tmp_path):
+        layer = TmLayer(64, 16, 4, n_active=2, activation_threshold=2, seed=5)
+        rng = np.random.default_rng(8)
+        layer.step(rand_sdr(rng, 64, 12))
+        x = rand_sdr(rng, 64, 12)
+        # a cell of a column the next input activates, predicted by nothing yet
+        cell = layer.pattern.compute_sdr(x).active[0] * layer.cells_per_column
+        assert not layer.prev_predictive.active
+        sources = [c for c in layer.prev_active.active if c != cell][:2]
+        layer.add_segment(cell, sources, [0.9, 0.9])
+        assert layer.prev_predictive.active == (cell,)
+        persistence.save(layer, tmp_path / "m.json")
+        loaded = persistence.load(tmp_path / "m.json")
+        out = layer.step(x)
+        assert out.predicted_cells.active == (cell,)
+        assert out == loaded.step(x)
+        for _ in range(2):
+            x = rand_sdr(rng, 64, 12)
+            assert layer.step(x) == loaded.step(x)
+        persistence.save(layer, tmp_path / "a.json")
+        persistence.save(loaded, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_random_models_property(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minicolumn import PatternLayer, PoolingLayer, Sdr, TmLayer, stability
+from minicolumn import DimensionError, PatternLayer, PoolingLayer, Sdr, TmLayer, stability
 
 
 def rand_sdr(rng, universe, k):
@@ -103,6 +103,14 @@ class TestTpLearn:
             pool.tp_learn(out, a)
             plain.learn(out.active_cells, b)
             assert np.array_equal(pool.permanences, plain.permanences)
+
+    def test_width_checks(self):
+        pool = self._one_synapse_pool(0.4)
+        with pytest.raises(DimensionError, match="input width 9 != layer width 8"):
+            pool.tp_learn(self._output(tm_cells=9, burst=[0]), Sdr(1, [0]))
+        with pytest.raises(DimensionError, match="winners width 2 != layer size 1"):
+            pool.tp_learn(self._output(burst=[0]), Sdr(2, [0]))
+        assert pool.permanences[0, 0] == 0.4
 
     def test_rate_ordering_validated(self):
         with pytest.raises(ValueError):
