@@ -164,14 +164,13 @@ class PatternLayer:
         synapses that see an on-bit."""
         self._check_input(x_ff)
         order, indptr = self._source_index()
-        active = np.fromiter(x_ff.active, dtype=np.intp, count=len(x_ff.active))
-        starts = indptr[active]
-        lengths = indptr[active + 1] - starts
         # the active bits' groups of ``order``, one after another
-        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        slots = order[offsets + np.arange(offsets.size)]
-        connected = slots[self.permanences.take(slots) >= self.connect_threshold]
-        return np.bincount(connected // self.n_synapses, minlength=self.n_columns)
+        groups = (order[indptr[i] : indptr[i + 1]] for i in x_ff.active)
+        slots = np.concatenate([order[:0], *groups])  # order[:0]: an empty input has no group
+        connected = self.permanences.take(slots) >= self.connect_threshold
+        # sums of 0/1 weights are exact in float64
+        counts = np.bincount(slots // self.n_synapses, weights=connected, minlength=self.n_columns)
+        return counts.astype(np.int64)
 
     def _select(self, scores: np.ndarray, raw: np.ndarray) -> Sdr:
         """Top ``n_active`` by score among neurons passing the stimulus floor.
@@ -179,8 +178,14 @@ class PatternLayer:
         Equal scores break to the lower neuron index.
         """
         eligible = np.flatnonzero(raw >= self.min_overlap)
-        order = eligible[np.argsort(-scores[eligible], kind="stable")]
-        return Sdr._from_sorted(self.n_columns, np.sort(order[: self.n_active]))
+        k = self.n_active
+        if eligible.size > k:
+            s = scores[eligible]
+            kth = np.partition(s, s.size - k)[s.size - k]  # the k-th largest score
+            keep = s > kth
+            keep[np.flatnonzero(s == kth)[: k - np.count_nonzero(keep)]] = True
+            eligible = eligible[keep]
+        return Sdr._from_sorted(self.n_columns, eligible)
 
     def compute_sdr(self, x_ff: Sdr) -> Sdr:
         """Winning neurons for this input (k-WTA)."""
@@ -258,7 +263,12 @@ def _hebbian(p: np.ndarray, on: np.ndarray, inc, dec) -> np.ndarray:
     to 1; any other by (1 - dec). ``inc`` and ``dec`` are scalars or arrays
     shaped like ``p``.
     """
-    return np.where(on, np.minimum(1.0, p * (1.0 + inc)), p * (1.0 - dec))
+    out = p * (1.0 - dec)
+    grow = np.flatnonzero(on)  # at 2% input density, a few percent of the synapses
+    if np.ndim(inc):
+        inc = inc.take(grow)
+    out.put(grow, np.minimum(1.0, p.take(grow) * (1.0 + inc)))
+    return out
 
 
 def _check_finite(**params) -> None:

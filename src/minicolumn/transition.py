@@ -478,9 +478,12 @@ class TmLayer:
     def _segment_overlaps(self, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw and connected overlap of every segment with dense activity."""
         n = self._n_segments
-        hit = on[self._sources[:n]]
-        connected = self._permanences[:n] >= self.pattern.connect_threshold
-        return np.count_nonzero(hit, axis=1), np.count_nonzero(hit & connected, axis=1)
+        # flat slots ``row * synapses_per_segment + slot`` that see an active cell
+        hit = np.flatnonzero(on[self._sources[:n]])
+        rows = hit // self.synapses_per_segment
+        connected = self._permanences.reshape(-1).take(hit) >= self.pattern.connect_threshold
+        raw = np.bincount(rows, minlength=n)
+        return raw, np.bincount(rows, weights=connected, minlength=n).astype(np.int64)
 
     def _eval_segments(self, active) -> _Evals:
         """Score every segment against one activity set.
@@ -762,6 +765,13 @@ class TmLayer:
         if params.get("dtau_vert") == "inf":
             params["dtau_vert"] = math.inf
         pattern_params = {name: params.pop(name) for name in _PATTERN_PARAMS}
+        # The pattern state repeats its parameters; a copy must agree with these.
+        for name, value in state["pattern"].get("params", {}).items():
+            if pattern_params.get(name) != value:
+                raise ValueError(
+                    f"pattern params {name}={value!r} disagree with params "
+                    f"{name}={pattern_params.get(name)!r}"
+                )
         # Not through __init__: every array and both rngs come from the state.
         layer = cls.__new__(cls)
         layer._configure(**params)

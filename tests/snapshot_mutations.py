@@ -149,6 +149,18 @@ CASES = [
         SnapshotValidationError,
         "input_size",
     ),
+    (
+        "pattern-copy-delta-inc",
+        edit_header(lambda s: s["tm"]["pattern"]["params"].update(delta_inc=0.9)),
+        SnapshotValidationError,
+        "delta_inc",
+    ),
+    (
+        "pattern-copy-n-synapses",
+        edit_header(lambda s: s["tm"]["pattern"]["params"].update(n_synapses=5)),
+        SnapshotValidationError,
+        "n_synapses",
+    ),
     ("object-member", object_member, SnapshotFormatError, "allow_pickle"),
 ]
 IDS = [case[0] for case in CASES]

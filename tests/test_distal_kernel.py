@@ -81,7 +81,10 @@ def oracle_view(segments):
 @settings(max_examples=150, deadline=None)
 @given(models(), busy_sets)
 def test_kernel_matches_oracle(model, active):
-    layer, segments = model
+    assert_scores_match(*model, active)
+
+
+def assert_scores_match(layer, segments, active):
     ev = layer._eval_segments(active)
     expected = oracle.eval_segments(segments, frozenset(active))
     assert layer.segments == oracle_view(segments)
@@ -108,6 +111,46 @@ def test_kernel_matches_oracle(model, active):
             ev.rows[i] for i, c in enumerate(row_cells) if c == cell and ev.raw[i] == want.best_overlap
         ]
         assert cell_rows.index(best_rows[0]) == segs.index(want.best_segment)
+
+
+def test_awkward_shape_matches_oracle():
+    """Five synapses per segment (not a power of two), 72 segments in a
+    capacity of 128, and cells at their budget whose weakest row growth
+    overwrote: the flat slot arithmetic must still find each row."""
+    rng = np.random.default_rng(11)
+    layer = TmLayer(
+        16, N_COLUMNS, CELLS, n_active=2, n_synapses=8, synapses_per_segment=5,
+        segments_per_cell=3, activation_threshold=2, min_match_threshold=2, seed=4,
+    )
+    segments = {}
+    for cell in range(N_CELLS):
+        others = [c for c in range(N_CELLS) if c != cell]
+        for _ in range(layer.segments_per_cell):
+            sources = sorted(rng.choice(others, int(rng.integers(1, 6)), replace=False).tolist())
+            perms = rng.choice([0.0, 0.19999999999999998, 0.2, 0.25, 0.6, 1.0], len(sources)).tolist()
+            threshold, spike = int(rng.integers(1, 4)), float(rng.choice(SPIKES))
+            layer.add_segment(cell, sources, perms, threshold, spike)
+            segments.setdefault(cell, []).append(
+                oracle.Segment(sources, perms, layer.pattern.connect_threshold, threshold, spike)
+            )
+    assert layer._n_segments == 72 and len(layer._owner) == 128
+
+    # Nothing was active, so every winner grows, overwriting its weakest row.
+    winners, prev_winners = [1, 6, 11], [2, 7, 12, 13, 17, 22]
+    oracle.learn_distal(
+        segments, winners, {}, {0, 1, 2}, [], frozenset(), prev_winners,
+        np.random.default_rng(5), layer,
+    )
+    layer._rng = np.random.default_rng(5)
+    layer._learn_distal(winners, layer._eval_segments([]), [0, 1, 2], Sdr(N_CELLS, prev_winners))
+    assert layer._n_segments == 72
+    for cell in winners:
+        grown = [s for s in segments[cell] if s.permanences == [layer.initial_segment_permanence] * 5]
+        assert len(grown) == 1 and len(segments[cell]) == 3
+    assert layer.segments == oracle_view(segments)
+
+    for active in [prev_winners, list(range(N_CELLS)), rng.choice(N_CELLS, 9, replace=False).tolist()]:
+        assert_scores_match(layer, segments, active)
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,6 +8,9 @@ assignment, a ``to_state`` / ``from_state`` round trip) and compare after
 each one. Shapes include one synapse per neuron and ``n_synapses ==
 input_size``; thresholds include 0 and 1; inputs include the empty and the
 full input.
+
+The top-k selection and the Hebbian update are checked the same way, against
+the stable-argsort selection and the ``np.where`` update they replaced.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minicolumn import PatternLayer, PoolingLayer, Sdr
+from minicolumn.pattern import _hebbian
 from minicolumn.transition import LayerOutput
 
 # thresholds and permanences: the edges, the default threshold, anything between
@@ -171,3 +175,99 @@ class TestSourcesSetter:
         assert layer.sources.tolist() == [[5, 1, 9], [9, 0, 5]]
         x = Sdr(16, [0, 5, 9])
         assert layer.raw_overlaps(x).tolist() == oracle_overlaps(layer, x).tolist()
+
+
+# -- top-k selection ----------------------------------------------------------
+
+
+def oracle_select(layer, scores, raw):
+    """The stable-argsort top-k: highest scores first, ties to the lower index."""
+    eligible = np.flatnonzero(raw >= layer.min_overlap)
+    order = eligible[np.argsort(-scores[eligible], kind="stable")]
+    return np.sort(order[: layer.n_active]).tolist()
+
+
+# few distinct values, so ties are heavy
+SCORES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_select_matches_stable_argsort(n_columns, data):
+    layer = PatternLayer(
+        4,
+        n_columns,
+        n_active=data.draw(st.integers(1, n_columns)),
+        n_synapses=2,
+        min_overlap=data.draw(st.integers(0, 3)),
+    )
+    raw = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n_columns, max_size=n_columns)))
+    scores = np.array(data.draw(st.lists(SCORES, min_size=n_columns, max_size=n_columns)))
+    scores = data.draw(st.sampled_from([scores, raw.astype(np.float64), raw + 0.5 * scores]))
+    got = layer._select(scores, raw)
+    assert list(got.active) == oracle_select(layer, scores, raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(layers(), st.data())
+def test_compute_sdr_matches_stable_argsort(layer, data):
+    for _ in range(3):
+        x = data.draw(inputs(layer.input_size))
+        raw = layer.raw_overlaps(x)
+        assert list(layer.compute_sdr(x).active) == oracle_select(layer, raw, raw)
+        layer.learn(x, layer.compute_sdr(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.data())
+def test_tp_step_matches_stable_argsort(n_columns, data):
+    pool = PoolingLayer(
+        16,
+        n_columns,
+        n_active=data.draw(st.integers(1, n_columns)),
+        n_synapses=data.draw(st.integers(1, 16)),
+        persistence=data.draw(st.sampled_from([0.25, 0.5, 0.9])),
+        min_overlap=data.draw(st.integers(0, 2)),
+        seed=data.draw(st.integers(0, 2**16)),
+    )
+    for _ in range(4):
+        x = data.draw(inputs(16))
+        predicted = Sdr(16, data.draw(st.sets(st.sampled_from(x.active))) if x.active else ())
+        out = layer_output(x, predicted)
+        raw = pool.raw_overlaps(x)
+        scores = raw.astype(np.float64)
+        if pool.active_prev.active and predicted.active:
+            prev = list(pool.active_prev.active)
+            scores[prev] += pool.persistence * pool.raw_overlaps(predicted)[prev]
+        assert list(pool.tp_step(out).active) == oracle_select(pool, scores, raw)
+
+
+# -- Hebbian update -----------------------------------------------------------
+
+
+def oracle_hebbian(p, on, inc, dec):
+    return np.where(on, np.minimum(1.0, p * (1.0 + inc)), p * (1.0 - dec))
+
+
+# 0.2 is the default connect threshold; 0.95 * 1.1 > 1; 1.25 was written above 1 in place
+PERMANENCE = st.one_of(st.sampled_from([0.0, 0.2, 0.95, 1.0, 1.25]), st.floats(0.0, 1.0))
+INCREMENT = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 2.0]), st.floats(0.0, 3.0))
+DECREMENT = st.one_of(st.sampled_from([0.0, 0.008, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
+def test_hebbian_matches_where_formula(rows, width, data):
+    def matrix(elements):
+        flat = data.draw(st.lists(elements, min_size=rows * width, max_size=rows * width))
+        return np.array(flat, dtype=np.float64).reshape(rows, width)
+
+    p = matrix(PERMANENCE)
+    on = matrix(st.booleans()).astype(bool)
+    if data.draw(st.booleans(), label="per-synapse rates"):
+        inc, dec = matrix(INCREMENT), matrix(DECREMENT)
+    else:
+        inc, dec = data.draw(INCREMENT), data.draw(DECREMENT)
+    got = _hebbian(p, on, inc, dec)
+    assert got.dtype == np.float64 and got.shape == p.shape
+    assert got.tobytes() == oracle_hebbian(p, on, inc, dec).tobytes()
