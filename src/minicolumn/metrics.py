@@ -61,7 +61,8 @@ def prediction_accuracy(prev_output: LayerOutput, cur_output: LayerOutput) -> fl
     """Fraction of currently active columns that were predicted last step.
 
     Column-level on purpose: bursting and anomaly are columnar phenomena.
-    Equals 1 - anomaly for the same step.
+    When the step has active columns, equals 1 - anomaly up to rounding. A
+    step with no active column gives 0.0, while its anomaly is 0.0 too.
     """
     active = cur_output.active_columns
     if not active.active:

@@ -311,7 +311,6 @@ class TmLayer:
         self._owner = np.zeros(0, dtype=np.int64)
         self._thresholds = np.zeros(0, dtype=np.int64)
         self._spikes = np.zeros(0, dtype=np.float64)
-        self._segment_counts = np.zeros(self.n_cells, dtype=np.int64)
         self.reset()
 
     # -- basic geometry -----------------------------------------------------
@@ -329,9 +328,22 @@ class TmLayer:
 
     @property
     def prev_predictive(self) -> Sdr:
-        return self._prev_predictive
+        """Cells predictive for the next step: those that ``prev_active``
+        depolarises through the current segments."""
+        return Sdr._from_sorted(self.n_cells, np.flatnonzero(self._previous_evals().predictive))
+
+    def _previous_evals(self) -> _Evals:
+        """The segments scored against ``prev_active``, cached until they change."""
+        if self._prev_evals is None:
+            self._prev_evals = self._eval_segments(self._prev_active)
+        return self._prev_evals
 
     # -- distal segment store -----------------------------------------------
+
+    @property
+    def _segment_counts(self) -> np.ndarray:
+        """Segments per cell."""
+        return np.bincount(self._owner[: self._n_segments], minlength=self.n_cells)
 
     def distal_counts(self) -> dict[str, int]:
         """Cells owning segments, segments, and synapses on them."""
@@ -379,9 +391,7 @@ class TmLayer:
         if spike_size is None:
             spike_size = self.spike_size
         self._add_segments([cell], [sources], [permanences], [activation_threshold], [spike_size])
-        predictive = self._eval_segments(self._prev_active).predictive
-        self._prev_predictive = Sdr._from_sorted(self.n_cells, np.flatnonzero(predictive))
-        self._prev_evals = None  # the next step scores prev_active again
+        self._prev_evals = None
         return self._n_segments - 1
 
     def _add_segments(self, cells, sources, permanences, thresholds, spikes) -> None:
@@ -434,7 +444,6 @@ class TmLayer:
         self._thresholds[start:stop] = thresholds
         self._spikes[start:stop] = spikes
         self._n_segments = stop
-        self._segment_counts = counts
 
     def _reserve(self, rows: int) -> None:
         """Make room for ``rows`` segments; capacity at least doubles as it grows."""
@@ -445,13 +454,6 @@ class TmLayer:
             self._owner = _resized(self._owner, size, 0)
             self._thresholds = _resized(self._thresholds, size, 0)
             self._spikes = _resized(self._spikes, size, 0.0)
-
-    def _new_row(self, cell: int) -> int:
-        row = self._n_segments
-        self._reserve(row + 1)
-        self._n_segments = row + 1
-        self._segment_counts[cell] += 1
-        return row
 
     def _store(self, row, cell, sources, permanences, activation_threshold, spike_size) -> None:
         k = len(sources)
@@ -518,16 +520,19 @@ class TmLayer:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell and per-sheath depolarisation rates for given activity.
 
-        Cell rate is alpha * column feedforward overlap + beta * predictive
-        potential; the sheath sees only alpha_inh * feedforward overlap.
+        These are the rates ``step`` fires on. A predictive cell's rate is
+        alpha * column feedforward overlap + beta * predictive potential; any
+        other cell's is alpha * feedforward overlap + beta_sub * sub-threshold
+        potential, its rate when the column bursts. The sheath sees only
+        alpha_inh * feedforward overlap.
         """
-        raw = self.pattern.raw_overlaps(x_ff)
-        d_cells = np.repeat(self.alpha * raw.astype(np.float64), self.cells_per_column)
+        raw = self.pattern.raw_overlaps(x_ff).astype(np.float64)
+        o_ff = np.repeat(self.alpha * raw, self.cells_per_column)
         evals = self._eval_segments(prev_active)
-        matched = evals.best > 0
-        d_cells[matched] += self.beta * evals.o_pred[matched]
-        d_sheaths = self.alpha_inh * raw.astype(np.float64)
-        return d_cells, d_sheaths
+        d_cells = np.where(
+            evals.predictive, o_ff + self.beta * evals.o_pred, o_ff + self.beta_sub * evals.o_sub
+        )
+        return d_cells, self.alpha_inh * raw
 
     # -- stepping -----------------------------------------------------------
 
@@ -552,7 +557,8 @@ class TmLayer:
 
         Works on the ``[len(columns), cells_per_column]`` block of the active
         columns' cells, one row per column. Returns the fired, predicted,
-        burst and winner cells, each ascending, and the firing-sequence
+        burst and winner cells, each ascending, how many columns held a
+        predictive cell, and the firing-sequence
         classes ``P_pred``, ``I_pred``, ``I_ff`` and ``P_burst`` as
         ``(units, kind, rates)`` with ascending units.
         """
@@ -575,7 +581,7 @@ class TmLayer:
         if predicted_columns.all():
             empty = columns[:0]
             classes += [(empty, I_FF, sheaths[:0]), (empty, P_BURST, o_ff[:0])]
-            return predicted, predicted, empty, columns * n + winners, classes
+            return predicted, predicted, empty, columns * n + winners, columns.size, classes
 
         bursting = ~predicted_columns
         sub = self.beta_sub * evals.o_sub[cells]
@@ -608,7 +614,8 @@ class TmLayer:
                     pool = [i for i, k in enumerate(row) if k == fewest]
                     picks.append(pool[int(self._rng.integers(len(pool)))])
                 winners[blank] = picks
-        return cells[pred | fire], predicted, burst, columns * n + winners, classes
+        hits = int(np.count_nonzero(predicted_columns))
+        return cells[pred | fire], predicted, burst, columns * n + winners, hits, classes
 
     def _reinforce(self, rows: np.ndarray, on: np.ndarray) -> None:
         """Grow synapses on sources active in ``on``, shrink the rest."""
@@ -623,13 +630,15 @@ class TmLayer:
         k = min(self.synapses_per_segment, len(candidates))
         picked = self._rng.choice(len(candidates), size=k, replace=False)
         sources = sorted(candidates[i] for i in picked)
-        if self._segment_counts[cell] >= self.segments_per_cell:
-            rows = np.flatnonzero(self._owner[: self._n_segments] == cell).tolist()
+        rows = np.flatnonzero(self._owner[: self._n_segments] == cell).tolist()
+        if len(rows) >= self.segments_per_cell:
             # Totals summed left to right over each row; padding adds 0.0.
             totals = [sum(self._permanences[r].tolist()) for r in rows]
             row = rows[min(range(len(rows)), key=lambda i: (totals[i], i))]
         else:
-            row = self._new_row(cell)
+            row = self._n_segments
+            self._reserve(row + 1)
+            self._n_segments = row + 1
         perms = [self.initial_segment_permanence] * k
         self._store(row, cell, sources, perms, self.activation_threshold, self.spike_size)
 
@@ -651,9 +660,8 @@ class TmLayer:
         batched row updates equal one-at-a-time ones.
         """
         on = evals.on
-        if self.sigma_punish > 0.0 and self._prev_predictive.active:
-            punish = np.zeros(self.n_cells, dtype=bool)
-            punish[list(self._prev_predictive.active)] = True
+        if self.sigma_punish > 0.0:
+            punish = evals.predictive.copy()
             punish.reshape(self.n_columns, self.cells_per_column)[columns] = False
             rows = evals.rows[evals.active & punish[evals.cells]]
             p = self._permanences[rows]
@@ -683,13 +691,11 @@ class TmLayer:
     def step(self, x_ff: Sdr, learn: bool = True) -> LayerOutput:
         """Run one timestep: select columns, fire cells, learn, advance state."""
         raw = self.pattern.raw_overlaps(x_ff)
-        evals = self._prev_evals
-        if evals is None:  # after reset() or from_state()
-            evals = self._eval_segments(self._prev_active)
+        evals = self._previous_evals()
         active_columns = self._select_columns(raw, evals)
         columns = np.array(active_columns.active, dtype=np.intp)
         sheath = self.alpha_inh * raw
-        active, predicted, burst, winners, classes = self._fire(columns, raw, sheath, evals)
+        active, predicted, burst, winners, hits, classes = self._fire(columns, raw, sheath, evals)
 
         # Inactive columns' sheaths come last.
         inactive = np.ones(self.n_columns, dtype=bool)
@@ -698,13 +704,7 @@ class TmLayer:
         classes.append((spread, I_SPREAD, sheath[spread]))
         firing_sequence = tuple(chain.from_iterable(_events(*c) for c in classes))
 
-        if columns.size:
-            prev_predictive = np.array(self._prev_predictive.active, dtype=np.intp)
-            prev_predicted = np.zeros(self.n_columns, dtype=bool)
-            prev_predicted[prev_predictive // self.cells_per_column] = True
-            anomaly = 1.0 - int(np.count_nonzero(prev_predicted[columns])) / columns.size
-        else:
-            anomaly = 0.0
+        anomaly = 1.0 - hits / columns.size if columns.size else 0.0
 
         if learn:
             self._learn_distal(winners, evals, columns, self._prev_winners)
@@ -725,7 +725,6 @@ class TmLayer:
 
         self._prev_active = output.active_cells
         self._prev_winners = output.winner_cells
-        self._prev_predictive = output.predictive_cells_next
         self._prev_evals = next_evals
         return output
 
@@ -733,7 +732,6 @@ class TmLayer:
         """Clear sequence state (learned permanences stay)."""
         self._prev_active = Sdr(self.n_cells)
         self._prev_winners = Sdr(self.n_cells)
-        self._prev_predictive = Sdr(self.n_cells)
         self._prev_evals = None
 
     # -- persistence ----------------------------------------------------------
@@ -755,7 +753,7 @@ class TmLayer:
             ],
             "prev_active": list(self._prev_active.active),
             "prev_winners": list(self._prev_winners.active),
-            "prev_predictive": list(self._prev_predictive.active),
+            "prev_predictive": list(self.prev_predictive.active),
             "rng": self._rng.bit_generator.state,
         }
 
@@ -789,7 +787,9 @@ class TmLayer:
         layer._add_segments(cells, sources, permanences, thresholds, spikes)
         layer._prev_active = Sdr(layer.n_cells, state["prev_active"])
         layer._prev_winners = Sdr(layer.n_cells, state["prev_winners"])
-        layer._prev_predictive = Sdr(layer.n_cells, state["prev_predictive"])
+        # A stored copy of derived state must agree with what it derives from.
+        if Sdr(layer.n_cells, state["prev_predictive"]) != layer.prev_predictive:
+            raise ValueError("prev_predictive disagrees with prev_active and the segments")
         return layer
 
 

@@ -130,7 +130,7 @@ def firing_sequence(layer, columns: list[int], raw: np.ndarray, fired) -> tuple:
 
 def anomaly(layer, columns: list[int]) -> float:
     """Fraction of active columns that held no predictive cell before the step."""
-    prev_pred_columns = {layer.column_of(c) for c in layer._prev_predictive}
+    prev_pred_columns = {layer.column_of(c) for c in layer.prev_predictive}
     if columns:
         hits = sum(1 for m in columns if m in prev_pred_columns)
         return 1.0 - hits / len(columns)

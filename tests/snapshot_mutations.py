@@ -64,6 +64,22 @@ def repeat_segments(state) -> None:
     state["tm"]["segments"][0] = [cell, segs * (state["tm"]["params"]["segments_per_cell"] + 1)]
 
 
+def overlong_segment(state) -> None:
+    """Give the first segment one source more than a segment can hold."""
+    params, seg = state["tm"]["params"], first_segment(state)
+    n_cells = params["n_columns"] * params["cells_per_column"]
+    extra = [c for c in range(n_cells) if c not in seg["sources"]]
+    extra = extra[: params["synapses_per_segment"] + 1 - len(seg["sources"])]
+    seg["sources"] += extra
+    seg["permanences"] += [0.5] * len(extra)
+
+
+def drop_format_version(members) -> None:
+    doc = header(members)
+    del doc["format_version"]
+    set_header(members, doc)
+
+
 def object_member(members) -> None:
     members[SOURCES] = np.array(members[SOURCES].tolist(), dtype=object)
 
@@ -162,6 +178,33 @@ CASES = [
         "n_synapses",
     ),
     ("object-member", object_member, SnapshotFormatError, "allow_pickle"),
+    (
+        "header-not-object",
+        lambda m: m.update(header=np.frombuffer(b"[1, 2]", np.uint8)),
+        SnapshotFormatError,
+        "JSON object",
+    ),
+    ("no-format-version", drop_format_version, SnapshotFormatError, "missing format_version"),
+    (
+        "segment-cell-out-of-range",
+        edit_header(lambda s: s["tm"]["segments"][0].__setitem__(0, 128)),
+        SnapshotValidationError,
+        "segment cells",
+    ),
+    (
+        "segment-lengths-differ",
+        edit_header(lambda s: first_segment(s)["permanences"].pop()),
+        SnapshotValidationError,
+        "equal length",
+    ),
+    ("segment-too-long", edit_header(overlong_segment), SnapshotValidationError, "synapses_per_segment"),
+    (
+        # the fixture predicts 9 cells; the copy lists 8
+        "prev-predictive-disagrees",
+        edit_header(lambda s: s["tm"]["prev_predictive"].pop()),
+        SnapshotValidationError,
+        "prev_predictive",
+    ),
 ]
 IDS = [case[0] for case in CASES]
 

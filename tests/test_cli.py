@@ -1,6 +1,7 @@
 import inspect
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from minicolumn import PatternLayer, PoolingLayer, TmLayer, persistence
 from minicolumn.cli import main
-from minicolumn.experiments import ConfigError, ExperimentConfig, build_model
+from minicolumn.experiments import ConfigError, ExperimentConfig, build_model, run_sequence
 
 import snapshot_mutations as mutations
 
@@ -155,6 +156,60 @@ class TestConfigKeys:
         assert main(["sequence", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+
+def sequence_run(**overrides):
+    """Reports and evaluations of ``run_sequence`` on the base config."""
+    config = ExperimentConfig.from_dict(dict(BASE_CONFIG, **overrides))
+    report, _, evaluations = run_sequence(config)
+    return report.steps, evaluations
+
+
+class TestConfigFeatures:
+    SEQUENCES = [
+        {"tokens": ["A", "B", "C", "D"], "repeats": 6},
+        {"tokens": ["X", "B", "C", "Y"], "repeats": 6},
+        {"tokens": ["E", "F", "G"], "repeats": 6},
+    ]
+
+    # segments that can activate with 6 active columns, so evaluations predict
+    LAYER = dict(BASE_CONFIG["layer"], n_active=6, activation_threshold=3, min_match_threshold=2)
+
+    def test_noise_flips_evaluation_inputs(self):
+        run = dict(sequences=self.SEQUENCES, layer=self.LAYER)
+        noise = {"flip_fraction": 0.75, "seed": 3}
+        noisy = sequence_run(**run, noise=noise)
+        assert noisy == sequence_run(**run, noise=noise)
+        clean_steps, clean_evals = sequence_run(**run)
+        # training never sees the noise; only the evaluations do
+        assert noisy[0] == clean_steps
+        assert any(a["overlap"] != b["overlap"] for a, b in zip(noisy[1], clean_evals))
+
+    def test_infinite_dtau_vert_builds_the_default_model(self, tmp_path):
+        paths = []
+        for name, layer in (
+            ("inf", dict(BASE_CONFIG["layer"], dtau_vert="inf")),
+            ("inf-again", dict(BASE_CONFIG["layer"], dtau_vert="inf")),
+            ("default", BASE_CONFIG["layer"]),
+        ):
+            model = build_model(ExperimentConfig.from_dict(dict(BASE_CONFIG, layer=layer)))
+            assert model.tm.dtau_vert == math.inf
+            paths.append(tmp_path / name)
+            persistence.save(model, paths[-1])
+        assert len({path.read_bytes() for path in paths}) == 1
+
+    def test_unequal_repeats_record_each_sequence_its_repeats(self):
+        sequences = [
+            {"tokens": ["A", "B", "C"], "repeats": 2},
+            {"tokens": ["X", "Y"], "repeats": 5},
+        ]
+        steps, _ = sequence_run(sequences=sequences)
+        assert steps == sequence_run(sequences=sequences)[0]
+        for s, spec in enumerate(sequences):
+            mine = [r for r in steps if r["sequence"] == s]
+            assert len(mine) == spec["repeats"] * len(spec["tokens"])
+            assert [r["token"] for r in mine] == spec["tokens"] * spec["repeats"]
+            assert sorted({r["repeat"] for r in mine}) == list(range(spec["repeats"]))
 
 
 class TestCapacityCommand:
@@ -397,3 +452,60 @@ def test_hostile_format3_snapshot_exits_2(tmp_path, capsys, case_id):
     assert main(["sequence", "--config", str(config), "--resume", str(snap)]) == 2
     err = capsys.readouterr().err
     assert "model.json" in err and "Traceback" not in err
+
+
+def _tm_snapshot(tmp_path) -> str:
+    path = tmp_path / "tm.npz"
+    persistence.save(TmLayer(256, 64, 4, n_active=4), path)
+    return str(path)
+
+
+def _written(tmp_path, name, text) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+# (id, argv from tmp_path with the base config at tmp_path / "config.json", message)
+CLI_ERRORS = [
+    (
+        "empty-stream-line",
+        lambda t: ["anomaly", "--config", str(t / "config.json"), _written(t, "s", "A\n\nB\n")],
+        "stream line 2: empty line",
+    ),
+    (
+        "empty-stream",
+        lambda t: ["anomaly", "--config", str(t / "config.json"), _written(t, "s", "")],
+        "stream is empty",
+    ),
+    (
+        "unreadable-config",
+        lambda t: ["sequence", "--config", str(t / "missing.json")],
+        "cannot read config",
+    ),
+    (
+        "config-parse-error",
+        lambda t: ["sequence", "--config", _written(t, "bad.json", '{"seed": 7,\n')],
+        "parse error at line 2",
+    ),
+    (
+        "seed-on-non-object",
+        lambda t: ["sequence", "--config", _written(t, "list.json", "[1, 2]"), "--seed", "3"],
+        "config must be a JSON object",
+    ),
+    (
+        "resume-tm-layer",
+        lambda t: ["sequence", "--config", str(t / "config.json"), "--resume", _tm_snapshot(t)],
+        "--resume expects a sequence_model snapshot, got TmLayer",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make_argv, message", [case[1:] for case in CLI_ERRORS], ids=[case[0] for case in CLI_ERRORS]
+)
+def test_bad_cli_input_exits_2(tmp_path, capsys, make_argv, message):
+    write_config(tmp_path)
+    assert main(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -154,14 +154,15 @@ def test_awkward_shape_matches_oracle():
 
 
 @settings(max_examples=150, deadline=None)
-@given(models(), cell_sets, cell_sets, cell_sets, st.data())
-def test_learning_matches_oracle(model, prev_active, prev_predictive, prev_winners, data):
+@given(models(), cell_sets, cell_sets, st.data())
+def test_learning_matches_oracle(model, prev_active, prev_winners, data):
     layer, segments = model
     columns = sorted(data.draw(st.lists(st.integers(0, N_COLUMNS - 1), unique=True)))
     winners = [m * CELLS + data.draw(st.integers(0, CELLS - 1)) for m in columns]
     seed = data.draw(st.integers(0, 2**16))
 
     expected = oracle.eval_segments(segments, frozenset(prev_active))
+    prev_predictive = [c for c, ev in expected.items() if ev.o_pred >= layer.predictive_threshold]
     rng = np.random.default_rng(seed)
     oracle.learn_distal(
         segments, winners, expected, set(columns), sorted(prev_predictive),
@@ -169,7 +170,6 @@ def test_learning_matches_oracle(model, prev_active, prev_predictive, prev_winne
     )
 
     layer._rng = np.random.default_rng(seed)
-    layer._prev_predictive = Sdr(N_CELLS, prev_predictive)
     layer._learn_distal(winners, layer._eval_segments(prev_active), columns, Sdr(N_CELLS, prev_winners))
 
     assert layer.segments == oracle_view(segments)

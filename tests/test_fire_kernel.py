@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minicolumn import Sdr, TmLayer
+from minicolumn.transition import P_BURST, P_PRED
 
 import oracle_fire as oracle
 
@@ -81,16 +82,15 @@ def scenarios(draw):
     overlaps = st.lists(st.sampled_from([1, 2, 3, 4, 0]), min_size=n_columns, max_size=n_columns)
     # about one draw in four: no input bit reaches any column
     raw = draw(st.one_of(st.just([0] * n_columns), overlaps, overlaps, overlaps))
-    return layer, np.array(raw, dtype=np.int64), draw(busy_sets), draw(cell_sets)
+    return layer, np.array(raw, dtype=np.int64), draw(busy_sets)
 
 
-def check_step(layer, raw, prev_active, prev_predictive=()):
+def check_step(layer, raw, prev_active):
     """Step ``layer`` with learning off on feedforward overlaps ``raw`` after
     ``prev_active``, and compare it with the oracle. Returns the output."""
     raw = np.asarray(raw, dtype=np.int64)
     layer.pattern.raw_overlaps = lambda x_ff: raw
     layer._prev_active = Sdr(layer.n_cells, prev_active)
-    layer._prev_predictive = Sdr(layer.n_cells, prev_predictive)
     evals = layer._eval_segments(prev_active)
 
     start = layer._rng.bit_generator.state
@@ -122,6 +122,19 @@ def check_step(layer, raw, prev_active, prev_predictive=()):
 @given(scenarios())
 def test_step_matches_oracle(scenario):
     check_step(*scenario)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_depolarisation_rates_are_the_fired_rates(scenario):
+    layer, raw, prev_active = scenario
+    layer.pattern.raw_overlaps = lambda x_ff: raw
+    x_ff = Sdr(layer.pattern.input_size)
+    d_cells, d_sheaths = layer.depolarisation_rates(x_ff, Sdr(layer.n_cells, prev_active))
+    layer._prev_active = Sdr(layer.n_cells, prev_active)
+    for event in layer.step(x_ff, learn=False).firing_sequence:
+        rates = d_cells if event.kind in (P_PRED, P_BURST) else d_sheaths
+        assert event.rate == rates[event.unit]
 
 
 def fixed_layer(**kw):

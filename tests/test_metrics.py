@@ -31,6 +31,16 @@ class TestPredictionAccuracy:
         real = layer.step(Sdr(64, range(12)))
         assert prediction_accuracy(empty, real) == 0.0
 
+    def test_step_without_active_columns_is_zero(self):
+        # no input bit reaches min_overlap: no column is active, and the
+        # anomaly is 0.0, so 1 - anomaly would be 1.0
+        layer = TmLayer(64, 16, 4, n_active=3, min_overlap=5)
+        prev = layer.step(Sdr(64, range(20)))
+        out = layer.step(Sdr(64))
+        assert not out.active_columns.active
+        assert out.anomaly == 0.0
+        assert prediction_accuracy(prev, out) == 0.0
+
     def test_counts_predicted_columns(self):
         layer = TmLayer(64, 16, 4, n_active=4, seed=2, blank_winner="lowest")
         a, b = Sdr(64, range(12)), Sdr(64, range(30, 42))

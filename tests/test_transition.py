@@ -99,6 +99,33 @@ class TestDepolarisationRates:
         assert d_cells[1] == pytest.approx(10.0)
         assert firing_time(d_cells[0], layer.gamma_p) == pytest.approx(1 / 12)
 
+    @pytest.mark.parametrize(
+        "kw, segment, fired",
+        [
+            # o_pred 1.0 is below predictive_threshold: the column bursts at alpha * 10
+            (dict(cells_per_column=2, predictive_threshold=2.0), ([1], 1), (P_BURST, 10.0)),
+            # half threshold: the bursting cell adds beta_sub * o_sub
+            (dict(cells_per_column=4, beta_sub=1.0), ([1, 3], 2), (P_BURST, 11.0)),
+            (dict(cells_per_column=2), ([1], 1), (P_PRED, 12.0)),
+        ],
+    )
+    def test_rates_are_the_fired_rates(self, kw, segment, fired):
+        layer = TmLayer(
+            16, 1, n_active=1, n_synapses=10, beta=2.0, alpha_inh=3.0, min_match_threshold=1,
+            **kw,
+        )
+        layer.pattern.sources = np.array([list(range(10))])
+        layer.pattern.permanences = np.full((1, 10), 0.9)
+        sources, threshold = segment
+        layer.add_segment(0, sources, [0.9] * len(sources), activation_threshold=threshold)
+        x = Sdr(16, range(10))
+        d_cells, d_sheaths = layer.depolarisation_rates(x, Sdr(layer.n_cells, [1]))
+        assert d_cells[0] == fired[1]
+        layer._prev_active = Sdr(layer.n_cells, [1])
+        events = layer.step(x, learn=False).firing_sequence
+        assert (0, *fired) in events
+        assert all(e.rate == d_sheaths[e.unit] for e in events if e.kind.startswith("I_"))
+
     def test_sheath_beats_pure_feedforward_cells(self):
         layer = small_layer(alpha=1.0, alpha_inh=1.5)
         x = Sdr(64, range(20))
@@ -269,14 +296,13 @@ class TestDistalLearning:
         cell = 0  # column 0 cell: will be predicted but column 0 won't activate
         layer.add_segment(cell, [40, 41], [0.4, 0.4], activation_threshold=2)
         layer._prev_active = Sdr(layer.n_cells, [40, 41])
-        layer._prev_predictive = Sdr(layer.n_cells, [cell])
         layer._prev_evals = layer._eval_segments(frozenset({40, 41}))
-        layer.step(Sdr(64, range(40, 60)))  # input avoiding column 0's field? not guaranteed
+        assert layer.prev_predictive.active == (cell,)
+        layer.step(Sdr(64, range(40, 60)))
         seg = layer.segments[cell][0]
-        in_active = 0 in {layer.column_of(c) for c in layer._prev_active}
-        # punished only if column 0 stayed inactive; verify the applied branch
-        if not in_active:
-            assert seg.permanences == pytest.approx([0.2, 0.2])
+        # punishment applies only when column 0 stayed inactive, as it does here
+        assert 0 not in {layer.column_of(c) for c in layer._prev_active}
+        assert seg.permanences == pytest.approx([0.2, 0.2])
 
 
 class TestHighOrderSequences:
