@@ -12,6 +12,7 @@ from .pooling import PoolingLayer, stability
 from .sdr import DimensionError, Sdr, flip_noise, overlap, sparsity, union
 from .transition import (
     FiringEvent,
+    FiringSequence,
     LayerOutput,
     TmLayer,
     capacity,
@@ -25,6 +26,7 @@ __all__ = [
     "CategoryEncoder",
     "DimensionError",
     "FiringEvent",
+    "FiringSequence",
     "LayerOutput",
     "PatternLayer",
     "PoolingLayer",

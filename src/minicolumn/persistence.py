@@ -227,7 +227,7 @@ def load(path: str | Path):
         )
     registry = _registry()
     kind = document.get("kind")
-    if kind not in registry:
+    if not isinstance(kind, str) or kind not in registry:
         raise SnapshotFormatError(f"snapshot {path}: unknown kind {kind!r}")
     try:
         if version == 1:
@@ -235,5 +235,7 @@ def load(path: str | Path):
         return registry[kind].from_state(document["state"])
     except SnapshotFormatError as exc:
         raise SnapshotFormatError(f"snapshot {path}: format 1: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer too large for its array or rng state field;
+    # MemoryError: parameters declaring a layer too large to allocate.
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise SnapshotValidationError(f"snapshot {path}: invalid state: {exc}") from exc

@@ -12,6 +12,7 @@ emerge.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -29,6 +30,7 @@ __all__ = [
     "P_BURST",
     "I_SPREAD",
     "FiringEvent",
+    "FiringSequence",
     "DistalSegment",
     "LayerOutput",
     "TmLayer",
@@ -52,14 +54,90 @@ class FiringEvent(NamedTuple):
     rate: float  # depolarisation rate; firing time = gamma / rate
 
 
-def _events(units: np.ndarray, kind: str, rates: np.ndarray):
-    """One class's events, fastest first. ``units`` are ascending, so the
-    stable sort breaks rate ties to the lower unit. The events are built
-    without a Python-level call each, for the thousands of sheath events of
-    a large layer."""
-    order = np.argsort(-rates, kind="stable")
-    fields = zip(units[order].tolist(), repeat(kind), rates[order].tolist())
-    return map(tuple.__new__, repeat(FiringEvent), fields)
+class FiringSequence(Sequence):
+    """One step's firing sequence: an immutable sequence of ``FiringEvent``.
+
+    It holds three read-only arrays of equal length: ``units`` (int64),
+    ``kinds`` (uint8 codes into ``KINDS``) and ``rates`` (float64). Events are
+    built only when read, by iteration or indexing, with plain ``int``,
+    ``str`` and ``float`` fields; a slice is a ``FiringSequence`` over views
+    of the same arrays. Two records are equal when their arrays hold the same
+    bits, and equal records hash equal. A record never equals a tuple;
+    ``tuple(record)`` gives the events as one, and ``repr`` is that tuple's.
+    """
+
+    __slots__ = ("units", "kinds", "rates")
+    KINDS = (P_PRED, I_PRED, I_FF, P_BURST, I_SPREAD)
+
+    def __new__(cls, units, kinds, rates):
+        """A record over checked copies of the three arrays."""
+        codes = _flat("kinds", kinds, np.int64)
+        if codes.size and not (codes.min() >= 0 and codes.max() < len(cls.KINDS)):
+            raise ValueError(f"kinds must be codes in [0, {len(cls.KINDS)})")
+        units, rates = _flat("units", units, np.int64), _flat("rates", rates, np.float64)
+        if not units.size == codes.size == rates.size:
+            raise ValueError("units, kinds and rates must have equal length")
+        return _record(units, codes.astype(np.uint8), rates)
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _record(*(a[index] for a in self._arrays()))
+        kind = self.KINDS[self.kinds.item(index)]
+        return tuple.__new__(FiringEvent, (self.units.item(index), kind, self.rates.item(index)))
+
+    def __iter__(self):
+        kinds = map(self.KINDS.__getitem__, self.kinds.tolist())
+        fields = zip(self.units.tolist(), kinds, self.rates.tolist())
+        return map(tuple.__new__, repeat(FiringEvent), fields)
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.units, self.kinds, self.rates
+
+    def _key(self) -> tuple[bytes, bytes, bytes]:
+        return tuple(a.tobytes() for a in self._arrays())
+
+    def __eq__(self, other):
+        if not isinstance(other, FiringSequence):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return FiringSequence, self._arrays()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiringSequence is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FiringSequence is immutable")
+
+
+def _record(units, kinds, rates) -> FiringSequence:
+    """A record over the arrays themselves, made read-only; no copies, no checks."""
+    record = object.__new__(FiringSequence)
+    for name, array in zip(FiringSequence.__slots__, (units, kinds, rates)):
+        array.flags.writeable = False
+        object.__setattr__(record, name, array)
+    return record
+
+
+def _firing_sequence(classes) -> FiringSequence:
+    """The step's firing sequence from its five classes, given in ``KINDS``
+    order as ``(units, rates)`` with ascending units: each class fastest
+    first, a stable sort breaking rate ties to the lower unit."""
+    orders = [np.argsort(-rates, kind="stable") for _, rates in classes]
+    units = np.concatenate([u[order] for (u, _), order in zip(classes, orders)], dtype=np.int64)
+    rates = np.concatenate([r[order] for (_, r), order in zip(classes, orders)])
+    kinds = np.repeat(np.arange(len(classes), dtype=np.uint8), [len(u) for u, _ in classes])
+    return _record(units, kinds, rates)
 
 
 def firing_time(rate: float, gamma: float = 1.0) -> float:
@@ -90,7 +168,7 @@ class LayerOutput:
     predicted_cells: Sdr
     burst_cells: Sdr
     winner_cells: Sdr
-    firing_sequence: tuple[FiringEvent, ...]
+    firing_sequence: FiringSequence
     predictive_cells_next: Sdr
     anomaly: float
 
@@ -560,7 +638,7 @@ class TmLayer:
         burst and winner cells, each ascending, how many columns held a
         predictive cell, and the firing-sequence
         classes ``P_pred``, ``I_pred``, ``I_ff`` and ``P_burst`` as
-        ``(units, kind, rates)`` with ascending units.
+        ``(units, rates)`` with ascending units.
         """
         n = self.cells_per_column
         cells = columns[:, None] * n + np.arange(n)
@@ -573,14 +651,14 @@ class TmLayer:
         winners = np.argmax(np.where(pred, o_pred, -np.inf), axis=1)
         predicted = cells[pred]
         classes = [
-            (predicted, P_PRED, (o_ff[:, None] + self.beta * o_pred)[pred]),
-            (columns[predicted_columns], I_PRED, sheaths[predicted_columns]),
+            (predicted, (o_ff[:, None] + self.beta * o_pred)[pred]),
+            (columns[predicted_columns], sheaths[predicted_columns]),
         ]
         # Most steps of a trained layer burst no column; the general path
         # below gives the same result, but with a dozen more numpy calls.
         if predicted_columns.all():
             empty = columns[:0]
-            classes += [(empty, I_FF, sheaths[:0]), (empty, P_BURST, o_ff[:0])]
+            classes += [(empty, sheaths[:0]), (empty, o_ff[:0])]
             return predicted, predicted, empty, columns * n + winners, columns.size, classes
 
         bursting = ~predicted_columns
@@ -598,7 +676,7 @@ class TmLayer:
         fire[rows, np.argmax(sub, axis=1)] |= ~fire.any(axis=1)
         fire &= bursting[:, None]
         burst = cells[fire]
-        classes += [(columns[bursting], I_FF, sheaths[bursting]), (burst, P_BURST, d[fire])]
+        classes += [(columns[bursting], sheaths[bursting]), (burst, d[fire])]
 
         matched = np.argmax(best, axis=1)
         winners = np.where(bursting, matched, winners)
@@ -701,8 +779,8 @@ class TmLayer:
         inactive = np.ones(self.n_columns, dtype=bool)
         inactive[columns] = False
         spread = np.flatnonzero(inactive)
-        classes.append((spread, I_SPREAD, sheath[spread]))
-        firing_sequence = tuple(chain.from_iterable(_events(*c) for c in classes))
+        classes.append((spread, sheath[spread]))
+        firing_sequence = _firing_sequence(classes)
 
         anomaly = 1.0 - hits / columns.size if columns.size else 0.0
 
@@ -801,9 +879,9 @@ def representation_views(output: LayerOutput) -> dict:
     def columns_of(cells: Sdr) -> Sdr:
         return Sdr(n_columns, sorted({c // n for c in cells}))
 
-    ordered = tuple(
-        e for e in output.firing_sequence if e.kind in (P_PRED, P_BURST)
-    )
+    sequence = output.firing_sequence
+    cells = np.isin(sequence.kinds, [sequence.KINDS.index(P_PRED), sequence.KINDS.index(P_BURST)])
+    ordered = _record(*(a[cells] for a in sequence._arrays()))
     return {
         "columnar": output.active_columns,
         "cellular": output.active_cells,

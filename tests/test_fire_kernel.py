@@ -109,7 +109,7 @@ def check_step(layer, raw, prev_active):
     assert out.burst_cells.active == tuple(burst)
     assert out.active_cells.active == tuple(sorted(predicted + burst))
     assert out.winner_cells.active == tuple(winners)
-    assert out.firing_sequence == sequence
+    assert tuple(out.firing_sequence) == sequence
     # same types too: a numpy scalar would change the repr
     assert repr(out.firing_sequence) == repr(sequence)
     assert out.anomaly == anomaly

@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import re
 from pathlib import Path
@@ -25,6 +26,7 @@ from minicolumn.persistence import (
 )
 
 import snapshot_mutations as mutations
+from test_proximal_kernel import layer_output
 
 
 FORMAT1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
@@ -256,6 +258,14 @@ class TestValidation:
         doc["state"]["permanences"][0][0] = 1.7
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotValidationError):
+            persistence.load(path)
+
+    def test_layer_too_large_to_allocate_rejected(self, tmp_path):
+        path = tmp_path / "huge.json"
+        doc = format2_doc(trained_tm())
+        doc["state"]["params"]["cells_per_column"] = 2**45
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotValidationError, match="allocate"):
             persistence.load(path)
 
     def test_bad_segment_permanence_rejected(self, tmp_path):
@@ -566,3 +576,76 @@ def test_mutated_members_load_into_a_working_model_or_raise(tmp_path_factory, da
     except (SnapshotFormatError, SnapshotValidationError):
         return
     step_all(model, "ABCDXBCYA")
+
+
+_FORMAT2 = {}
+
+
+def format2_base(kind: str) -> dict:
+    """The format-2 document of a trained transition layer or a pooling
+    layer, built once; each call returns a fresh copy."""
+    if not _FORMAT2:
+        _FORMAT2["tm_layer"] = format2_doc(trained_tm())
+        _FORMAT2["pooling_layer"] = format2_doc(PoolingLayer(64, 16, n_active=3, seed=2))
+    return json.loads(json.dumps(_FORMAT2[kind]))
+
+
+# Numbers are either small, or beyond int64 so that converting them fails
+# before anything is allocated. A size field set in between (a pooling layer's
+# input_size, a transition layer's cells_per_column or synapses_per_segment)
+# declares a valid layer of gigabytes, which the test would then build.
+JSON_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 1000)
+    | st.sampled_from([2**63, 2**64, 2**70, -(2**63) - 1, 0.5, 1.5, -0.5, 1e300, -1e300])
+    | st.floats(-1e3, 1e3)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(max_size=3)
+    | st.lists(st.integers(-3, 70) | st.floats(-1, 2), max_size=3)
+    | st.just({})
+)
+
+
+def step_layer(model, rng) -> None:
+    """Step a loaded transition or pooling layer a few times, learning on."""
+    if isinstance(model, TmLayer):
+        for _ in range(4):
+            model.step(rand_sdr(rng, model.pattern.input_size, 16))
+        return
+    cells = model.input_size
+    for _ in range(4):
+        active = rand_sdr(rng, cells, min(cells, 12))
+        out = layer_output(active, Sdr(cells, active.active[::2]))
+        model.tp_learn(out, model.tp_step(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_format2_document_loads_into_a_working_model_or_raises(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(["tm_layer", "pooling_layer"]), label="kind")
+    doc = format2_base(kind)
+    # One field, chosen one level at a time: a member of the document, then
+    # at each level either the container reached so far or one of its items.
+    parent, key = doc, data.draw(st.sampled_from(sorted(doc)), label="key")
+    while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+        node = parent[key]
+        parent, key = node, data.draw(
+            st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))),
+            label="key",
+        )
+    op = data.draw(st.sampled_from(["set", "drop", "nudge"]), label="op")
+    value = parent[key]
+    if op == "drop":
+        del parent[key]
+    elif op == "nudge" and isinstance(value, (int, float)) and not isinstance(value, bool):
+        parent[key] = data.draw(st.sampled_from([value + 1, value - 1, -value, 2 * value]))
+    else:
+        parent[key] = data.draw(JSON_VALUES, label="value")
+    path = tmp_path_factory.mktemp("format2") / "model.json"
+    path.write_text(json.dumps(doc))
+    try:
+        model = persistence.load(path)
+    except (SnapshotFormatError, SnapshotValidationError):
+        return
+    step_layer(model, np.random.default_rng(0))

@@ -5,6 +5,7 @@ import pytest
 
 from minicolumn import (
     CategoryEncoder,
+    FiringSequence,
     Sdr,
     TmLayer,
     capacity,
@@ -386,6 +387,35 @@ class TestRepresentationViews:
         if ordered:
             best_rate = max(e.rate for e in ordered)
             assert ordered[0].rate == best_rate or ordered[0].kind == P_PRED
+
+    @pytest.mark.parametrize(
+        "bits, on, n_columns, cells, n_active",
+        [(1024, 20, 512, 8, 10), (2048, 40, 2048, 32, 40)],
+        ids=["desk", "paper"],
+    )
+    def test_ordered_view_is_the_cell_events_in_firing_order(
+        self, bits, on, n_columns, cells, n_active
+    ):
+        enc = CategoryEncoder(bits, on, rng_seed=1)
+        tm = TmLayer(
+            bits, n_columns, cells, n_active=n_active, n_synapses=32, delta_inc=0.1,
+            delta_dec=0.05, seed=7,
+        )
+        for _ in range(8):
+            tm.reset()
+            for symbol in "ABCD":
+                tm.step(enc.encode(symbol))
+        tm.reset()
+        kinds = set()
+        for symbol in "ABCD":
+            out = tm.step(enc.encode(symbol), learn=False)
+            ordered = representation_views(out)["ordered"]
+            assert isinstance(ordered, FiringSequence)
+            expected = tuple(e for e in out.firing_sequence if e.kind in (P_PRED, P_BURST))
+            assert tuple(ordered) == expected
+            kinds.update(e.kind for e in ordered)
+        # the first step after the reset bursts, the trained ones are predicted
+        assert kinds == {P_PRED, P_BURST}
 
     def test_perfect_prediction_empty_burst_views(self):
         enc = CategoryEncoder(64, 12, rng_seed=2)
