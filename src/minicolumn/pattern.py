@@ -61,14 +61,15 @@ class PatternLayer:
         )
 
         self._rng = np.random.default_rng(seed)
-        sources = np.empty((n_columns, self.n_synapses), dtype=np.int32)
+        sources = np.empty((self.n_columns, self.n_synapses), dtype=np.int32)
         for row in sources:
-            row[:] = np.sort(self._rng.choice(input_size, size=self.n_synapses, replace=False))
+            row[:] = np.sort(self._rng.choice(self.input_size, size=self.n_synapses, replace=False))
         self.sources = sources
-        # Roughly half the synapses start connected.
+        # Roughly half the synapses start connected. Drawn in range, so
+        # stored without the setter's checks and copy.
         low = max(0.0, self.connect_threshold - 0.1)
         high = min(1.0, self.connect_threshold + 0.1)
-        self.permanences = self._rng.uniform(low, high, size=(n_columns, self.n_synapses))
+        self._permanences = self._rng.uniform(low, high, size=sources.shape)
 
     def _configure(
         self, input_size, n_columns, n_active, n_synapses, connect_threshold, delta_inc,
@@ -79,14 +80,16 @@ class PatternLayer:
             input_size=input_size, n_columns=n_columns, n_active=n_active, n_synapses=n_synapses,
             delta_inc=delta_inc, delta_dec=delta_dec, min_overlap=min_overlap,
         )
+        _check_integral(
+            input_size=input_size, n_columns=n_columns, n_active=n_active, n_synapses=n_synapses,
+            min_overlap=min_overlap,
+        )
         if input_size <= 0 or n_columns <= 0:
             raise ValueError("input_size and n_columns must be positive")
         if not 1 <= n_active <= n_columns:
             raise ValueError(f"n_active must be in [1, {n_columns}], got {n_active}")
         if not 1 <= n_synapses <= input_size:
             raise ValueError(f"n_synapses must be in [1, {input_size}], got {n_synapses}")
-        if not 0.0 <= connect_threshold <= 1.0:
-            raise ValueError("connect_threshold must be in [0, 1]")
         if delta_inc < 0:
             raise ValueError("delta_inc must be >= 0")
         _check_unit(delta_dec=delta_dec)
@@ -104,7 +107,7 @@ class PatternLayer:
         """Read-only (n_columns, n_synapses) int32 matrix of sampled input bits.
 
         Learning never changes it. To change it, assign a new array: the
-        setter validates and copies it and drops the inverse index that
+        setter validates and copies it and drops the connection matrix that
         ``raw_overlaps`` keeps.
         """
         return self._sources
@@ -126,26 +129,76 @@ class PatternLayer:
                 raise ValueError("sources must be distinct within each row")
         value.flags.writeable = False
         self._sources = value
-        self._index = None
+        self._connected = None
 
-    def _source_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse of ``sources`` in CSR form, built on first use.
+    @property
+    def permanences(self) -> np.ndarray:
+        """Read-only view of the (n_columns, n_synapses) float64 permanences.
 
-        ``order`` lists every flat synapse slot ``row * n_synapses + slot``
-        grouped by the input bit it samples; the slots of bit ``i`` are
-        ``order[indptr[i]:indptr[i + 1]]``.
+        Learning updates them. To change them, assign a new array: the
+        setter validates and copies it and drops the connection matrix.
         """
-        if self._index is None:
-            keys = self._sources.ravel()
-            if self.input_size <= 1 << 16:
-                # numpy sorts 16-bit keys with a radix sort: about twice as
-                # fast as sorting int32 keys at 2048 x 1024
-                keys = keys.astype(np.uint16)
-            order = np.argsort(keys, kind="stable").astype(np.int32)
-            indptr = np.zeros(self.input_size + 1, dtype=np.intp)
-            np.cumsum(np.bincount(keys, minlength=self.input_size), out=indptr[1:])
-            self._index = order, indptr
-        return self._index
+        view = self._permanences.view()
+        view.flags.writeable = False
+        return view
+
+    @permanences.setter
+    def permanences(self, value) -> None:
+        value = _as_array("permanences", value)
+        if value.dtype != np.float64:
+            raise ValueError(f"permanences must be float64, got dtype {value.dtype}")
+        shape = (self.n_columns, self.n_synapses)
+        if value.shape != shape:
+            raise ValueError(f"permanences must have shape {shape}, got {value.shape}")
+        if not ((value >= 0.0) & (value <= 1.0)).all():
+            raise ValueError("permanences outside [0, 1]")
+        self._permanences = np.array(value, order="C")
+        self._connected = None
+
+    @property
+    def connect_threshold(self) -> float:
+        """Permanence at or above which a synapse is connected."""
+        return self._connect_threshold
+
+    @connect_threshold.setter
+    def connect_threshold(self, value) -> None:
+        if not 0.0 <= value <= 1.0:
+            raise ValueError("connect_threshold must be in [0, 1]")
+        self._connect_threshold = float(value)
+        self._connected = None
+
+    def _connections(self) -> np.ndarray:
+        """Bool (input_size, n_columns) matrix, true at ``[i, c]`` when
+        column ``c`` has a connected synapse on input bit ``i``.
+
+        Built on first use after ``sources``, ``permanences`` or
+        ``connect_threshold`` is assigned; ``_write_rows`` keeps it current.
+        """
+        if self._connected is None:
+            by_column = np.zeros((self.n_columns, self.input_size), dtype=bool)
+            connected = self._permanences >= self._connect_threshold
+            np.put_along_axis(by_column, self._sources, connected, axis=1)
+            # transposed in blocks of columns: a whole-matrix transposed copy
+            # reads with a stride of input_size bytes and is ~5x slower at 2048 x 2048
+            self._connected = np.empty((self.input_size, self.n_columns), dtype=bool)
+            for c in range(0, self.n_columns, 32):
+                self._connected[:, c : c + 32] = by_column[c : c + 32].T
+        return self._connected
+
+    def _write_rows(self, w, sources, old, new) -> None:
+        """Store ``new`` as the permanences of rows ``w``, whose sources and
+        current permanences are ``sources`` and ``old``.
+
+        Flips the connection-matrix entries of the synapses that crossed
+        ``connect_threshold``, so the matrix stays equal to a rebuilt one.
+        """
+        if self._connected is not None:
+            now = new >= self._connect_threshold
+            flips = np.flatnonzero(now != (old >= self._connect_threshold))
+            if flips.size:
+                columns = np.take(w, flips // self.n_synapses)
+                self._connected[sources.take(flips), columns] = now.take(flips)
+        self._permanences[w] = new
 
     def _check_input(self, x_ff: Sdr) -> None:
         if x_ff.universe_size != self.input_size:
@@ -163,14 +216,9 @@ class PatternLayer:
         """Overlap score of every neuron with the input: its connected
         synapses that see an on-bit."""
         self._check_input(x_ff)
-        order, indptr = self._source_index()
-        # the active bits' groups of ``order``, one after another
-        groups = (order[indptr[i] : indptr[i + 1]] for i in x_ff.active)
-        slots = np.concatenate([order[:0], *groups])  # order[:0]: an empty input has no group
-        connected = self.permanences.take(slots) >= self.connect_threshold
-        # sums of 0/1 weights are exact in float64
-        counts = np.bincount(slots // self.n_synapses, weights=connected, minlength=self.n_columns)
-        return counts.astype(np.int64)
+        rows = self._connections()[list(x_ff.active)]
+        # at most n_synapses per column, so this type cannot overflow
+        return rows.sum(axis=0, dtype=np.min_scalar_type(self.n_synapses)).astype(np.intp)
 
     def _select(self, scores: np.ndarray, raw: np.ndarray) -> Sdr:
         """Top ``n_active`` by score among neurons passing the stimulus floor.
@@ -206,16 +254,18 @@ class PatternLayer:
         if not winners.active:
             return
         w = list(winners.active)
+        sources = self._sources[w]
+        old = self._permanences[w]
         # take() gathers with int32 indices ~2x faster than fancy indexing
-        on = x_ff.dense().take(self.sources[w])
-        self.permanences[w] = _hebbian(self.permanences[w], on, self.delta_inc, self.delta_dec)
+        on = x_ff.dense().take(sources)
+        self._write_rows(w, sources, old, _hebbian(old, on, self.delta_inc, self.delta_dec))
 
     def reconstruct(self, winners: Sdr) -> np.ndarray:
         """Summed back-projection of the winners' connected synapses."""
         self._check_winners(winners)
         w = list(winners.active)
-        connected = self.permanences[w] >= self.connect_threshold
-        return np.bincount(self.sources[w][connected], minlength=self.input_size)
+        connected = self._permanences[w] >= self._connect_threshold
+        return np.bincount(self._sources[w][connected], minlength=self.input_size)
 
     def masked_reconstruct(self, winners: Sdr, x_ff: Sdr) -> np.ndarray:
         """Back-projection restricted to the input's on-bits."""
@@ -228,21 +278,13 @@ class PatternLayer:
         return {
             "params": {name: getattr(self, name) for name in _PATTERN_PARAMS},
             "sources": self.sources,
-            "permanences": self.permanences.copy(),
+            "permanences": self._permanences.copy(),
             "rng": self._rng.bit_generator.state,
         }
 
     def _restore_state(self, state: dict) -> None:
-        perms = _as_array("permanences", state["permanences"])
-        if perms.dtype != np.float64:
-            raise ValueError(f"permanences must be float64, got dtype {perms.dtype}")
-        shape = (self.n_columns, self.n_synapses)
-        if perms.shape != shape:
-            raise ValueError(f"permanences must have shape {shape}, got {perms.shape}")
-        if not ((perms >= 0.0) & (perms <= 1.0)).all():
-            raise ValueError("permanences outside [0, 1]")
+        self.permanences = state["permanences"]
         self.sources = state["sources"]
-        self.permanences = np.array(perms, order="C")
         self._rng = np.random.default_rng(0)
         self._rng.bit_generator.state = state["rng"]
 
@@ -276,6 +318,14 @@ def _check_finite(**params) -> None:
     for name, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_integral(**params) -> None:
+    """Raise ``ValueError`` naming the first finite parameter that is not a
+    whole number. Integral floats such as ``32.0`` pass."""
+    for name, value in params.items():
+        if value != int(value):
+            raise ValueError(f"{name} must be an integer, got {value}")
 
 
 def _check_unit(**params) -> None:

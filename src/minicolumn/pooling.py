@@ -98,11 +98,13 @@ class PoolingLayer(PatternLayer):
         if not winners.active:
             return
         w = list(winners.active)
-        on = l4.active_cells.dense().take(self.sources[w])
-        pred_src = l4.predicted_cells.dense().take(self.sources[w])
+        sources = self._sources[w]
+        old = self._permanences[w]
+        on = l4.active_cells.dense().take(sources)
+        pred_src = l4.predicted_cells.dense().take(sources)
         inc = np.where(pred_src, self.delta_inc_pred, self.delta_inc_burst)
         dec = np.where(pred_src, self.delta_dec_pred, self.delta_dec_burst)
-        self.permanences[w] = _hebbian(self.permanences[w], on, inc, dec)
+        self._write_rows(w, sources, old, _hebbian(old, on, inc, dec))
 
     def to_state(self) -> dict:
         state = super().to_state()

@@ -20,7 +20,15 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pattern import _PATTERN_PARAMS, PatternLayer, _as_array, _check_finite, _check_unit, _hebbian
+from .pattern import (
+    _PATTERN_PARAMS,
+    PatternLayer,
+    _as_array,
+    _check_finite,
+    _check_integral,
+    _check_unit,
+    _hebbian,
+)
 from .sdr import Sdr
 
 __all__ = [
@@ -323,6 +331,11 @@ class TmLayer:
             synapses_per_segment=synapses_per_segment, segments_per_cell=segments_per_cell,
             activation_threshold=activation_threshold, min_match_threshold=min_match_threshold,
             sigma_inc=sigma_inc,
+        )
+        _check_integral(
+            cells_per_column=cells_per_column, synapses_per_segment=synapses_per_segment,
+            segments_per_cell=segments_per_cell, activation_threshold=activation_threshold,
+            min_match_threshold=min_match_threshold,
         )
         if cells_per_column < 1:
             raise ValueError("cells_per_column must be >= 1")

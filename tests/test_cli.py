@@ -277,6 +277,18 @@ class TestSequenceCommand:
         assert "Traceback" not in err
         assert not snap.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_active", 3.5), ("synapses_per_segment", 32.9), ("activation_threshold", 7.5)],
+    )
+    def test_non_integral_count_exits_2(self, tmp_path, capsys, key, value):
+        layer = dict(BASE_CONFIG["layer"], **{key: value})
+        config = write_config(tmp_path, {"layer": layer})
+        assert main(["sequence", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"layer: {key} must be an integer, got {value}" in err
+        assert "Traceback" not in err
+
     def test_rejected_encoder_value_exits_2(self, tmp_path, capsys):
         encoder = dict(SCALAR_ENCODER, min_value=5, max_value=5)
         config = write_config(tmp_path, {"encoder": encoder})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minicolumn import DimensionError, PatternLayer, Sdr
+from minicolumn import DimensionError, PatternLayer, PoolingLayer, Sdr
 from minicolumn.pattern import reconstruction_error
 
 
@@ -191,3 +191,15 @@ def test_monotone_reconstruction_on_fixed_input():
         layer.learn(x, winners)
     assert all(a >= b for a, b in zip(errors, errors[1:]))
 
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("cls", [PatternLayer, PoolingLayer])
+    def test_non_integral_size_rejected(self, cls):
+        with pytest.raises(ValueError, match="n_columns must be an integer, got 16.2"):
+            cls(64, 16.2, n_active=2, seed=0)
+
+    def test_integral_float_size_accepted(self):
+        layer = PatternLayer(64.0, 16.0, n_active=2.0, n_synapses=8.0, seed=0)
+        sizes = (layer.input_size, layer.n_columns, layer.n_active, layer.n_synapses)
+        assert sizes == (64, 16, 2, 8)
+        assert layer.sources.shape == (16, 8)

@@ -116,8 +116,10 @@ class TestRoundTrip:
     def test_full_precision_permanence(self, tmp_path):
         path = tmp_path / "precision.json"
         layer = PatternLayer(16, 4, n_active=1, n_synapses=2, seed=0)
-        layer.permanences[0, 0] = 0.123456789
-        layer.permanences[1, 1] = 1 / 3
+        permanences = layer.permanences.copy()
+        permanences[0, 0] = 0.123456789
+        permanences[1, 1] = 1 / 3
+        layer.permanences = permanences
         persistence.save(layer, path)
         loaded = persistence.load(path)
         assert loaded.permanences[0, 0] == 0.123456789
@@ -258,6 +260,18 @@ class TestValidation:
         doc["state"]["permanences"][0][0] = 1.7
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotValidationError):
+            persistence.load(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("cells_per_column", 4.5), ("synapses_per_segment", 32.9), ("activation_threshold", 7.5)],
+    )
+    def test_non_integral_count_rejected(self, tmp_path, name, value):
+        path = tmp_path / "fraction.json"
+        doc = format2_doc(trained_tm())
+        doc["state"]["params"][name] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotValidationError, match=f"{name} must be an integer"):
             persistence.load(path)
 
     def test_layer_too_large_to_allocate_rejected(self, tmp_path):

@@ -1,13 +1,17 @@
-"""Differential tests: the proximal overlap through the inverse source index
-against the dense formula it replaced.
+"""Differential tests: the proximal overlap through the maintained connection
+matrix against the dense formula and the CSR inverse index it replaced
+(``oracle_proximal``).
 
-``PatternLayer.raw_overlaps`` reads permanences live through an index built
-from ``sources``, so the tests interleave every way the layer's state can
-change (``learn``, ``tp_learn``, in-place permanence writes, ``sources``
-assignment, a ``to_state`` / ``from_state`` round trip) and compare after
-each one. Shapes include one synapse per neuron and ``n_synapses ==
-input_size``; thresholds include 0 and 1; inputs include the empty and the
-full input.
+``PatternLayer`` keeps a bool ``[input_size, n_columns]`` matrix of connected
+synapses, updated by learning and dropped when ``sources``, ``permanences`` or
+``connect_threshold`` is assigned. The tests interleave every way the layer's
+state can change (``learn``, ``tp_learn``, permanence and threshold
+assignment, in-place permanence writes, which must raise, ``sources``
+assignment, a ``to_state`` / ``from_state`` round trip) and after each one
+compare the matrix with one rebuilt from the public state, and the overlap
+with the dense formula. Shapes include one synapse per neuron and
+``n_synapses == input_size``; thresholds include 0 and 1; inputs include the
+empty and the full input.
 
 The top-k selection and the Hebbian update are checked the same way, against
 the stable-argsort selection and the ``np.where`` update they replaced.
@@ -18,9 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicolumn import PatternLayer, PoolingLayer, Sdr
+from minicolumn import PatternLayer, PoolingLayer, Sdr, TmLayer
 from minicolumn.pattern import _hebbian
 from minicolumn.transition import LayerOutput
+
+import oracle_proximal
 
 # thresholds and permanences: the edges, the default threshold, anything between
 UNIT = st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0))
@@ -29,6 +35,20 @@ UNIT = st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0))
 def oracle_overlaps(layer, x):
     connected = layer.permanences >= layer.connect_threshold
     return np.count_nonzero(x.dense()[layer.sources] & connected, axis=1)
+
+
+def rebuilt_connections(layer):
+    """The connection matrix built afresh from the layer's public state."""
+    out = np.zeros((layer.input_size, layer.n_columns), dtype=bool)
+    for column, (sources, permanences) in enumerate(zip(layer.sources, layer.permanences)):
+        out[sources[permanences >= layer.connect_threshold], column] = True
+    return out
+
+
+def assert_connections_current(layer):
+    got = layer._connections()
+    assert got.dtype == bool and got.shape == (layer.input_size, layer.n_columns)
+    assert np.array_equal(got, rebuilt_connections(layer))
 
 
 def oracle_reconstruct(layer, winners):
@@ -88,7 +108,10 @@ def layer_output(active, predicted):
     )
 
 
-OPS = ["learn", "tp_learn", "write_one", "write_row", "assign", "round_trip"]
+OPS = [
+    "learn", "tp_learn", "write_one", "write_row", "write_in_place", "threshold", "assign",
+    "round_trip",
+]
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,16 +128,28 @@ def test_overlaps_match_dense_formula(layer, data):
         elif op == "write_one":
             row = data.draw(st.integers(0, layer.n_columns - 1))
             col = data.draw(st.integers(0, layer.n_synapses - 1))
-            layer.permanences[row, col] = data.draw(
-                st.one_of(st.just(layer.connect_threshold), UNIT)
-            )
+            permanences = layer.permanences.copy()
+            permanences[row, col] = data.draw(st.one_of(st.just(layer.connect_threshold), UNIT))
+            layer.permanences = permanences
         elif op == "write_row":
             row = data.draw(st.integers(0, layer.n_columns - 1))
-            layer.permanences[row] = data.draw(UNIT)
+            permanences = layer.permanences.copy()
+            permanences[row] = data.draw(UNIT)
+            layer.permanences = permanences
+        elif op == "write_in_place":
+            before = layer.permanences.copy()
+            with pytest.raises(ValueError):
+                layer.permanences[0, 0] = 1.0 - before[0, 0]
+            with pytest.raises(ValueError):
+                layer.permanences[0] = 0.5
+            assert np.array_equal(layer.permanences, before)
+        elif op == "threshold":
+            layer.connect_threshold = data.draw(UNIT)
         elif op == "assign":
             layer.sources = random_sources(layer, data.draw(st.integers(0, 2**16)))
         elif op == "round_trip":
             layer = type(layer).from_state(layer.to_state())
+        assert_connections_current(layer)
         probe = data.draw(inputs(layer.input_size))
         got = layer.raw_overlaps(probe)
         assert got.dtype == np.intp
@@ -130,6 +165,102 @@ def test_paper_scale_overlaps_match_dense_formula():
         x = Sdr(2048, rng.choice(2048, 40, replace=False))
         assert layer.raw_overlaps(x).tolist() == oracle_overlaps(layer, x).tolist()
         layer.learn(x, layer.compute_sdr(x))
+
+
+@pytest.fixture(scope="module")
+def trained_paper_layer():
+    """A paper_seq-shaped pattern layer after 200 learning steps over 12 codes."""
+    layer = PatternLayer(2048, 2048, n_active=40, delta_inc=0.1, delta_dec=0.05, seed=1)
+    rng = np.random.default_rng(1)
+    codes = [Sdr(2048, rng.choice(2048, 40, replace=False)) for _ in range(12)]
+    for step in range(200):
+        # every fifth input is novel, so learning keeps moving synapses across the threshold
+        if step % 5:
+            x = codes[rng.integers(len(codes))]
+        else:
+            x = Sdr(2048, rng.choice(2048, 40, replace=False))
+        layer.learn(x, layer.compute_sdr(x))
+    return layer, codes
+
+
+def test_connections_current_after_paper_scale_learning(trained_paper_layer):
+    layer, _ = trained_paper_layer
+    assert_connections_current(layer)
+
+
+def test_overlaps_match_csr_index_after_learning(trained_paper_layer):
+    layer, codes = trained_paper_layer
+    index = oracle_proximal.source_index(layer.sources, layer.input_size)
+    rng = np.random.default_rng(2)
+    probes = codes + [Sdr(2048, rng.choice(2048, n, replace=False)) for n in (0, 1, 40, 400, 2048)]
+    for x in probes:
+        expected = oracle_proximal.raw_overlaps(layer, x.active, index)
+        assert layer.raw_overlaps(x).tolist() == expected.tolist()
+
+
+def test_connections_current_after_pooling_learning():
+    """100 ``tp_learn`` steps of the configs/pool.json stack (4096 cells into 512 columns)."""
+    tm = TmLayer(1024, 512, 8, n_active=10, delta_inc=0.1, delta_dec=0.05, seed=7)
+    pool = PoolingLayer(
+        tm.n_cells, 512, n_active=10, potential_fraction=1.0, persistence=0.9,
+        connect_threshold=0.05, delta_dec_pred=0.001, delta_dec_burst=0.005, seed=7,
+    )
+    rng = np.random.default_rng(7)
+    codes = [Sdr(1024, rng.choice(1024, 20, replace=False)) for _ in range(6)]
+    pool.raw_overlaps(Sdr(tm.n_cells))  # build the matrix, so learning maintains it
+    for step in range(100):
+        out = tm.step(codes[step % 6])
+        pool.tp_learn(out, pool.tp_step(out))
+    assert_connections_current(pool)
+    assert pool.raw_overlaps(out.active_cells).tolist() == oracle_proximal.raw_overlaps(
+        pool, out.active_cells.active
+    ).tolist()
+
+
+def test_overlap_count_wider_than_16_bits():
+    """A column can count up to ``n_synapses`` connected synapses; past
+    65535 the accumulator must widen."""
+    n = 1 << 16
+    layer = PatternLayer(n, 1, n_active=1, n_synapses=n, seed=0)
+    layer.permanences = np.ones((1, n))
+    assert layer.raw_overlaps(Sdr(n, range(n))).tolist() == [n]
+    assert layer.raw_overlaps(Sdr(n, range(n - 1))).tolist() == [n - 1]
+
+
+class TestPermanencesSetter:
+    def test_assignment_is_stored_as_copy(self):
+        layer = PatternLayer(16, 2, n_active=1, n_synapses=2, seed=0)
+        new = np.array([[0.1, 0.2], [0.3, 0.4]])
+        layer.permanences = new
+        new[0, 0] = 0.9
+        assert layer.permanences.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert not layer.permanences.flags.writeable
+
+    @pytest.mark.parametrize(
+        "permanences, message",
+        [
+            ([[0.1, 0.2]], "shape"),
+            ([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], "shape"),
+            ([[0.1, 1.5], [0.1, 0.2]], r"outside \[0, 1\]"),
+            ([[0.1, -0.1], [0.1, 0.2]], r"outside \[0, 1\]"),
+            ([[0.1, float("nan")], [0.1, 0.2]], r"outside \[0, 1\]"),
+            ([[0, 1], [1, 0]], "float64"),
+            (np.full((2, 2), 0.5, dtype=np.float32), "float64"),
+        ],
+    )
+    def test_invalid_permanences_rejected(self, permanences, message):
+        layer = PatternLayer(16, 2, n_active=1, n_synapses=2, seed=0)
+        before = layer.permanences.copy()
+        with pytest.raises(ValueError, match=message):
+            layer.permanences = permanences
+        assert np.array_equal(layer.permanences, before)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.1, float("nan")])
+    def test_invalid_threshold_rejected(self, threshold):
+        layer = PatternLayer(16, 2, n_active=1, n_synapses=2, connect_threshold=0.3, seed=0)
+        with pytest.raises(ValueError, match="connect_threshold"):
+            layer.connect_threshold = threshold
+        assert layer.connect_threshold == 0.3
 
 
 class TestSourcesSetter:

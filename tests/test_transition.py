@@ -203,7 +203,9 @@ class TestFiringPartition:
             min_match_threshold=3,
         )
         # column 0 dominates the feedforward competition
-        layer.pattern.permanences[0, :] = 0.9
+        permanences = layer.pattern.permanences.copy()
+        permanences[0, :] = 0.9
+        layer.pattern.permanences = permanences
         sources = layer.pattern.sources.copy()
         sources[0, :20] = np.arange(20)
         layer.pattern.sources = sources
@@ -500,6 +502,30 @@ class TestParameterChecks:
     def test_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             small_layer(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("cells_per_column", 4.5),
+            ("synapses_per_segment", 32.9),
+            ("segments_per_cell", 2.5),
+            ("activation_threshold", 7.5),
+            ("min_match_threshold", 1.5),
+            ("input_size", 64.5),
+            ("n_columns", 16.2),
+            ("n_active", 3.5),
+            ("n_synapses", 31.5),
+            ("min_overlap", 0.5),
+        ],
+    )
+    def test_non_integral_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            small_layer(**{name: value})
+
+    def test_integral_floats_accepted(self):
+        layer = small_layer(cells_per_column=4.0, synapses_per_segment=8.0, n_columns=16.0)
+        assert (layer.cells_per_column, layer.synapses_per_segment, layer.n_columns) == (4, 8, 16)
+        assert all(type(v) is int for v in (layer.cells_per_column, layer.pattern.n_columns))
 
     def test_infinite_vertical_window_accepted(self):
         assert small_layer(dtau_vert=INF).dtau_vert == INF
