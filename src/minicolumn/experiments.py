@@ -285,9 +285,11 @@ def decode_prediction(model: SequenceModel, output: LayerOutput):
     if not cells.active:
         return None, 0
     tm = model.tm
-    columns = sorted({tm.column_of(c) for c in cells})
-    estimate = tm.pattern.reconstruct(Sdr(tm.n_columns, columns))
-    probe = Sdr(model.encoder.universe_size, np.nonzero(estimate)[0])
+    columns = np.unique(np.array(cells.active) // tm.cells_per_column)
+    estimate = tm.pattern.reconstruct(Sdr._from_sorted(tm.n_columns, columns))
+    # build_model and SequenceModel.from_state make the encoder's universe
+    # the layer's input size, which the estimate spans.
+    probe = Sdr._from_sorted(model.encoder.universe_size, np.flatnonzero(estimate))
     return model.encoder.best_match(probe)
 
 

@@ -185,12 +185,15 @@ class _Evals(NamedTuple):
     """Every distal segment scored against one activity set.
 
     Per segment with at least one active source (``rows``, ascending): owner
-    cell, raw (permanence-blind) overlap, and whether the connected overlap
-    reaches its activation threshold. Per cell: ``o_pred`` sums the spikes
-    of active segments, ``o_sub`` those of segments at or above half
-    threshold, ``best`` is the largest raw overlap, 0 when no segment of
-    the cell sees an active source, and ``predictive`` marks the cells with
-    ``best`` above 0 whose ``o_pred`` reaches ``predictive_threshold``.
+    cell, raw (permanence-blind) overlap, whether the connected overlap
+    reaches its activation threshold, and ``rank``, the index of its cell in
+    ``owners``. Per owner, the ascending cells owning such a segment: ``o_pred``
+    sums the spikes of active segments, ``o_sub`` those of segments at or
+    above half threshold, ``best`` is the largest raw overlap, and
+    ``predictive`` marks the owners whose ``o_pred`` reaches
+    ``predictive_threshold``. ``owners`` ends with one more entry, the
+    padding source ``n_cells``, standing for every cell that owns no such
+    segment: ``o_pred``, ``o_sub`` and ``best`` 0, not predictive.
     """
 
     on: np.ndarray  # dense activity, one slot longer than the cell count
@@ -198,10 +201,18 @@ class _Evals(NamedTuple):
     cells: np.ndarray
     raw: np.ndarray
     active: np.ndarray
+    rank: np.ndarray
+    owners: np.ndarray
     o_pred: np.ndarray
     o_sub: np.ndarray
     best: np.ndarray
     predictive: np.ndarray
+
+    def lookup(self, cells):
+        """Index into the per-owner arrays of each of ``cells``: its own
+        entry, or the last one when it owns no scored segment."""
+        at = np.searchsorted(self.owners, cells)
+        return np.where(self.owners[at] == cells, at, len(self.owners) - 1)
 
 
 def _check_spike(activation_threshold, spike_size) -> None:
@@ -240,6 +251,25 @@ def _resized(a: np.ndarray, rows: int, fill) -> np.ndarray:
     out = np.full((rows,) + a.shape[1:], fill, dtype=a.dtype)
     out[: len(a)] = a
     return out
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys, as
+    16-bit least-significant-digit passes: numpy sorts 16-bit keys by
+    counting, several times faster than it merge-sorts wider ones."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    top, shift = keys.max(initial=0), 16
+    while top >> shift:
+        digits = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digits, kind="stable")]
+        shift += 16
+    return order
+
+
+# The presynaptic index is rebuilt once the rows it no longer covers pass
+# this fraction of the segments, so each rebuild is paid for by at least
+# that many stored rows.
+_STALE_FRACTION = 1 / 8
 
 
 # Constructor arguments held by the transition layer itself. Snapshot params
@@ -402,6 +432,7 @@ class TmLayer:
         self._owner = np.zeros(0, dtype=np.int64)
         self._thresholds = np.zeros(0, dtype=np.int64)
         self._spikes = np.zeros(0, dtype=np.float64)
+        self._build_index()
         self.reset()
 
     # -- basic geometry -----------------------------------------------------
@@ -421,7 +452,8 @@ class TmLayer:
     def prev_predictive(self) -> Sdr:
         """Cells predictive for the next step: those that ``prev_active``
         depolarises through the current segments."""
-        return Sdr._from_sorted(self.n_cells, np.flatnonzero(self._previous_evals().predictive))
+        evals = self._previous_evals()
+        return Sdr._from_sorted(self.n_cells, evals.owners[evals.predictive])
 
     def _previous_evals(self) -> _Evals:
         """The segments scored against ``prev_active``, cached until they change."""
@@ -547,6 +579,9 @@ class TmLayer:
             self._spikes = _resized(self._spikes, size, 0.0)
 
     def _store(self, row, cell, sources, permanences, activation_threshold, spike_size) -> None:
+        if row < self._index_rows and not self._index_stale[row]:
+            self._index_stale[row] = True
+            self._stale_rows.append(row)
         k = len(sources)
         self._sources[row, :k] = sources
         self._sources[row, k:] = self.n_cells
@@ -556,27 +591,89 @@ class TmLayer:
         self._thresholds[row] = activation_threshold
         self._spikes[row] = spike_size
 
+    # -- presynaptic index ----------------------------------------------------
+    #
+    # Derived from the source slab and never saved. ``_index_order`` lists
+    # the flat slots ``row * synapses_per_segment + slot`` of the first
+    # ``_index_rows`` rows by source cell, each cell's slots ascending; cell
+    # c's run is ``_index_order[_index_ptr[c]:_index_ptr[c + 1]]``. Rows
+    # stored since the build (``_stale_rows``, flagged in ``_index_stale``)
+    # and rows appended past it are read from the slab instead.
+
+    def _build_index(self) -> None:
+        """Index every segment."""
+        rows = self._n_segments
+        keys = self._sources[:rows].reshape(-1)
+        self._index_order = _stable_argsort(keys)
+        counts = np.bincount(keys, minlength=self.n_cells + 1)
+        self._index_ptr = np.concatenate(([0], np.cumsum(counts)))
+        self._index_rows = rows
+        self._index_stale = np.zeros(rows, dtype=bool)
+        self._stale_rows: list[int] = []
+
+    def _refresh_index(self) -> None:
+        """Rebuild the index once too many rows are read from the slab."""
+        stale = len(self._stale_rows) + self._n_segments - self._index_rows
+        if stale > _STALE_FRACTION * self._n_segments:
+            self._build_index()
+
+    def _hit_slots(self, cells: np.ndarray, on: np.ndarray) -> np.ndarray:
+        """Flat slots of every synapse on one of ``cells`` (ascending and
+        distinct, ``on`` their dense activity), in no particular order."""
+        width, indexed = self.synapses_per_segment, self._index_rows
+        stops = self._index_ptr[cells + 1]
+        lengths = stops - self._index_ptr[cells]
+        # the runs of ``cells`` in the index, end to end
+        offsets = np.repeat(stops - np.cumsum(lengths), lengths)
+        parts = [self._index_order[offsets + np.arange(offsets.size)]]
+        if self._stale_rows:
+            parts[0] = parts[0][~self._index_stale[parts[0] // width]]
+            stale = np.array(self._stale_rows)
+            hit = np.flatnonzero(on[self._sources[stale]])
+            parts.append(stale[hit // width] * width + hit % width)
+        if indexed < self._n_segments:
+            tail = on[self._sources[indexed : self._n_segments]]
+            parts.append(indexed * width + np.flatnonzero(tail))
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
     # -- distal evaluation --------------------------------------------------
+
+    def _cell_ids(self, active) -> np.ndarray:
+        """The cell ids of an array, ``Sdr`` or iterable, ascending and distinct."""
+        if isinstance(active, Sdr):
+            active = active.active
+        idx = active if isinstance(active, np.ndarray) else np.fromiter(active, dtype=np.int64)
+        if not (idx[1:] > idx[:-1]).all():
+            idx = np.unique(idx)
+        if idx.size and not (idx[0] >= 0 and idx[-1] < self.n_cells):
+            raise ValueError(f"active cells must lie in [0, {self.n_cells})")
+        return idx
 
     def _activity(self, active) -> np.ndarray:
         """Dense activity of an array, ``Sdr`` or iterable of cell ids; the
         extra last slot is the padding source and stays off."""
-        idx = active if isinstance(active, np.ndarray) else np.fromiter(active, dtype=np.int64)
-        if idx.size and not (idx.min() >= 0 and idx.max() < self.n_cells):
-            raise ValueError(f"active cells must lie in [0, {self.n_cells})")
         on = np.zeros(self.n_cells + 1, dtype=bool)
-        on[idx] = True
+        on[self._cell_ids(active)] = True
         return on
 
-    def _segment_overlaps(self, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raw and connected overlap of every segment with dense activity."""
-        n = self._n_segments
-        # flat slots ``row * synapses_per_segment + slot`` that see an active cell
-        hit = np.flatnonzero(on[self._sources[:n]])
-        rows = hit // self.synapses_per_segment
-        connected = self._permanences.reshape(-1).take(hit) >= self.pattern.connect_threshold
-        raw = np.bincount(rows, minlength=n)
-        return raw, np.bincount(rows, weights=connected, minlength=n).astype(np.int64)
+    def _segment_overlaps(self, active) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Dense activity of one activity set, then the segments seeing an
+        active source, ascending, with their raw and connected overlaps.
+
+        Only the synapses on active cells are read: through the presynaptic
+        index, and from the slab for the rows the index does not cover.
+        """
+        idx = self._cell_ids(active)
+        on = self._activity(idx)
+        if not idx.size:
+            return on, idx, idx, idx
+        slots = self._hit_slots(idx, on)
+        hit_rows = slots // self.synapses_per_segment
+        connected = self._permanences.reshape(-1)[slots] >= self.pattern.connect_threshold
+        raw = np.bincount(hit_rows, minlength=self._n_segments)
+        rows = np.flatnonzero(raw)
+        conn = np.bincount(hit_rows, connected, minlength=self._n_segments)[rows]
+        return on, rows, raw[rows], conn.astype(np.int64)
 
     def _eval_segments(self, active) -> _Evals:
         """Score every segment against one activity set.
@@ -584,27 +681,34 @@ class TmLayer:
         This is the only distal scoring path. Spikes are summed per cell in
         segment order, as one-at-a-time accumulation would.
         """
-        on = self._activity(active)
-        # Nothing active (as after a reset): no segment can match, skip the gather.
-        raw, conn = self._segment_overlaps(on) if on.any() else (np.zeros(0, np.intp),) * 2
-        rows = np.flatnonzero(raw)
-        cells, raw, conn = self._owner[rows], raw[rows], conn[rows]
-        thresholds, spikes = self._thresholds[rows], self._spikes[rows]
+        on, rows, raw, conn = self._segment_overlaps(active)
+        if not rows.size:  # nothing seen, as after a reset: only the padding entry
+            return _Evals(
+                on, rows, rows, rows, rows.astype(bool), rows, np.array([self.n_cells]),
+                np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool),
+            )
+        cells, thresholds, spikes = self._owner[rows], self._thresholds[rows], self._spikes[rows]
         act = conn >= thresholds
-        sub = ~act & (2 * conn >= thresholds)
-        o_pred = np.bincount(cells[act], spikes[act], self.n_cells)
-        o_sub = np.bincount(cells[sub], spikes[sub], self.n_cells)
-        best = np.zeros(self.n_cells, dtype=np.int64)
-        np.maximum.at(best, cells, raw)
-        # A cell with no segment seeing any active source (best 0) never
-        # counts as predictive, whatever the thresholds.
-        predictive = np.zeros(self.n_cells, dtype=bool)
-        predictive[cells] = o_pred[cells] >= self.predictive_threshold
-        return _Evals(on, rows, cells, raw, act, o_pred, o_sub, best, predictive)
+        sub = (2 * conn >= thresholds) ^ act  # at or above half threshold, not active
+        # The distinct owners ascending, then the padding entry.
+        ordered = np.sort(cells)
+        keep = np.ones(cells.size + 1, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=keep[1:-1])
+        owners = np.concatenate((ordered, [self.n_cells]))[keep]
+        rank = np.searchsorted(owners, cells)
+        # Summed in row order; the 0.0 of another kind of segment changes no sum.
+        o_pred = np.bincount(rank, spikes * act, owners.size)
+        o_sub = np.bincount(rank, spikes * sub, owners.size)
+        best = np.zeros(owners.size, dtype=np.int64)
+        np.maximum.at(best, rank, raw)
+        predictive = o_pred >= self.predictive_threshold
+        predictive[-1] = False  # the padding entry, whatever the threshold
+        return _Evals(on, rows, cells, raw, act, rank, owners, o_pred, o_sub, best, predictive)
 
     def predictive_potential(self, cell: int, prev_active: Sdr | Iterable[int]) -> float:
         """Summed spike sizes of this cell's active segments."""
-        return float(self._eval_segments(prev_active).o_pred[cell])
+        evals = self._eval_segments(prev_active)
+        return float(evals.o_pred[evals.lookup(cell)])
 
     def depolarisation_rates(
         self, x_ff: Sdr, prev_active: Sdr
@@ -620,19 +724,21 @@ class TmLayer:
         raw = self.pattern.raw_overlaps(x_ff).astype(np.float64)
         o_ff = np.repeat(self.alpha * raw, self.cells_per_column)
         evals = self._eval_segments(prev_active)
+        at = evals.lookup(np.arange(self.n_cells))
         d_cells = np.where(
-            evals.predictive, o_ff + self.beta * evals.o_pred, o_ff + self.beta_sub * evals.o_sub
+            evals.predictive[at],
+            o_ff + self.beta * evals.o_pred[at],
+            o_ff + self.beta_sub * evals.o_sub[at],
         )
         return d_cells, self.alpha_inh * raw
 
     # -- stepping -----------------------------------------------------------
 
     def _select_columns(self, raw: np.ndarray, evals: _Evals) -> Sdr:
-        # Each column's largest cell potential. Only cells with an active
-        # segment have a nonzero one, and no potential is negative.
-        cells = evals.cells[evals.active]
+        # Each column's largest cell potential. Only owners of a scored
+        # segment can have a nonzero one, and no potential is negative.
         top = np.zeros(self.n_columns)
-        np.maximum.at(top, cells // self.cells_per_column, evals.o_pred[cells])
+        np.maximum.at(top, evals.owners[:-1] // self.cells_per_column, evals.o_pred[:-1])
         scores = self.alpha * raw + self.beta * top
         return self.pattern._select(scores, raw)
 
@@ -655,11 +761,12 @@ class TmLayer:
         """
         n = self.cells_per_column
         cells = columns[:, None] * n + np.arange(n)
-        o_pred = evals.o_pred[cells]
-        best = evals.best[cells]
+        at = evals.lookup(cells)
+        o_pred = evals.o_pred[at]
+        best = evals.best[at]
         o_ff = self.alpha * raw[columns]
         sheaths = sheath[columns]
-        pred = evals.predictive[cells]
+        pred = evals.predictive[at]
         predicted_columns = pred.any(axis=1)
         winners = np.argmax(np.where(pred, o_pred, -np.inf), axis=1)
         predicted = cells[pred]
@@ -675,7 +782,7 @@ class TmLayer:
             return predicted, predicted, empty, columns * n + winners, columns.size, classes
 
         bursting = ~predicted_columns
-        sub = self.beta_sub * evals.o_sub[cells]
+        sub = self.beta_sub * evals.o_sub[at]
         d = o_ff[:, None] + sub
         t_cell = np.divide(self.gamma_p, d, out=np.full(d.shape, np.inf), where=d > 0)
         t_sheath = np.divide(
@@ -752,22 +859,23 @@ class TmLayer:
         """
         on = evals.on
         if self.sigma_punish > 0.0:
-            punish = evals.predictive.copy()
-            punish.reshape(self.n_columns, self.cells_per_column)[columns] = False
-            rows = evals.rows[evals.active & punish[evals.cells]]
+            quiet = np.ones(self.n_columns, dtype=bool)
+            quiet[columns] = False
+            punish = evals.predictive[evals.rank] & quiet[evals.cells // self.cells_per_column]
+            rows = evals.rows[evals.active & punish]
             p = self._permanences[rows]
             self._permanences[rows] = np.where(
                 on[self._sources[rows]], p * (1.0 - self.sigma_punish), p
             )
 
-        is_winner = np.zeros(self.n_cells, dtype=bool)
-        is_winner[winners] = True
-        reinforce = [evals.rows[evals.active & is_winner[evals.cells]]]
+        at = evals.lookup(winners)
+        # The padding entry may be marked too; no scored segment ranks there.
+        is_winner = np.zeros(evals.owners.size, dtype=bool)
+        is_winner[at] = True
+        reinforce = [evals.rows[evals.active & is_winner[evals.rank]]]
         grow: list[int] = []
         floor = max(self.min_match_threshold, 1)
-        for cell, o_pred, best in zip(
-            winners, evals.o_pred[winners].tolist(), evals.best[winners].tolist()
-        ):
+        for cell, o_pred, best in zip(winners, evals.o_pred[at].tolist(), evals.best[at].tolist()):
             if o_pred > 0.0:
                 continue  # reinforced with the active segments above
             if best >= floor:
@@ -801,6 +909,7 @@ class TmLayer:
             self._learn_distal(winners, evals, columns, self._prev_winners)
             self.pattern.learn(x_ff, active_columns)
 
+        self._refresh_index()
         next_evals = self._eval_segments(active)
         sdr = partial(Sdr._from_sorted, self.n_cells)
         output = LayerOutput(
@@ -810,7 +919,7 @@ class TmLayer:
             burst_cells=sdr(burst),
             winner_cells=sdr(winners),
             firing_sequence=firing_sequence,
-            predictive_cells_next=sdr(np.flatnonzero(next_evals.predictive)),
+            predictive_cells_next=sdr(next_evals.owners[next_evals.predictive]),
             anomaly=anomaly,
         )
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class Segment:
     __slots__ = ("sources", "permanences", "connect_threshold", "activation_threshold", "spike_size")
@@ -136,3 +138,16 @@ def learn_distal(
             reinforce(ev.best_segment, prev_active, layer.sigma_inc, layer.sigma_dec)
         else:
             grow_segment(segments, cell, prev_winners, rng, layer)
+
+
+def dense(evals, n_cells: int):
+    """``TmLayer._eval_segments``'s result with its per-cell values spread
+    over all ``n_cells`` cells: cells owning no scored segment get 0 and
+    ``False``. Per-segment fields stay as they are."""
+    spread = {}
+    for name in ("o_pred", "o_sub", "best", "predictive"):
+        values = getattr(evals, name)
+        out = np.zeros(n_cells + 1, dtype=values.dtype)
+        out[evals.owners[:-1]] = values[:-1]
+        spread[name] = out[:n_cells]
+    return evals._replace(**spread)

@@ -24,6 +24,8 @@ from minicolumn.transition import (
     firing_time,
 )
 
+from oracle_distal import dense
+
 
 def _new_event(args):
     return tuple.__new__(FiringEvent, args)
@@ -31,6 +33,7 @@ def _new_event(args):
 
 def select_columns(layer, raw: np.ndarray, evals) -> list[int]:
     """Active columns, ascending."""
+    evals = dense(evals, layer.n_cells)
     o_pred = evals.o_pred.reshape(layer.n_columns, layer.cells_per_column)
     scores = layer.alpha * raw + layer.beta * o_pred.max(axis=1)
     pattern = layer.pattern
@@ -43,6 +46,7 @@ def select_columns(layer, raw: np.ndarray, evals) -> list[int]:
 
 def fire(layer, columns: list[int], raw: np.ndarray, evals):
     """Fire the active columns' cells and pick one winner per column."""
+    evals = dense(evals, layer.n_cells)
     n = layer.cells_per_column
     o_pred = evals.o_pred.reshape(-1, n)[columns].tolist()
     o_sub = evals.o_sub.reshape(-1, n)[columns].tolist()

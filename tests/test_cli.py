@@ -2,11 +2,14 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import minicolumn
 from minicolumn import PatternLayer, PoolingLayer, TmLayer, persistence
 from minicolumn.cli import main
 from minicolumn.experiments import ConfigError, ExperimentConfig, build_model, run_sequence
@@ -420,6 +423,24 @@ class TestInspectCommand:
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert main(["inspect", "--snapshot", str(tmp_path / "none.json")]) == 2
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # The reader is gone before the command writes a byte, as when
+        # ``| head -1`` has what it wanted.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "minicolumn.cli", "inspect", "--snapshot", str(FORMAT1_FIXTURE)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(Path(minicolumn.__file__).parent.parent)),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == b""
 
     def test_inspect_format1_fixture(self, capsys):
         assert main(["inspect", "--snapshot", str(FORMAT1_FIXTURE)]) == 0

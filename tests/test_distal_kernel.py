@@ -8,6 +8,8 @@ and cells at their ``segments_per_cell`` budget, where growth replaces the
 weakest segment.
 """
 
+import copy
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ PERMANENCES = st.one_of(
 
 
 @st.composite
-def models(draw):
+def models(draw, budgets=st.integers(1, 4), thresholds=st.integers(1, 3)):
     """A layer and the same segments as oracle objects."""
     layer = TmLayer(
         16,
@@ -36,7 +38,7 @@ def models(draw):
         n_active=2,
         n_synapses=8,
         synapses_per_segment=draw(st.integers(1, 6)),
-        segments_per_cell=draw(st.integers(1, 4)),
+        segments_per_cell=draw(budgets),
         activation_threshold=draw(st.integers(1, 4)),
         min_match_threshold=draw(st.integers(0, 3)),
         spike_size=draw(st.sampled_from(SPIKES)),
@@ -53,7 +55,7 @@ def models(draw):
                 st.lists(st.sampled_from(others), unique=True, max_size=layer.synapses_per_segment)
             )
             perms = draw(st.lists(PERMANENCES, min_size=len(sources), max_size=len(sources)))
-            threshold = draw(st.integers(1, 3))
+            threshold = draw(thresholds)
             spike = draw(st.sampled_from(SPIKES))
             layer.add_segment(cell, sources, perms, threshold, spike)
             segments.setdefault(cell, []).append(
@@ -85,7 +87,7 @@ def test_kernel_matches_oracle(model, active):
 
 
 def assert_scores_match(layer, segments, active):
-    ev = layer._eval_segments(active)
+    ev = oracle.dense(layer._eval_segments(active), N_CELLS)
     expected = oracle.eval_segments(segments, frozenset(active))
     assert layer.segments == oracle_view(segments)
 
@@ -183,6 +185,109 @@ def test_spike_sum_follows_segment_order():
     layer = TmLayer(16, 2, 2, n_active=1, synapses_per_segment=2, segments_per_cell=3)
     for spike in (0.1, 0.2, 0.3):
         layer.add_segment(0, [2, 3], [0.5, 0.5], activation_threshold=1, spike_size=spike)
-    evals = layer._eval_segments([2])
+    evals = oracle.dense(layer._eval_segments([2]), layer.n_cells)
     assert evals.o_pred[0] == (0.0 + 0.1 + 0.2) + 0.3
     assert evals.o_pred[0] != (0.0 + 0.3 + 0.2) + 0.1
+
+
+def slab_scan(layer, active):
+    """Ascending rows of the segments seeing an active cell, with their raw
+    and connected overlaps, read from the whole source slab."""
+    n = layer._n_segments
+    on = np.zeros(layer.n_cells + 1, dtype=bool)
+    on[list(active)] = True
+    hit = on[layer._sources[:n]]
+    connected = hit & (layer._permanences[:n] >= layer.pattern.connect_threshold)
+    raw, conn = hit.sum(axis=1), connected.sum(axis=1)
+    rows = np.flatnonzero(raw)
+    return rows, raw[rows], conn[rows]
+
+
+def assert_index_current(layer):
+    """The presynaptic index lists, by source and then ascending, the slots
+    of the rows it covers; each row stored since is flagged, and named once
+    in the stale list; every other row still holds the sources the index
+    was built from."""
+    width, m = layer.synapses_per_segment, layer._index_rows
+    order, ptr = layer._index_order, layer._index_ptr
+    assert sorted(layer._stale_rows) == np.flatnonzero(layer._index_stale).tolist()
+    assert len(set(layer._stale_rows)) == len(layer._stale_rows)
+    assert sorted(order.tolist()) == list(range(m * width))
+    assert len(ptr) == layer.n_cells + 2 and ptr[0] == 0 and ptr[-1] == m * width
+    # the sources the index was built from: cell c at every slot of its run
+    indexed = np.zeros(m * width, dtype=np.int64)
+    indexed[order] = np.repeat(np.arange(layer.n_cells + 1), np.diff(ptr))
+    assert order.tolist() == np.argsort(indexed, kind="stable").tolist()
+    fresh = ~layer._index_stale
+    assert (indexed.reshape(m, width)[fresh] == layer._sources[:m][fresh]).all()
+
+
+def assert_evals_current(layer, segments, active):
+    """``_eval_segments`` agrees with the oracle, with a scan of the whole
+    slab, and field by field with a copy whose index covers every row."""
+    evals = layer._eval_segments(active)
+    assert_scores_match(layer, segments, active)
+    rows, raw, conn = slab_scan(layer, active)
+    assert evals.rows.tolist() == rows.tolist()
+    assert evals.raw.tolist() == raw.tolist()
+    assert evals.active.tolist() == (conn >= layer._thresholds[rows]).tolist()
+    assert evals.owners[-1] == layer.n_cells
+    assert (evals.o_pred[-1], evals.o_sub[-1], evals.best[-1]) == (0.0, 0.0, 0)
+    assert not evals.predictive[-1]
+
+    rebuilt = copy.deepcopy(layer)
+    rebuilt._build_index()
+    for got, want in zip(evals, rebuilt._eval_segments(active)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+OPERATIONS = ("grow", "grow", "grow", "add_segment", "reset", "save_load", "rebuild", "refresh")
+
+
+@settings(max_examples=120, deadline=None)
+@given(models(budgets=st.integers(3, 4), thresholds=st.integers(1, 2)), st.data())
+def test_index_tracks_every_store(model, data):
+    """Growth, budget replacement of a full cell's weakest segment,
+    ``add_segment``, reset, save/load and forced rebuilds, interleaved:
+    after each, scoring through the index matches the references.
+
+    Cells hold up to four segments with low thresholds, so that several
+    are active at once and spike sums can depend on their order; the index starts out covering every row, so growth at the
+    budget overwrites indexed rows."""
+    layer, segments = model
+    layer._build_index()
+    for op in data.draw(st.lists(st.sampled_from(OPERATIONS), min_size=1, max_size=12)):
+        if op == "grow":
+            owners = sorted(segments)
+            any_cell = st.integers(0, N_CELLS - 1)
+            cell = data.draw(st.one_of(st.sampled_from(owners), any_cell) if owners else any_cell)
+            prev_winners = data.draw(st.lists(any_cell, unique=True, min_size=1))
+            seed = data.draw(st.integers(0, 2**16))
+            oracle.grow_segment(segments, cell, sorted(prev_winners), np.random.default_rng(seed), layer)
+            layer._rng = np.random.default_rng(seed)
+            layer._grow_segment(cell, Sdr(N_CELLS, prev_winners))
+        elif op == "add_segment":
+            cell = data.draw(st.integers(0, N_CELLS - 1))
+            if len(segments.get(cell, [])) >= layer.segments_per_cell:
+                continue
+            others = [c for c in range(N_CELLS) if c != cell]
+            sources = data.draw(
+                st.lists(st.sampled_from(others), unique=True, max_size=layer.synapses_per_segment)
+            )
+            perms = data.draw(st.lists(PERMANENCES, min_size=len(sources), max_size=len(sources)))
+            threshold, spike = data.draw(st.integers(1, 3)), data.draw(st.sampled_from(SPIKES))
+            layer.add_segment(cell, sources, perms, threshold, spike)
+            segments.setdefault(cell, []).append(
+                oracle.Segment(sources, perms, layer.pattern.connect_threshold, threshold, spike)
+            )
+        elif op == "reset":
+            layer.reset()
+        elif op == "save_load":
+            layer = TmLayer.from_state(layer.to_state())
+        elif op == "rebuild":
+            layer._build_index()
+        else:
+            layer._refresh_index()
+        assert_index_current(layer)
+        for active in data.draw(st.lists(busy_sets, min_size=1, max_size=3)):
+            assert_evals_current(layer, segments, active)

@@ -36,8 +36,8 @@ def segment_overlaps(sources, permanences, active, **kw):
     """(raw, connected) overlap of one segment, scored by the layer's kernel."""
     layer = small_layer(synapses_per_segment=16)
     layer.add_segment(0, sources, permanences, **kw)
-    raw, conn = layer._segment_overlaps(layer._activity(active))
-    return int(raw[0]), int(conn[0])
+    _, rows, raw, conn = layer._segment_overlaps(active)
+    return (int(raw[0]), int(conn[0])) if rows.size else (0, 0)
 
 
 class TestDistalSegment:
