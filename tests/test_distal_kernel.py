@@ -29,7 +29,9 @@ PERMANENCES = st.one_of(
 
 
 @st.composite
-def models(draw, budgets=st.integers(1, 4), thresholds=st.integers(1, 3)):
+def models(
+    draw, budgets=st.integers(1, 4), thresholds=st.integers(1, 3), spikes=st.sampled_from(SPIKES)
+):
     """A layer and the same segments as oracle objects."""
     layer = TmLayer(
         16,
@@ -56,7 +58,7 @@ def models(draw, budgets=st.integers(1, 4), thresholds=st.integers(1, 3)):
             )
             perms = draw(st.lists(PERMANENCES, min_size=len(sources), max_size=len(sources)))
             threshold = draw(thresholds)
-            spike = draw(st.sampled_from(SPIKES))
+            spike = draw(spikes)
             layer.add_segment(cell, sources, perms, threshold, spike)
             segments.setdefault(cell, []).append(
                 oracle.Segment(sources, perms, layer.pattern.connect_threshold, threshold, spike)
@@ -245,27 +247,36 @@ OPERATIONS = ("grow", "grow", "grow", "add_segment", "reset", "save_load", "rebu
 
 
 @settings(max_examples=120, deadline=None)
-@given(models(budgets=st.integers(3, 4), thresholds=st.integers(1, 2)), st.data())
+@given(
+    models(budgets=st.integers(3, 4), thresholds=st.integers(1, 2), spikes=st.sampled_from(SPIKES[1:4])),
+    st.data(),
+)
 def test_index_tracks_every_store(model, data):
     """Growth, budget replacement of a full cell's weakest segment,
     ``add_segment``, reset, save/load and forced rebuilds, interleaved:
     after each, scoring through the index matches the references.
 
-    Cells hold up to four segments with low thresholds, so that several
-    are active at once and spike sums can depend on their order; the index starts out covering every row, so growth at the
-    budget overwrites indexed rows."""
+    Cells hold up to four segments with low thresholds and spikes of 0.1,
+    0.2 or 0.3, so that several are active at once and their spike sum
+    depends on its order. The index
+    starts out covering every row, so growth at the budget overwrites
+    indexed rows."""
     layer, segments = model
     layer._build_index()
     for op in data.draw(st.lists(st.sampled_from(OPERATIONS), min_size=1, max_size=12)):
         if op == "grow":
-            owners = sorted(segments)
+            # Growing a full cell again and again often replaces the same
+            # weakest row twice between rebuilds.
+            full = [c for c, segs in segments.items() if len(segs) >= layer.segments_per_cell]
             any_cell = st.integers(0, N_CELLS - 1)
-            cell = data.draw(st.one_of(st.sampled_from(owners), any_cell) if owners else any_cell)
-            prev_winners = data.draw(st.lists(any_cell, unique=True, min_size=1))
-            seed = data.draw(st.integers(0, 2**16))
-            oracle.grow_segment(segments, cell, sorted(prev_winners), np.random.default_rng(seed), layer)
-            layer._rng = np.random.default_rng(seed)
-            layer._grow_segment(cell, Sdr(N_CELLS, prev_winners))
+            cell = data.draw(st.one_of(st.sampled_from(full), any_cell) if full else any_cell)
+            for _ in range(data.draw(st.integers(1, 3))):
+                prev_winners = data.draw(st.lists(any_cell, unique=True, min_size=1))
+                seed = data.draw(st.integers(0, 2**16))
+                rng = np.random.default_rng(seed)
+                oracle.grow_segment(segments, cell, sorted(prev_winners), rng, layer)
+                layer._rng = np.random.default_rng(seed)
+                layer._grow_segment(cell, Sdr(N_CELLS, prev_winners))
         elif op == "add_segment":
             cell = data.draw(st.integers(0, N_CELLS - 1))
             if len(segments.get(cell, [])) >= layer.segments_per_cell:
