@@ -707,6 +707,8 @@ class TmLayer:
 
     def predictive_potential(self, cell: int, prev_active: Sdr | Iterable[int]) -> float:
         """Summed spike sizes of this cell's active segments."""
+        if not 0 <= cell < self.n_cells:
+            raise ValueError(f"cell must lie in [0, {self.n_cells}), got {cell}")
         evals = self._eval_segments(prev_active)
         return float(evals.o_pred[evals.lookup(cell)])
 

@@ -80,6 +80,13 @@ class TestPredictivePotential:
         layer.add_segment(5, [1, 2, 3], [0.5] * 3, activation_threshold=3)
         assert layer.predictive_potential(5, Sdr(layer.n_cells, [1, 2])) == 0.0
 
+    @pytest.mark.parametrize("cell", [-1, 64, 65])
+    def test_cell_outside_the_layer_rejected(self, cell):
+        layer = small_layer()
+        layer.add_segment(63, [1], [0.5], activation_threshold=1)
+        with pytest.raises(ValueError, match="cell must lie in"):
+            layer.predictive_potential(cell, Sdr(layer.n_cells, [1]))
+
 
 class TestDepolarisationRates:
     def test_zero_input_never_fires(self):
