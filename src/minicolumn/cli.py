@@ -137,7 +137,12 @@ def _cmd_anomaly(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    result = capacity(args.columns, args.active, args.cells)
+    try:
+        result = capacity(args.columns, args.active, args.cells)
+    except ValueError as exc:
+        given = f"--columns {args.columns} --active {args.active} --cells {args.cells}"
+        print(f"capacity {given}: {exc}", file=sys.stderr)
+        return 2
     print(f"{'representation':<12} {'log10':>14} {'count':>16}")
     for name in ("columnar", "contexts", "cellular"):
         log10 = result[name]

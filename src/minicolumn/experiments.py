@@ -58,6 +58,16 @@ _LAYER_KEYS = _keywords(TmLayer)
 _POOL_KEYS = _keywords(PoolingLayer, PatternLayer)
 
 
+def _finite_number(value) -> bool:
+    """Whether a JSON value is a finite number (bools are not numbers here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 @dataclass
 class SequenceSpec:
     tokens: list
@@ -92,6 +102,7 @@ class ExperimentConfig:
             seed = 0
 
         encoder = raw.get("encoder")
+        enc_type = None  # unknown: tokens go unchecked
         if not isinstance(encoder, dict):
             errors.append("encoder section is required and must be an object")
             encoder = {}
@@ -146,11 +157,17 @@ class ExperimentConfig:
                 if not isinstance(tokens, list) or len(tokens) < 2:
                     errors.append(f"sequences[{i}].tokens must be a list of >= 2 tokens")
                     continue
-                if not isinstance(repeats, int) or repeats < 1:
+                if not isinstance(repeats, int) or isinstance(repeats, bool) or repeats < 1:
                     errors.append(f"sequences[{i}].repeats must be a positive integer")
                     continue
                 for key in sorted(set(spec) - {"tokens", "repeats"}):
                     errors.append(f"unknown sequences[{i}] key {key!r}")
+                for j, token in enumerate(tokens):
+                    where = f"sequences[{i}].tokens[{j}]"
+                    if enc_type == "category" and isinstance(token, (list, dict)):
+                        errors.append(f"{where} must not be a list or object")
+                    elif enc_type == "scalar" and not _finite_number(token):
+                        errors.append(f"{where} must be a finite number, got {token!r}")
                 sequences.append(SequenceSpec(tokens=list(tokens), repeats=repeats))
 
         noise = raw.get("noise")

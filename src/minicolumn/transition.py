@@ -29,7 +29,7 @@ from .pattern import (
     _check_unit,
     _hebbian,
 )
-from .sdr import Sdr
+from .sdr import DimensionError, Sdr
 
 __all__ = [
     "P_PRED",
@@ -406,6 +406,7 @@ class TmLayer:
         self.segments_per_cell = int(segments_per_cell)
         self.activation_threshold = int(activation_threshold)
         self.min_match_threshold = int(min_match_threshold)
+        self._match_floor = max(self.min_match_threshold, 1)  # raw overlap 0 never matches
         self.spike_size = float(spike_size)
         self.sigma_inc = float(sigma_inc)
         self.sigma_dec = float(sigma_dec)
@@ -639,32 +640,39 @@ class TmLayer:
     # -- distal evaluation --------------------------------------------------
 
     def _cell_ids(self, active) -> np.ndarray:
-        """The cell ids of an array, ``Sdr`` or iterable, ascending and distinct."""
+        """The cell ids of an array, ``Sdr`` or iterable, ascending and distinct.
+
+        Raises ``DimensionError`` for an ``Sdr`` of another width, and
+        ``ValueError`` for ids that are not integers or lie outside the layer.
+        """
         if isinstance(active, Sdr):
+            if active.universe_size != self.n_cells:
+                raise DimensionError(
+                    f"activity width {active.universe_size} != layer cells {self.n_cells}"
+                )
             active = active.active
-        idx = active if isinstance(active, np.ndarray) else np.fromiter(active, dtype=np.int64)
+        idx = active if isinstance(active, np.ndarray) else np.array(list(active))
+        if idx.dtype.kind not in "iu":
+            if idx.size:
+                raise ValueError(f"active cells must be integer ids, got dtype {idx.dtype}")
+            idx = idx.astype(np.int64)
         if not (idx[1:] > idx[:-1]).all():
             idx = np.unique(idx)
         if idx.size and not (idx[0] >= 0 and idx[-1] < self.n_cells):
             raise ValueError(f"active cells must lie in [0, {self.n_cells})")
         return idx
 
-    def _activity(self, active) -> np.ndarray:
-        """Dense activity of an array, ``Sdr`` or iterable of cell ids; the
-        extra last slot is the padding source and stays off."""
-        on = np.zeros(self.n_cells + 1, dtype=bool)
-        on[self._cell_ids(active)] = True
-        return on
-
     def _segment_overlaps(self, active) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense activity of one activity set, then the segments seeing an
-        active source, ascending, with their raw and connected overlaps.
+        """Dense activity of one activity set (its extra last slot, the padding
+        source, stays off), then the segments seeing an active source,
+        ascending, with their raw and connected overlaps.
 
         Only the synapses on active cells are read: through the presynaptic
         index, and from the slab for the rows the index does not cover.
         """
         idx = self._cell_ids(active)
-        on = self._activity(idx)
+        on = np.zeros(self.n_cells + 1, dtype=bool)
+        on[idx] = True
         if not idx.size:
             return on, idx, idx, idx
         slots = self._hit_slots(idx, on)
@@ -755,11 +763,11 @@ class TmLayer:
         configuration). Ties go to the lower cell.
 
         Works on the ``[len(columns), cells_per_column]`` block of the active
-        columns' cells, one row per column. Returns the fired, predicted,
-        burst and winner cells, each ascending, how many columns held a
-        predictive cell, and the firing-sequence
-        classes ``P_pred``, ``I_pred``, ``I_ff`` and ``P_burst`` as
-        ``(units, rates)`` with ascending units.
+        columns' cells, one row per column. Returns the fired, predicted and
+        burst cells, each ascending, each row's winner offset, the block's
+        entries in ``evals``, how many columns held a predictive cell, and the
+        firing-sequence classes ``P_pred``, ``I_pred``, ``I_ff`` and
+        ``P_burst`` as ``(units, rates)`` with ascending units.
         """
         n = self.cells_per_column
         cells = columns[:, None] * n + np.arange(n)
@@ -781,7 +789,7 @@ class TmLayer:
         if predicted_columns.all():
             empty = columns[:0]
             classes += [(empty, sheaths[:0]), (empty, o_ff[:0])]
-            return predicted, predicted, empty, columns * n + winners, columns.size, classes
+            return predicted, predicted, empty, winners, at, columns.size, classes
 
         bursting = ~predicted_columns
         sub = self.beta_sub * evals.o_sub[at]
@@ -802,7 +810,7 @@ class TmLayer:
 
         matched = np.argmax(best, axis=1)
         winners = np.where(bursting, matched, winners)
-        blank = bursting & (best[rows, matched] < max(self.min_match_threshold, 1))
+        blank = bursting & (best[rows, matched] < self._match_floor)
         if blank.any():
             counts = self._segment_counts[cells[blank]]
             if self.blank_winner == "lowest":
@@ -815,7 +823,7 @@ class TmLayer:
                     picks.append(pool[int(self._rng.integers(len(pool)))])
                 winners[blank] = picks
         hits = int(np.count_nonzero(predicted_columns))
-        return cells[pred | fire], predicted, burst, columns * n + winners, hits, classes
+        return cells[pred | fire], predicted, burst, winners, at, hits, classes
 
     def _reinforce(self, rows: np.ndarray, on: np.ndarray) -> None:
         """Grow synapses on sources active in ``on``, shrink the rest."""
@@ -843,50 +851,45 @@ class TmLayer:
         self._store(row, cell, sources, perms, self.activation_threshold, self.spike_size)
 
     def _learn_distal(
-        self,
-        winners: np.ndarray,
-        evals: _Evals,
-        columns: np.ndarray,
+        self, winners: np.ndarray, at: np.ndarray, evals: _Evals, inactive: np.ndarray,
         prev_winners: Sdr,
     ) -> None:
         """Punish, then reinforce, then grow.
 
-        Mispredicted cells (predictive, but their column stayed inactive)
+        Mispredicted cells (predictive, but their column is ``inactive``)
         fade their active segments' synapses on sources that fired. A winner
-        reinforces its active segments, else its best raw match at or above
-        ``min_match_threshold``, else grows a segment from the previous
-        winners, in winner order. Punished cells lie in inactive columns and
-        winners in active ones, so no segment is touched twice and the
-        batched row updates equal one-at-a-time ones.
+        (``at`` its entry in ``evals``) reinforces its active segments, else
+        its lowest row at its best raw match if that reaches the match floor,
+        else grows a segment from the previous winners, in winner order.
+        Punished cells lie in inactive columns and winners in active ones, so
+        no segment is touched twice and the batched row updates equal
+        one-at-a-time ones.
         """
         on = evals.on
         if self.sigma_punish > 0.0:
-            quiet = np.ones(self.n_columns, dtype=bool)
-            quiet[columns] = False
-            punish = evals.predictive[evals.rank] & quiet[evals.cells // self.cells_per_column]
+            punish = evals.predictive[evals.rank] & inactive[evals.cells // self.cells_per_column]
             rows = evals.rows[evals.active & punish]
             p = self._permanences[rows]
             self._permanences[rows] = np.where(
                 on[self._sources[rows]], p * (1.0 - self.sigma_punish), p
             )
 
-        at = evals.lookup(winners)
         # The padding entry may be marked too; no scored segment ranks there.
         is_winner = np.zeros(evals.owners.size, dtype=bool)
         is_winner[at] = True
-        reinforce = [evals.rows[evals.active & is_winner[evals.rank]]]
-        grow: list[int] = []
-        floor = max(self.min_match_threshold, 1)
-        for cell, o_pred, best in zip(winners, evals.o_pred[at].tolist(), evals.best[at].tolist()):
-            if o_pred > 0.0:
-                continue  # reinforced with the active segments above
-            if best >= floor:
-                match = (evals.cells == cell) & (evals.raw == best)
-                reinforce.append(evals.rows[match][:1])
-            else:
-                grow.append(cell)
-        self._reinforce(np.concatenate(reinforce), on)
-        for cell in grow:
+        reinforce = evals.rows[evals.active & is_winner[evals.rank]]
+        quiet = evals.o_pred[at] == 0.0  # winners without an active segment
+        best = evals.best[at]
+        matching = quiet & (best >= self._match_floor)
+        if matching.any():
+            # Matching winners own distinct entries; a raw overlap is never -1.
+            target = np.full(evals.owners.size, -1)
+            target[at[matching]] = best[matching]
+            hit = evals.raw == target[evals.rank]
+            lowest = np.unique(evals.rank[hit], return_index=True)[1]
+            reinforce = np.concatenate((reinforce, evals.rows[hit][lowest]))
+        self._reinforce(reinforce, on)
+        for cell in winners[quiet & ~matching].tolist():
             self._grow_segment(cell, prev_winners)
 
     def step(self, x_ff: Sdr, learn: bool = True) -> LayerOutput:
@@ -896,7 +899,10 @@ class TmLayer:
         active_columns = self._select_columns(raw, evals)
         columns = np.array(active_columns.active, dtype=np.intp)
         sheath = self.alpha_inh * raw
-        active, predicted, burst, winners, hits, classes = self._fire(columns, raw, sheath, evals)
+        active, predicted, burst, offsets, at, hits, classes = self._fire(
+            columns, raw, sheath, evals
+        )
+        winners = columns * self.cells_per_column + offsets
 
         # Inactive columns' sheaths come last.
         inactive = np.ones(self.n_columns, dtype=bool)
@@ -908,7 +914,8 @@ class TmLayer:
         anomaly = 1.0 - hits / columns.size if columns.size else 0.0
 
         if learn:
-            self._learn_distal(winners, evals, columns, self._prev_winners)
+            at = at[np.arange(columns.size), offsets]  # the winners' entries
+            self._learn_distal(winners, at, evals, inactive, self._prev_winners)
             self.pattern.learn(x_ff, active_columns)
 
         self._refresh_index()

@@ -34,6 +34,8 @@ SCALAR_ENCODER = {
     "min_value": 0,
     "max_value": 10,
 }
+# a scalar encoder's config sequences hold numbers
+SCALAR_SEQUENCES = [{"tokens": [1, 2, 3], "repeats": 5}]
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -103,13 +105,43 @@ class TestConfigValidation:
                 {"sequences": [{"tokens": ["A", "B"], "repeats": "2"}]},
                 "sequences[0].repeats must be a positive integer",
             ),
+            (
+                {"sequences": [{"tokens": ["A", "B"], "repeats": True}]},
+                "sequences[0].repeats must be a positive integer",
+            ),
+            (
+                {"sequences": [{"tokens": [[1], [2]]}]},
+                "sequences[0].tokens[0] must not be a list or object\n"
+                "sequences[0].tokens[1] must not be a list or object",
+            ),
+            (
+                {"sequences": [{"tokens": ["A", "B"]}, {"tokens": ["A", {"a": 1}]}]},
+                "sequences[1].tokens[1] must not be a list or object",
+            ),
+            (
+                {"encoder": SCALAR_ENCODER, "sequences": [{"tokens": [1, "a"]}]},
+                "sequences[0].tokens[1] must be a finite number, got 'a'",
+            ),
+            (
+                {"encoder": SCALAR_ENCODER, "sequences": [{"tokens": [True, 2.5]}]},
+                "sequences[0].tokens[0] must be a finite number, got True",
+            ),
+            (
+                {"encoder": SCALAR_ENCODER, "sequences": [{"tokens": [1, math.inf]}]},
+                "sequences[0].tokens[1] must be a finite number, got inf",
+            ),
+            (
+                {"encoder": SCALAR_ENCODER, "sequences": [{"tokens": [10**400, None]}]},
+                f"sequences[0].tokens[0] must be a finite number, got {10**400!r}\n"
+                "sequences[0].tokens[1] must be a finite number, got None",
+            ),
             ({"pool": [64]}, "pool section must be an object"),
         ],
     )
     def test_bad_section_rejected(self, overrides, message):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(dict(BASE_CONFIG, **overrides))
-        assert err.value.errors == [message]
+        assert err.value.errors == message.split("\n")
 
 
 def keyword_defaults(*classes) -> dict:
@@ -223,6 +255,21 @@ class TestCapacityCommand:
         assert "1.60694e+60" in out
         assert "3.8113" in out and "e+144" in out
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--columns", "10", "--active", "20"], "k must be <= n_cols"),
+            (["--columns", "-5", "--active", "2"], "k must be <= n_cols"),
+            (["--columns", "10", "--active", "2", "--cells", "0"], "cells >= 1"),
+            (["--columns", "10", "--active", "-1"], "k >= 0"),
+        ],
+    )
+    def test_out_of_range_arguments_exit_2(self, capsys, args, message):
+        assert main(["capacity", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
 
 class TestSequenceCommand:
     def test_smoke_run_writes_reports(self, tmp_path, capsys):
@@ -294,7 +341,7 @@ class TestSequenceCommand:
 
     def test_rejected_encoder_value_exits_2(self, tmp_path, capsys):
         encoder = dict(SCALAR_ENCODER, min_value=5, max_value=5)
-        config = write_config(tmp_path, {"encoder": encoder})
+        config = write_config(tmp_path, {"encoder": encoder, "sequences": SCALAR_SEQUENCES})
         stream = tmp_path / "stream.txt"
         stream.write_text("1.0\n")
         assert main(["anomaly", "--config", str(config), str(stream)]) == 2
@@ -369,7 +416,8 @@ class TestAnomalyCommand:
                     "active_bits": 12,
                     "min_value": 0,
                     "max_value": 1,
-                }
+                },
+                "sequences": SCALAR_SEQUENCES,
             },
         )
         stream = tmp_path / "stream.txt"
@@ -378,7 +426,7 @@ class TestAnomalyCommand:
         assert "line 3" in capsys.readouterr().err
 
     def test_nan_scalar_line_reports_number(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"encoder": SCALAR_ENCODER})
+        config = write_config(tmp_path, {"encoder": SCALAR_ENCODER, "sequences": SCALAR_SEQUENCES})
         stream = tmp_path / "stream.txt"
         stream.write_text("1.0\n2.0\nnan\n3.0\n")
         assert main(["anomaly", "--config", str(config), str(stream)]) == 2

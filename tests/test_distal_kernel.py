@@ -117,6 +117,17 @@ def assert_scores_match(layer, segments, active):
         assert cell_rows.index(best_rows[0]) == segs.index(want.best_segment)
 
 
+def learn_distal(layer, winners, evals, columns, prev_winners):
+    """``layer._learn_distal`` given winner cells, active columns and
+    previous winners as lists."""
+    winners = np.array(winners, dtype=np.int64)
+    inactive = np.ones(N_COLUMNS, dtype=bool)
+    inactive[columns] = False
+    layer._learn_distal(
+        winners, evals.lookup(winners), evals, inactive, Sdr(N_CELLS, prev_winners)
+    )
+
+
 def test_awkward_shape_matches_oracle():
     """Five synapses per segment (not a power of two), 72 segments in a
     capacity of 128, and cells at their budget whose weakest row growth
@@ -146,7 +157,7 @@ def test_awkward_shape_matches_oracle():
         np.random.default_rng(5), layer,
     )
     layer._rng = np.random.default_rng(5)
-    layer._learn_distal(winners, layer._eval_segments([]), [0, 1, 2], Sdr(N_CELLS, prev_winners))
+    learn_distal(layer, winners, layer._eval_segments([]), [0, 1, 2], prev_winners)
     assert layer._n_segments == 72
     for cell in winners:
         grown = [s for s in segments[cell] if s.permanences == [layer.initial_segment_permanence] * 5]
@@ -174,7 +185,7 @@ def test_learning_matches_oracle(model, prev_active, prev_winners, data):
     )
 
     layer._rng = np.random.default_rng(seed)
-    layer._learn_distal(winners, layer._eval_segments(prev_active), columns, Sdr(N_CELLS, prev_winners))
+    learn_distal(layer, winners, layer._eval_segments(prev_active), columns, prev_winners)
 
     assert layer.segments == oracle_view(segments)
     assert layer._rng.bit_generator.state == rng.bit_generator.state

@@ -5,6 +5,7 @@ import pytest
 
 from minicolumn import (
     CategoryEncoder,
+    DimensionError,
     FiringSequence,
     Sdr,
     TmLayer,
@@ -86,6 +87,21 @@ class TestPredictivePotential:
         layer.add_segment(63, [1], [0.5], activation_threshold=1)
         with pytest.raises(ValueError, match="cell must lie in"):
             layer.predictive_potential(cell, Sdr(layer.n_cells, [1]))
+
+    def test_activity_of_another_width_rejected(self):
+        layer = small_layer()
+        layer.add_segment(5, [1, 2], [0.5, 0.5], activation_threshold=2)
+        with pytest.raises(DimensionError, match="16 != layer cells 64"):
+            layer.predictive_potential(5, Sdr(16, [1, 2]))
+        with pytest.raises(DimensionError):
+            layer.depolarisation_rates(Sdr(64), Sdr(128, [1, 2]))
+
+    @pytest.mark.parametrize("active", [np.array([1.0, 2.0]), [1.5], [True]])
+    def test_activity_that_is_not_cell_ids_rejected(self, active):
+        layer = small_layer()
+        layer.add_segment(5, [1, 2], [0.5, 0.5], activation_threshold=2)
+        with pytest.raises(ValueError, match="active cells must be integer ids"):
+            layer.predictive_potential(5, active)
 
 
 class TestDepolarisationRates:
@@ -268,7 +284,7 @@ class TestDistalLearning:
     def test_reinforce_active_synapse(self):
         layer = small_layer(sigma_inc=0.1, sigma_dec=0.05)
         row = layer.add_segment(0, [1, 2], [0.4, 0.4], activation_threshold=1)
-        layer._reinforce(np.array([row]), layer._activity(frozenset({1})))
+        layer._reinforce(np.array([row]), layer._eval_segments([1]).on)
         (seg,) = layer.segments[0]
         assert seg.permanences[0] == pytest.approx(0.44)
         assert seg.permanences[1] == pytest.approx(0.38)
@@ -313,6 +329,26 @@ class TestDistalLearning:
         # punishment applies only when column 0 stayed inactive, as it does here
         assert 0 not in {layer.column_of(c) for c in layer._prev_active}
         assert seg.permanences == pytest.approx([0.2, 0.2])
+
+    def test_tied_best_match_reinforces_the_lower_row_only(self):
+        layer = small_layer(n_active=2, activation_threshold=3, blank_winner="lowest")
+        raw = np.zeros(layer.n_columns, dtype=np.int64)
+        raw[:2] = [5, 4]  # columns 0 and 1 win; neither holds a predictive cell
+        layer.pattern.raw_overlaps = lambda x_ff: raw
+        # Cell 2 matches 1, 2 and 2 of the previous activity; no row is active.
+        layer.add_segment(2, [40, 52], [0.5, 0.5])
+        layer.add_segment(2, [40, 41, 50], [0.5] * 3)
+        layer.add_segment(2, [40, 41, 51], [0.5] * 3)
+        layer._prev_active = layer._prev_winners = Sdr(layer.n_cells, [40, 41])
+        out = layer.step(Sdr(64))
+        # Column 1's cells own no segment: its lowest cell wins and grows one.
+        assert out.winner_cells.active == (2, 4)
+        assert [seg.permanences for seg in layer.segments[2]] == [
+            [0.5, 0.5],
+            pytest.approx([0.55, 0.55, 0.49]),
+            [0.5] * 3,
+        ]
+        assert [seg.sources for seg in layer.segments[4]] == [[40, 41]]
 
 
 class TestHighOrderSequences:
