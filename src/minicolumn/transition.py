@@ -643,7 +643,7 @@ class TmLayer:
         """The cell ids of an array, ``Sdr`` or iterable, ascending and distinct.
 
         Raises ``DimensionError`` for an ``Sdr`` of another width, and
-        ``ValueError`` for ids that are not integers or lie outside the layer.
+        ``ValueError`` for ids that are not a flat set of integers in the layer.
         """
         if isinstance(active, Sdr):
             if active.universe_size != self.n_cells:
@@ -652,6 +652,8 @@ class TmLayer:
                 )
             active = active.active
         idx = active if isinstance(active, np.ndarray) else np.array(list(active))
+        if idx.ndim != 1:
+            raise ValueError(f"active cells must be a flat list of ids, got shape {idx.shape}")
         if idx.dtype.kind not in "iu":
             if idx.size:
                 raise ValueError(f"active cells must be integer ids, got dtype {idx.dtype}")

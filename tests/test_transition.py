@@ -96,11 +96,20 @@ class TestPredictivePotential:
         with pytest.raises(DimensionError):
             layer.depolarisation_rates(Sdr(64), Sdr(128, [1, 2]))
 
-    @pytest.mark.parametrize("active", [np.array([1.0, 2.0]), [1.5], [True]])
-    def test_activity_that_is_not_cell_ids_rejected(self, active):
+    @pytest.mark.parametrize(
+        "active, message",
+        [
+            (np.array([1.0, 2.0]), "must be integer ids, got dtype float64"),
+            ([1.5], "must be integer ids"),
+            ([True], "must be integer ids, got dtype bool"),
+            (np.array([[1, 2]]), "must be a flat list of ids, got shape"),
+            ([[1], [2]], "must be a flat list of ids, got shape"),
+        ],
+    )
+    def test_activity_that_is_not_cell_ids_rejected(self, active, message):
         layer = small_layer()
         layer.add_segment(5, [1, 2], [0.5, 0.5], activation_threshold=2)
-        with pytest.raises(ValueError, match="active cells must be integer ids"):
+        with pytest.raises(ValueError, match=f"active cells {message}"):
             layer.predictive_potential(5, active)
 
 
