@@ -58,14 +58,35 @@ _LAYER_KEYS = _keywords(TmLayer)
 _POOL_KEYS = _keywords(PoolingLayer, PatternLayer)
 
 
+def _is(value, *types) -> bool:
+    """Whether a JSON value is one of ``types``; a bool is never a number here."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _finite_number(value) -> bool:
-    """Whether a JSON value is a finite number (bools are not numbers here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """Whether a JSON value is a finite number."""
+    if not _is(value, int, float):
         return False
     try:
         return math.isfinite(value)
     except OverflowError:  # an integer too large for a float
         return False
+
+
+def _section_errors(name: str, section: dict, keys: frozenset, integers: tuple) -> list[str]:
+    """Problems with a layer or pool section: unknown keys, ``integers``
+    that are missing or not integers, and booleans, which no constructor
+    keyword takes."""
+    errors = [f"unknown {name} key {key!r}" for key in sorted(set(section) - keys)]
+    errors += [
+        f"{name}.{key} must be an integer" for key in integers if not _is(section.get(key), int)
+    ]
+    errors += [
+        f"{name}.{key} must not be a boolean"
+        for key in sorted(set(section) & keys - set(integers))
+        if isinstance(section[key], bool)
+    ]
+    return errors
 
 
 @dataclass
@@ -97,7 +118,7 @@ class ExperimentConfig:
             errors.append(f"unknown top-level key {key!r}")
 
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not _is(seed, int):
             errors.append(f"seed must be an integer, got {seed!r}")
             seed = 0
 
@@ -114,11 +135,11 @@ class ExperimentConfig:
                 for key in sorted(set(encoder) - _ENCODER_KEYS[enc_type]):
                     errors.append(f"unknown encoder key {key!r}")
                 for key in ("universe_size", "active_bits"):
-                    if not isinstance(encoder.get(key), int):
+                    if not _is(encoder.get(key), int):
                         errors.append(f"encoder.{key} must be an integer")
                 if enc_type == "scalar":
                     for key in ("min_value", "max_value"):
-                        if not isinstance(encoder.get(key), (int, float)):
+                        if not _is(encoder.get(key), int, float):
                             errors.append(f"encoder.{key} must be a number")
 
         layer = raw.get("layer")
@@ -126,11 +147,8 @@ class ExperimentConfig:
             errors.append("layer section is required and must be an object")
             layer = {}
         else:
-            for key in sorted(set(layer) - _LAYER_KEYS):
-                errors.append(f"unknown layer key {key!r}")
-            for key in ("n_columns", "cells_per_column"):
-                if not isinstance(layer.get(key), int):
-                    errors.append(f"layer.{key} must be an integer")
+            integers = ("n_columns", "cells_per_column")
+            errors += _section_errors("layer", layer, _LAYER_KEYS, integers)
 
         pool = raw.get("pool")
         if pool is not None:
@@ -138,10 +156,7 @@ class ExperimentConfig:
                 errors.append("pool section must be an object")
                 pool = None
             else:
-                for key in sorted(set(pool) - _POOL_KEYS):
-                    errors.append(f"unknown pool key {key!r}")
-                if not isinstance(pool.get("n_columns"), int):
-                    errors.append("pool.n_columns must be an integer")
+                errors += _section_errors("pool", pool, _POOL_KEYS, ("n_columns",))
 
         sequences: list[SequenceSpec] = []
         raw_sequences = raw.get("sequences")
@@ -157,7 +172,7 @@ class ExperimentConfig:
                 if not isinstance(tokens, list) or len(tokens) < 2:
                     errors.append(f"sequences[{i}].tokens must be a list of >= 2 tokens")
                     continue
-                if not isinstance(repeats, int) or isinstance(repeats, bool) or repeats < 1:
+                if not _is(repeats, int) or repeats < 1:
                     errors.append(f"sequences[{i}].repeats must be a positive integer")
                     continue
                 for key in sorted(set(spec) - {"tokens", "repeats"}):
@@ -179,11 +194,14 @@ class ExperimentConfig:
                 for key in sorted(set(noise) - {"flip_fraction", "seed"}):
                     errors.append(f"unknown noise key {key!r}")
                 frac = noise.get("flip_fraction")
-                if not isinstance(frac, (int, float)) or not 0.0 <= frac <= 1.0:
+                if not _is(frac, int, float) or not 0.0 <= frac <= 1.0:
                     errors.append("noise.flip_fraction must be a number in [0, 1]")
+                noise_seed = noise.get("seed", 0)
+                if not _is(noise_seed, int) or noise_seed < 0:
+                    errors.append(f"noise.seed must be a non-negative integer, got {noise_seed!r}")
 
         eval_cycles = raw.get("eval_cycles", 5)
-        if not isinstance(eval_cycles, int) or eval_cycles < 2:
+        if not _is(eval_cycles, int) or eval_cycles < 2:
             errors.append("eval_cycles must be an integer >= 2")
             eval_cycles = 5
 

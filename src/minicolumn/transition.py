@@ -266,12 +266,6 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-# The presynaptic index is rebuilt once the rows it no longer covers pass
-# this fraction of the segments, so each rebuild is paid for by at least
-# that many stored rows.
-_STALE_FRACTION = 1 / 8
-
-
 # Constructor arguments held by the transition layer itself. Snapshot params
 # list the pattern layer's, with cells_per_column after n_columns, then these.
 _DISTAL_PARAMS = (
@@ -433,7 +427,7 @@ class TmLayer:
         self._owner = np.zeros(0, dtype=np.int64)
         self._thresholds = np.zeros(0, dtype=np.int64)
         self._spikes = np.zeros(0, dtype=np.float64)
-        self._build_index()
+        self._drop_index()
         self.reset()
 
     # -- basic geometry -----------------------------------------------------
@@ -580,9 +574,8 @@ class TmLayer:
             self._spikes = _resized(self._spikes, size, 0.0)
 
     def _store(self, row, cell, sources, permanences, activation_threshold, spike_size) -> None:
-        if row < self._index_rows and not self._index_stale[row]:
-            self._index_stale[row] = True
-            self._stale_rows.append(row)
+        if row < self._index[2]:  # a replaced row: the next read rebuilds the index
+            self._drop_index()
         k = len(sources)
         self._sources[row, :k] = sources
         self._sources[row, k:] = self.n_cells
@@ -594,48 +587,40 @@ class TmLayer:
 
     # -- presynaptic index ----------------------------------------------------
     #
-    # Derived from the source slab and never saved. ``_index_order`` lists
-    # the flat slots ``row * synapses_per_segment + slot`` of the first
-    # ``_index_rows`` rows by source cell, each cell's slots ascending; cell
-    # c's run is ``_index_order[_index_ptr[c]:_index_ptr[c + 1]]``. Rows
-    # stored since the build (``_stale_rows``, flagged in ``_index_stale``)
-    # and rows appended past it are read from the slab instead.
+    # Derived from the source slab and never saved. ``_index`` is the tuple
+    # ``(order, ptr, rows)``: ``order`` lists the flat slots
+    # ``row * synapses_per_segment + slot`` of the first ``rows`` rows by
+    # source cell, each cell's slots ascending, and cell c's run is
+    # ``order[ptr[c]:ptr[c + 1]]``. A read first merges in the rows appended
+    # since. The tuple is replaced whole, never written in place, so a
+    # concurrent reader sees either the old index or the new one.
 
-    def _build_index(self) -> None:
-        """Index every segment."""
-        rows = self._n_segments
-        keys = self._sources[:rows].reshape(-1)
-        self._index_order = _stable_argsort(keys)
-        counts = np.bincount(keys, minlength=self.n_cells + 1)
-        self._index_ptr = np.concatenate(([0], np.cumsum(counts)))
-        self._index_rows = rows
-        self._index_stale = np.zeros(rows, dtype=bool)
-        self._stale_rows: list[int] = []
+    def _drop_index(self) -> None:
+        """Forget the index; the next read builds it from every row."""
+        self._index = np.zeros(0, dtype=np.int64), np.zeros(self.n_cells + 2, dtype=np.int64), 0
 
-    def _refresh_index(self) -> None:
-        """Rebuild the index once too many rows are read from the slab."""
-        stale = len(self._stale_rows) + self._n_segments - self._index_rows
-        if stale > _STALE_FRACTION * self._n_segments:
-            self._build_index()
-
-    def _hit_slots(self, cells: np.ndarray, on: np.ndarray) -> np.ndarray:
+    def _hit_slots(self, cells: np.ndarray) -> np.ndarray:
         """Flat slots of every synapse on one of ``cells`` (ascending and
-        distinct, ``on`` their dense activity), in no particular order."""
-        width, indexed = self.synapses_per_segment, self._index_rows
-        stops = self._index_ptr[cells + 1]
-        lengths = stops - self._index_ptr[cells]
+        distinct), in no particular order."""
+        order, ptr, indexed = self._index
+        if indexed < self._n_segments:
+            # The new slots are larger than every indexed one, so putting
+            # each after its source's run keeps the run ascending.
+            keys = self._sources[indexed : self._n_segments].reshape(-1)
+            new = _stable_argsort(keys)
+            ends = keys[new] + 1
+            order = np.insert(order, ptr[ends], indexed * self.synapses_per_segment + new)
+            # ptr[c] moves up by the number of new slots whose source is below
+            # c, their cumulative bincount: read off the sorted sources, as a
+            # cumsum over every cell costs more than the rest of the merge.
+            below = np.diff(ends, prepend=0, append=ptr.size)
+            ptr = ptr + np.repeat(np.arange(ends.size + 1), below)
+            self._index = order, ptr, self._n_segments
+        stops = ptr[cells + 1]
+        lengths = stops - ptr[cells]
         # the runs of ``cells`` in the index, end to end
         offsets = np.repeat(stops - np.cumsum(lengths), lengths)
-        parts = [self._index_order[offsets + np.arange(offsets.size)]]
-        if self._stale_rows:
-            parts[0] = parts[0][~self._index_stale[parts[0] // width]]
-            stale = np.array(self._stale_rows)
-            hit = np.flatnonzero(on[self._sources[stale]])
-            parts.append(stale[hit // width] * width + hit % width)
-        if indexed < self._n_segments:
-            tail = on[self._sources[indexed : self._n_segments]]
-            parts.append(indexed * width + np.flatnonzero(tail))
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        return order[offsets + np.arange(offsets.size)]
 
     # -- distal evaluation --------------------------------------------------
 
@@ -669,15 +654,15 @@ class TmLayer:
         source, stays off), then the segments seeing an active source,
         ascending, with their raw and connected overlaps.
 
-        Only the synapses on active cells are read: through the presynaptic
-        index, and from the slab for the rows the index does not cover.
+        Only the synapses on active cells are read, through the presynaptic
+        index.
         """
         idx = self._cell_ids(active)
         on = np.zeros(self.n_cells + 1, dtype=bool)
         on[idx] = True
         if not idx.size:
             return on, idx, idx, idx
-        slots = self._hit_slots(idx, on)
+        slots = self._hit_slots(idx)
         hit_rows = slots // self.synapses_per_segment
         connected = self._permanences.reshape(-1)[slots] >= self.pattern.connect_threshold
         raw = np.bincount(hit_rows, minlength=self._n_segments)
@@ -920,7 +905,6 @@ class TmLayer:
             self._learn_distal(winners, at, evals, inactive, self._prev_winners)
             self.pattern.learn(x_ff, active_columns)
 
-        self._refresh_index()
         next_evals = self._eval_segments(active)
         sdr = partial(Sdr._from_sorted, self.n_cells)
         output = LayerOutput(

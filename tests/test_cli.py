@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import minicolumn
 from minicolumn import PatternLayer, PoolingLayer, TmLayer, persistence
@@ -136,6 +138,49 @@ class TestConfigValidation:
                 "sequences[0].tokens[1] must be a finite number, got None",
             ),
             ({"pool": [64]}, "pool section must be an object"),
+            (
+                {"encoder": {"type": "category", "universe_size": True, "active_bits": True}},
+                "encoder.universe_size must be an integer\nencoder.active_bits must be an integer",
+            ),
+            (
+                {"encoder": dict(SCALAR_ENCODER, min_value=False, max_value=True),
+                 "sequences": SCALAR_SEQUENCES},
+                "encoder.min_value must be a number\nencoder.max_value must be a number",
+            ),
+            (
+                {"layer": {"n_columns": True, "cells_per_column": True}},
+                "layer.n_columns must be an integer\nlayer.cells_per_column must be an integer",
+            ),
+            (
+                {"layer": dict(BASE_CONFIG["layer"], n_active=True, alpha=False)},
+                "layer.alpha must not be a boolean\nlayer.n_active must not be a boolean",
+            ),
+            ({"pool": {"n_columns": True}}, "pool.n_columns must be an integer"),
+            (
+                {"pool": {"n_columns": 32, "persistence": False, "sparsity": True}},
+                "pool.persistence must not be a boolean\npool.sparsity must not be a boolean",
+            ),
+            ({"eval_cycles": True}, "eval_cycles must be an integer >= 2"),
+            (
+                {"noise": {"flip_fraction": True}},
+                "noise.flip_fraction must be a number in [0, 1]",
+            ),
+            (
+                {"noise": {"flip_fraction": 0.1, "seed": "x"}},
+                "noise.seed must be a non-negative integer, got 'x'",
+            ),
+            (
+                {"noise": {"flip_fraction": 0.1, "seed": -5}},
+                "noise.seed must be a non-negative integer, got -5",
+            ),
+            (
+                {"noise": {"flip_fraction": 0.1, "seed": 1.5}},
+                "noise.seed must be a non-negative integer, got 1.5",
+            ),
+            (
+                {"noise": {"flip_fraction": 0.1, "seed": True}},
+                "noise.seed must be a non-negative integer, got True",
+            ),
         ],
     )
     def test_bad_section_rejected(self, overrides, message):
@@ -433,6 +478,36 @@ class TestAnomalyCommand:
         err = capsys.readouterr().err
         assert "line 3" in err and "finite" in err
         assert "Traceback" not in err
+
+
+HOSTILE_LINES = st.one_of(
+    st.sampled_from(["", " ", "\t", "inf", "-inf", "nan", "-nan", "1e400", "-0", "1_000", "0x10"]),
+    st.floats().map(repr),
+    st.text(max_size=12),
+    # very long lines
+    st.builds(str.__mul__, st.sampled_from(["9", "A", "\u00e9", " 1"]), st.integers(1000, 20000)),
+)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.sampled_from(["category", "scalar"]), st.lists(HOSTILE_LINES, max_size=12))
+def test_hostile_stream_exits_0_or_2(tmp_path, capsys, kind, lines):
+    """Any UTF-8 stream, however odd its lines, is run or refused with a
+    message: never a traceback."""
+    encoder = {"type": "category", "universe_size": 64, "active_bits": 4}
+    if kind == "scalar":
+        encoder = dict(encoder, type="scalar", min_value=0, max_value=10)
+    layer = {"n_columns": 16, "cells_per_column": 2, "n_active": 2, "synapses_per_segment": 4}
+    config = write_config(
+        tmp_path, {"encoder": encoder, "layer": layer, "sequences": SCALAR_SEQUENCES}
+    )
+    stream = tmp_path / "stream.txt"
+    stream.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["anomaly", "--config", str(config), str(stream)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestPoolCommand:

@@ -216,23 +216,35 @@ def slab_scan(layer, active):
     return rows, raw[rows], conn[rows]
 
 
+def index_reference(layer, rows):
+    """The presynaptic index of the first ``rows`` rows, built afresh: the
+    flat slots by source, each source's slots ascending, and where each
+    source's run starts."""
+    keys = layer._sources[:rows].reshape(-1)
+    counts = np.bincount(keys, minlength=layer.n_cells + 1)
+    return np.argsort(keys, kind="stable"), np.concatenate(([0], np.cumsum(counts)))
+
+
+def read_index(layer):
+    """Bring the index up to date, as any read does."""
+    layer._hit_slots(np.zeros(0, dtype=np.int64))
+
+
+def assert_index_built(layer) -> int:
+    """The index equals a fresh build of the rows it covers; returns how many."""
+    order, ptr, rows = layer._index
+    want_order, want_ptr = index_reference(layer, rows)
+    assert order.tolist() == want_order.tolist()
+    assert ptr.tolist() == want_ptr.tolist()
+    return rows
+
+
 def assert_index_current(layer):
-    """The presynaptic index lists, by source and then ascending, the slots
-    of the rows it covers; each row stored since is flagged, and named once
-    in the stale list; every other row still holds the sources the index
-    was built from."""
-    width, m = layer.synapses_per_segment, layer._index_rows
-    order, ptr = layer._index_order, layer._index_ptr
-    assert sorted(layer._stale_rows) == np.flatnonzero(layer._index_stale).tolist()
-    assert len(set(layer._stale_rows)) == len(layer._stale_rows)
-    assert sorted(order.tolist()) == list(range(m * width))
-    assert len(ptr) == layer.n_cells + 2 and ptr[0] == 0 and ptr[-1] == m * width
-    # the sources the index was built from: cell c at every slot of its run
-    indexed = np.zeros(m * width, dtype=np.int64)
-    indexed[order] = np.repeat(np.arange(layer.n_cells + 1), np.diff(ptr))
-    assert order.tolist() == np.argsort(indexed, kind="stable").tolist()
-    fresh = ~layer._index_stale
-    assert (indexed.reshape(m, width)[fresh] == layer._sources[:m][fresh]).all()
+    """The index agrees with a fresh build over the rows it covers, and
+    after a read it covers every row."""
+    assert_index_built(layer)
+    read_index(layer)
+    assert assert_index_built(layer) == layer._n_segments
 
 
 def assert_evals_current(layer, segments, active):
@@ -249,12 +261,12 @@ def assert_evals_current(layer, segments, active):
     assert not evals.predictive[-1]
 
     rebuilt = copy.deepcopy(layer)
-    rebuilt._build_index()
+    rebuilt._drop_index()
     for got, want in zip(evals, rebuilt._eval_segments(active)):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
-OPERATIONS = ("grow", "grow", "grow", "add_segment", "reset", "save_load", "rebuild", "refresh")
+OPERATIONS = ("grow", "grow", "grow", "add_segment", "reset", "save_load", "rebuild")
 
 
 @settings(max_examples=120, deadline=None)
@@ -265,15 +277,15 @@ OPERATIONS = ("grow", "grow", "grow", "add_segment", "reset", "save_load", "rebu
 def test_index_tracks_every_store(model, data):
     """Growth, budget replacement of a full cell's weakest segment,
     ``add_segment``, reset, save/load and forced rebuilds, interleaved:
-    after each, scoring through the index matches the references.
+    after each, the index matches a fresh build and scoring through it
+    matches the references.
 
     Cells hold up to four segments with low thresholds and spikes of 0.1,
     0.2 or 0.3, so that several are active at once and their spike sum
-    depends on its order. The index
-    starts out covering every row, so growth at the budget overwrites
-    indexed rows."""
+    depends on its order. The index starts out covering every row, so
+    growth at the budget overwrites indexed rows."""
     layer, segments = model
-    layer._build_index()
+    read_index(layer)
     for op in data.draw(st.lists(st.sampled_from(OPERATIONS), min_size=1, max_size=12)):
         if op == "grow":
             # Growing a full cell again and again often replaces the same
@@ -306,10 +318,8 @@ def test_index_tracks_every_store(model, data):
             layer.reset()
         elif op == "save_load":
             layer = TmLayer.from_state(layer.to_state())
-        elif op == "rebuild":
-            layer._build_index()
-        else:
-            layer._refresh_index()
+        else:  # rebuild: the next read indexes every row afresh
+            layer._drop_index()
         assert_index_current(layer)
         for active in data.draw(st.lists(busy_sets, min_size=1, max_size=3)):
             assert_evals_current(layer, segments, active)
