@@ -93,9 +93,12 @@ def _finish(report, model, args, name: str) -> None:
         print(f"snapshot: {args.snapshot}")
 
 
-def _resumed_model(args):
+def _resumed_model(args, config: ExperimentConfig):
+    """The snapshot named by ``--resume``, or None. Refuses anything but a
+    sequence model whose encoder kind is the config's ``encoder.type``."""
     if getattr(args, "resume", None) is None:
         return None
+    from .encoders import ScalarEncoder
     from .experiments import SequenceModel
 
     model = persistence.load(args.resume)
@@ -103,12 +106,19 @@ def _resumed_model(args):
         raise ConfigError(
             [f"--resume expects a sequence_model snapshot, got {type(model).__name__}"]
         )
+    kind = "scalar" if isinstance(model.encoder, ScalarEncoder) else "category"
+    wanted = config.encoder.get("type", "category")
+    if kind != wanted:
+        raise ConfigError(
+            [f"--resume snapshot {args.resume} has a {kind} encoder, but the config's "
+             f"encoder.type is {wanted!r}"]
+        )
     return model
 
 
 def _cmd_sequence(args) -> int:
     config = _load_config(args.config, args.seed)
-    report, model, evaluations = run_sequence(config, model=_resumed_model(args))
+    report, model, evaluations = run_sequence(config, model=_resumed_model(args, config))
     for ev in evaluations:
         status = "ok" if ev["correct"] else "MISS"
         print(
@@ -126,7 +136,7 @@ def _cmd_anomaly(args) -> int:
     config = _load_config(args.config, args.seed)
     scalar = config.encoder.get("type") == "scalar"
     tokens = _read_stream(args.stream, scalar)
-    report, model = run_anomaly(config, tokens, model=_resumed_model(args))
+    report, model = run_anomaly(config, tokens, model=_resumed_model(args, config))
     summary = report.summary["anomaly"]
     print(
         f"steps: {len(report.steps)}  anomaly mean {summary['mean']:.4f} "
@@ -154,7 +164,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_pool(args) -> int:
     config = _load_config(args.config, args.seed)
-    report, model = run_pool(config, model=_resumed_model(args))
+    report, model = run_pool(config, model=_resumed_model(args, config))
     pooled = report.summary["stability_pooled"]
     l4 = report.summary["stability_l4"]
     print(f"stability pooled: {pooled:.4f}")

@@ -54,6 +54,8 @@ I_PRED = "I_pred"
 I_FF = "I_ff"
 P_BURST = "P_burst"
 I_SPREAD = "I_spread"
+# Their codes in ``FiringSequence.kinds``.
+_P_PRED, _I_PRED, _I_FF, _P_BURST, _I_SPREAD = range(5)
 
 
 class FiringEvent(NamedTuple):
@@ -137,15 +139,12 @@ def _record(units, kinds, rates) -> FiringSequence:
     return record
 
 
-def _firing_sequence(classes) -> FiringSequence:
-    """The step's firing sequence from its five classes, given in ``KINDS``
-    order as ``(units, rates)`` with ascending units: each class fastest
-    first, a stable sort breaking rate ties to the lower unit."""
-    orders = [np.argsort(-rates, kind="stable") for _, rates in classes]
-    units = np.concatenate([u[order] for (u, _), order in zip(classes, orders)], dtype=np.int64)
-    rates = np.concatenate([r[order] for (_, r), order in zip(classes, orders)])
-    kinds = np.repeat(np.arange(len(classes), dtype=np.uint8), [len(u) for u, _ in classes])
-    return _record(units, kinds, rates)
+def _firing_sequence(units, kinds, rates) -> FiringSequence:
+    """The step's firing sequence from its events, given with ascending units
+    within each kind: kinds in ``KINDS`` order, each fastest first, the
+    stable sort breaking rate ties to the lower unit."""
+    order = np.lexsort((-rates, kinds))
+    return _record(units[order], kinds[order], rates[order])
 
 
 def firing_time(rate: float, gamma: float = 1.0) -> float:
@@ -251,19 +250,6 @@ def _resized(a: np.ndarray, rows: int, fill) -> np.ndarray:
     out = np.full((rows,) + a.shape[1:], fill, dtype=a.dtype)
     out[: len(a)] = a
     return out
-
-
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` of non-negative integer keys, as
-    16-bit least-significant-digit passes: numpy sorts 16-bit keys by
-    counting, several times faster than it merge-sorts wider ones."""
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    top, shift = keys.max(initial=0), 16
-    while top >> shift:
-        digits = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digits, kind="stable")]
-        shift += 16
-    return order
 
 
 # Constructor arguments held by the transition layer itself. Snapshot params
@@ -411,10 +397,13 @@ class TmLayer:
     def _attach(self, pattern: PatternLayer, rng: np.random.Generator) -> None:
         """Take the proximal layer and the distal rng; start with no segments
         and no sequence state."""
+        n_cells = pattern.n_columns * self.cells_per_column
+        if n_cells >= 2**31:  # the presynaptic index packs a source into 31 bits
+            raise ValueError(f"cannot allocate a layer of {n_cells} cells: 2**31 or more")
         self.pattern = pattern
         self._rng = rng
         self.n_columns = pattern.n_columns
-        self.n_cells = self.n_columns * self.cells_per_column
+        self.n_cells = n_cells
 
         # Distal segments, one row each; the first ``_n_segments`` rows are in
         # use and capacity doubles as they fill. A cell's segments are its
@@ -605,9 +594,11 @@ class TmLayer:
         order, ptr, indexed = self._index
         if indexed < self._n_segments:
             # The new slots are larger than every indexed one, so putting
-            # each after its source's run keeps the run ascending.
+            # each after its source's run keeps the run ascending. Each key
+            # packs a source over its slot, so the packed keys have no ties
+            # and sort into the stable order.
             keys = self._sources[indexed : self._n_segments].reshape(-1)
-            new = _stable_argsort(keys)
+            new = np.sort((keys << 32) | np.arange(keys.size)) & 0xFFFFFFFF
             ends = keys[new] + 1
             order = np.insert(order, ptr[ends], indexed * self.synapses_per_segment + new)
             # ptr[c] moves up by the number of new slots whose source is below
@@ -750,67 +741,56 @@ class TmLayer:
         configuration). Ties go to the lower cell.
 
         Works on the ``[len(columns), cells_per_column]`` block of the active
-        columns' cells, one row per column. Returns the fired, predicted and
-        burst cells, each ascending, each row's winner offset, the block's
-        entries in ``evals``, how many columns held a predictive cell, and the
-        firing-sequence classes ``P_pred``, ``I_pred``, ``I_ff`` and
-        ``P_burst`` as ``(units, rates)`` with ascending units.
+        columns' cells, one row per column. Returns the fired cells
+        (ascending), whether each was predicted and its depolarisation rate,
+        which columns held a predictive cell, each row's winner offset and the
+        block's entries in ``evals``.
         """
         n = self.cells_per_column
         cells = columns[:, None] * n + np.arange(n)
         at = evals.lookup(cells)
         o_pred = evals.o_pred[at]
-        best = evals.best[at]
-        o_ff = self.alpha * raw[columns]
-        sheaths = sheath[columns]
-        pred = evals.predictive[at]
+        o_ff = self.alpha * raw[columns][:, None]
+        fired = pred = evals.predictive[at]
         predicted_columns = pred.any(axis=1)
         winners = np.argmax(np.where(pred, o_pred, -np.inf), axis=1)
-        predicted = cells[pred]
-        classes = [
-            (predicted, (o_ff[:, None] + self.beta * o_pred)[pred]),
-            (columns[predicted_columns], sheaths[predicted_columns]),
-        ]
-        # Most steps of a trained layer burst no column; the general path
-        # below gives the same result, but with a dozen more numpy calls.
-        if predicted_columns.all():
-            empty = columns[:0]
-            classes += [(empty, sheaths[:0]), (empty, o_ff[:0])]
-            return predicted, predicted, empty, winners, at, columns.size, classes
+        rates = o_ff + self.beta * o_pred
+        # Most steps of a trained layer burst no column; the block below
+        # gives the same result for them, but with a dozen more numpy calls.
+        if not predicted_columns.all():
+            bursting = ~predicted_columns
+            sheaths = sheath[columns]
+            sub = self.beta_sub * evals.o_sub[at]
+            d = o_ff + sub
+            t_cell = np.divide(self.gamma_p, d, out=np.full(d.shape, np.inf), where=d > 0)
+            t_sheath = np.divide(
+                self.gamma_inh, sheaths, out=np.full(sheaths.shape, np.inf), where=sheaths > 0
+            )
+            fire = t_cell < (t_sheath + self.dtau_vert)[:, None]
+            # The column won the feedforward competition; its fastest cell
+            # must represent it even when the vertical window is narrower
+            # than the sheath margin.
+            rows = np.arange(len(columns))
+            fire[rows, np.argmax(sub, axis=1)] |= ~fire.any(axis=1)
+            fired = pred | (fire & bursting[:, None])
+            rates = np.where(pred, rates, d)
 
-        bursting = ~predicted_columns
-        sub = self.beta_sub * evals.o_sub[at]
-        d = o_ff[:, None] + sub
-        t_cell = np.divide(self.gamma_p, d, out=np.full(d.shape, np.inf), where=d > 0)
-        t_sheath = np.divide(
-            self.gamma_inh, sheaths, out=np.full(sheaths.shape, np.inf), where=sheaths > 0
-        )
-        fire = t_cell < (t_sheath + self.dtau_vert)[:, None]
-        # The column won the feedforward competition; its fastest cell must
-        # represent it even when the vertical window is narrower than the
-        # sheath margin.
-        rows = np.arange(len(columns))
-        fire[rows, np.argmax(sub, axis=1)] |= ~fire.any(axis=1)
-        fire &= bursting[:, None]
-        burst = cells[fire]
-        classes += [(columns[bursting], sheaths[bursting]), (burst, d[fire])]
-
-        matched = np.argmax(best, axis=1)
-        winners = np.where(bursting, matched, winners)
-        blank = bursting & (best[rows, matched] < self._match_floor)
-        if blank.any():
-            counts = self._segment_counts[cells[blank]]
-            if self.blank_winner == "lowest":
-                winners[blank] = np.argmin(counts, axis=1)
-            else:
-                picks = []
-                for row in counts.tolist():
-                    fewest = min(row)
-                    pool = [i for i, k in enumerate(row) if k == fewest]
-                    picks.append(pool[int(self._rng.integers(len(pool)))])
-                winners[blank] = picks
-        hits = int(np.count_nonzero(predicted_columns))
-        return cells[pred | fire], predicted, burst, winners, at, hits, classes
+            best = evals.best[at]
+            matched = np.argmax(best, axis=1)
+            winners = np.where(bursting, matched, winners)
+            blank = bursting & (best[rows, matched] < self._match_floor)
+            if blank.any():
+                counts = self._segment_counts[cells[blank]]
+                if self.blank_winner == "lowest":
+                    winners[blank] = np.argmin(counts, axis=1)
+                else:
+                    picks = []
+                    for row in counts.tolist():
+                        fewest = min(row)
+                        pool = [i for i, k in enumerate(row) if k == fewest]
+                        picks.append(pool[int(self._rng.integers(len(pool)))])
+                    winners[blank] = picks
+        return cells[fired], pred[fired], rates[fired], predicted_columns, winners, at
 
     def _reinforce(self, rows: np.ndarray, on: np.ndarray) -> None:
         """Grow synapses on sources active in ``on``, shrink the rest."""
@@ -886,18 +866,23 @@ class TmLayer:
         active_columns = self._select_columns(raw, evals)
         columns = np.array(active_columns.active, dtype=np.intp)
         sheath = self.alpha_inh * raw
-        active, predicted, burst, offsets, at, hits, classes = self._fire(
+        active, is_pred, rates, predicted_columns, offsets, at = self._fire(
             columns, raw, sheath, evals
         )
+        predicted, burst = active[is_pred], active[~is_pred]
         winners = columns * self.cells_per_column + offsets
 
-        # Inactive columns' sheaths come last.
-        inactive = np.ones(self.n_columns, dtype=bool)
-        inactive[columns] = False
-        spread = np.flatnonzero(inactive)
-        classes.append((spread, sheath[spread]))
-        firing_sequence = _firing_sequence(classes)
+        # Each column's sheath kind: inactive columns' sheaths spread.
+        sheath_kinds = np.full(self.n_columns, _I_SPREAD, dtype=np.uint8)
+        sheath_kinds[columns] = np.where(predicted_columns, _I_PRED, _I_FF)
+        inactive = sheath_kinds == _I_SPREAD
+        firing_sequence = _firing_sequence(
+            np.concatenate((active, np.arange(self.n_columns))),
+            np.concatenate((np.where(is_pred, _P_PRED, _P_BURST).astype(np.uint8), sheath_kinds)),
+            np.concatenate((rates, sheath)),
+        )
 
+        hits = int(np.count_nonzero(predicted_columns))
         anomaly = 1.0 - hits / columns.size if columns.size else 0.0
 
         if learn:
@@ -997,7 +982,7 @@ def representation_views(output: LayerOutput) -> dict:
         return Sdr(n_columns, sorted({c // n for c in cells}))
 
     sequence = output.firing_sequence
-    cells = np.isin(sequence.kinds, [sequence.KINDS.index(P_PRED), sequence.KINDS.index(P_BURST)])
+    cells = (sequence.kinds == _P_PRED) | (sequence.kinds == _P_BURST)
     ordered = _record(*(a[cells] for a in sequence._arrays()))
     return {
         "columnar": output.active_columns,

@@ -665,3 +665,35 @@ def test_bad_cli_input_exits_2(tmp_path, capsys, make_argv, message):
     assert main(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+ENCODER_OVERRIDES = {
+    "category": None,
+    "scalar": {"encoder": SCALAR_ENCODER, "sequences": SCALAR_SEQUENCES},
+}
+
+
+@pytest.mark.parametrize(
+    "command, saved_kind, config_kind",
+    [
+        ("sequence", "scalar", "category"),
+        ("anomaly", "scalar", "category"),
+        ("anomaly", "category", "scalar"),
+        ("sequence", "category", "scalar"),
+    ],
+)
+def test_resume_with_another_encoder_kind_exits_2(
+    tmp_path, capsys, command, saved_kind, config_kind
+):
+    saved = write_config(tmp_path, ENCODER_OVERRIDES[saved_kind], name="saved.json")
+    config = write_config(tmp_path, ENCODER_OVERRIDES[config_kind])
+    snap = tmp_path / "model.npz"
+    assert main(["sequence", "--config", str(saved), "--snapshot", str(snap)]) == 0
+    argv = [command, "--config", str(config), "--resume", str(snap)]
+    if command == "anomaly":
+        argv.append(_written(tmp_path, "stream.txt", "1\n2\n3\n"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"has a {saved_kind} encoder, but the config's encoder.type is '{config_kind}'" in err
+    assert "Traceback" not in err

@@ -586,6 +586,12 @@ class TestParameterChecks:
         layer = small_layer(initial_segment_permanence=1.0, sigma_dec=1.0, delta_dec=0.0)
         assert (layer.initial_segment_permanence, layer.sigma_dec) == (1.0, 1.0)
 
+    def test_layer_of_2_31_cells_rejected(self):
+        # The presynaptic index packs each source cell into 31 bits; the
+        # refusal comes before any distal array is allocated.
+        with pytest.raises(ValueError, match=r"layer of 2147483648 cells"):
+            small_layer(n_columns=2, n_active=1, cells_per_column=2**30)
+
     def test_infinite_segment_spike_rejected(self):
         with pytest.raises(ValueError, match="spike_size"):
             small_layer().add_segment(0, [5], [0.5], spike_size=INF)
