@@ -18,6 +18,7 @@ from . import persistence
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    SequenceModel,
     run_anomaly,
     run_pool,
     run_sequence,
@@ -98,20 +99,15 @@ def _resumed_model(args, config: ExperimentConfig):
     sequence model whose encoder kind is the config's ``encoder.type``."""
     if getattr(args, "resume", None) is None:
         return None
-    from .encoders import ScalarEncoder
-    from .experiments import SequenceModel
-
     model = persistence.load(args.resume)
     if not isinstance(model, SequenceModel):
         raise ConfigError(
             [f"--resume expects a sequence_model snapshot, got {type(model).__name__}"]
         )
-    kind = "scalar" if isinstance(model.encoder, ScalarEncoder) else "category"
-    wanted = config.encoder.get("type", "category")
-    if kind != wanted:
+    if model.encoder_kind != config.encoder_type:
         raise ConfigError(
-            [f"--resume snapshot {args.resume} has a {kind} encoder, but the config's "
-             f"encoder.type is {wanted!r}"]
+            [f"--resume snapshot {args.resume} has a {model.encoder_kind} encoder, but the "
+             f"config's encoder.type is {config.encoder_type!r}"]
         )
     return model
 
@@ -134,7 +130,7 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_anomaly(args) -> int:
     config = _load_config(args.config, args.seed)
-    scalar = config.encoder.get("type") == "scalar"
+    scalar = config.encoder_type == "scalar"
     tokens = _read_stream(args.stream, scalar)
     report, model = run_anomaly(config, tokens, model=_resumed_model(args, config))
     summary = report.summary["anomaly"]

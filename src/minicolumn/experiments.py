@@ -41,6 +41,9 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {e}" for e in errors))
 
 
+# Encoder classes by kind: a config's ``encoder.type`` and a snapshot's
+# ``encoder_kind``.
+_ENCODERS = {"category": CategoryEncoder, "scalar": ScalarEncoder}
 _ENCODER_KEYS = {
     "category": {"type", "universe_size", "active_bits"},
     "scalar": {"type", "universe_size", "active_bits", "min_value", "max_value"},
@@ -54,7 +57,7 @@ def _keywords(*classes) -> frozenset:
     return frozenset(names - {"input_size", "seed", "kwargs"})
 
 
-_LAYER_KEYS = _keywords(TmLayer)
+_LAYER_KEYS = _keywords(TmLayer, PatternLayer)
 _POOL_KEYS = _keywords(PoolingLayer, PatternLayer)
 
 
@@ -107,6 +110,11 @@ class ExperimentConfig:
     noise: dict | None = None
     eval_cycles: int = 5
 
+    @property
+    def encoder_type(self) -> str:
+        """The encoder kind, ``category`` unless the config says otherwise."""
+        return self.encoder.get("type", "category")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         errors: list[str] = []
@@ -129,7 +137,7 @@ class ExperimentConfig:
             encoder = {}
         else:
             enc_type = encoder.get("type", "category")
-            if enc_type not in _ENCODER_KEYS:
+            if enc_type not in _ENCODERS:
                 errors.append(f"encoder.type must be 'category' or 'scalar', got {enc_type!r}")
             else:
                 for key in sorted(set(encoder) - _ENCODER_KEYS[enc_type]):
@@ -229,9 +237,14 @@ class SequenceModel:
     def encode(self, token):
         return self.encoder.encode(token)
 
+    @property
+    def encoder_kind(self) -> str:
+        """The encoder's kind, as ``_ENCODERS`` names it."""
+        return next(kind for kind, cls in _ENCODERS.items() if isinstance(self.encoder, cls))
+
     def to_state(self) -> dict:
         state = {
-            "encoder_kind": "scalar" if isinstance(self.encoder, ScalarEncoder) else "category",
+            "encoder_kind": self.encoder_kind,
             "encoder": self.encoder.to_state(),
             "tm": self.tm.to_state(),
         }
@@ -241,9 +254,11 @@ class SequenceModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "SequenceModel":
-        enc_cls = ScalarEncoder if state["encoder_kind"] == "scalar" else CategoryEncoder
+        kind = state["encoder_kind"]
+        if not (isinstance(kind, str) and kind in _ENCODERS):
+            raise ValueError(f"encoder_kind must be one of {sorted(_ENCODERS)}, got {kind!r}")
         model = cls(
-            encoder=enc_cls.from_state(state["encoder"]),
+            encoder=_ENCODERS[kind].from_state(state["encoder"]),
             tm=TmLayer.from_state(state["tm"]),
             pool=PoolingLayer.from_state(state["pool"]) if "pool" in state else None,
         )
@@ -269,12 +284,10 @@ def _construct(section: str, cls, **kwargs):
 
 
 def build_model(config: ExperimentConfig, with_pool: bool = False) -> SequenceModel:
-    enc = dict(config.encoder)
-    enc_type = enc.pop("type", "category")
-    if enc_type == "scalar":
-        encoder = _construct("encoder", ScalarEncoder, **enc)
-    else:
-        encoder = _construct("encoder", CategoryEncoder, **enc, rng_seed=config.seed)
+    enc = {key: value for key, value in config.encoder.items() if key != "type"}
+    if config.encoder_type == "category":
+        enc["rng_seed"] = config.seed
+    encoder = _construct("encoder", _ENCODERS[config.encoder_type], **enc)
 
     layer = dict(config.layer)
     if layer.get("dtau_vert") == "inf":
@@ -423,33 +436,25 @@ def run_pool(config: ExperimentConfig, model: SequenceModel | None = None):
 
     t = 0
     prev = None
-    for _ in range(spec.repeats):
-        for token in spec.tokens:
-            output = tm.step(model.encode(token))
-            pooled = pool.tp_step(output)
-            pool.tp_learn(output, pooled)
-            record = _layer_record(t, output, prev)
-            record["token"] = str(token)
-            record["pooled"] = list(pooled.active)
-            report.add(record)
-            prev = output
-            t += 1
-
     l4_history: list[Sdr] = []
     pooled_history: list[Sdr] = []
-    for _ in range(config.eval_cycles):
-        for token in spec.tokens:
-            output = tm.step(model.encode(token), learn=False)
-            pooled = pool.tp_step(output)
-            l4_history.append(output.active_cells)
-            pooled_history.append(pooled)
-            record = _layer_record(t, output, prev)
-            record["token"] = str(token)
-            record["pooled"] = list(pooled.active)
-            record["phase"] = "eval"
-            report.add(record)
-            prev = output
-            t += 1
+    for learn, cycles in ((True, spec.repeats), (False, config.eval_cycles)):
+        for _ in range(cycles):
+            for token in spec.tokens:
+                output = tm.step(model.encode(token), learn=learn)
+                pooled = pool.tp_step(output)
+                record = _layer_record(t, output, prev)
+                record["token"] = str(token)
+                record["pooled"] = list(pooled.active)
+                if learn:
+                    pool.tp_learn(output, pooled)
+                else:
+                    record["phase"] = "eval"
+                    l4_history.append(output.active_cells)
+                    pooled_history.append(pooled)
+                report.add(record)
+                prev = output
+                t += 1
 
     report.finalize()
     report.summary["stability_pooled"] = stability(pooled_history, pool.n_active)

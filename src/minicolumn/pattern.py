@@ -163,7 +163,7 @@ class PatternLayer:
     @connect_threshold.setter
     def connect_threshold(self, value) -> None:
         if not 0.0 <= value <= 1.0:
-            raise ValueError("connect_threshold must be in [0, 1]")
+            raise ValueError(f"connect_threshold must be in [0, 1], got {value}")
         self._connect_threshold = float(value)
         self._connected = None
 
@@ -250,6 +250,12 @@ class PatternLayer:
         cover its input; this is what makes recognition survive noise.
         """
         self._check_input(x_ff)
+        self._learn_rows(winners, x_ff.dense(), self.delta_inc, self.delta_dec)
+
+    def _learn_rows(self, winners: Sdr, on: np.ndarray, inc, dec) -> None:
+        """The Hebbian update of the rows of ``winners`` over the dense input
+        ``on``. ``inc`` and ``dec`` are both scalars, or both per-input-bit
+        arrays, read at each synapse's source."""
         self._check_winners(winners)
         if not winners.active:
             return
@@ -257,8 +263,10 @@ class PatternLayer:
         sources = self._sources[w]
         old = self._permanences[w]
         # take() gathers with int32 indices ~2x faster than fancy indexing
-        on = x_ff.dense().take(sources)
-        self._write_rows(w, sources, old, _hebbian(old, on, self.delta_inc, self.delta_dec))
+        on = on.take(sources)
+        if isinstance(inc, np.ndarray):
+            inc, dec = inc.take(sources), dec.take(sources)
+        self._write_rows(w, sources, old, _hebbian(old, on, inc, dec))
 
     def reconstruct(self, winners: Sdr) -> np.ndarray:
         """Summed back-projection of the winners' connected synapses."""

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pattern import PatternLayer, _check_finite, _check_unit, _hebbian
+from .pattern import PatternLayer, _check_finite, _check_unit
 from .sdr import Sdr, overlap
 from .transition import LayerOutput
 
@@ -89,22 +89,19 @@ class PoolingLayer(PatternLayer):
     def tp_learn(self, l4: LayerOutput, winners: Sdr) -> None:
         """Hebbian update with per-synapse rates picked by source class.
 
-        Synapses onto predicted cells use the predicted rate pair, synapses
-        onto bursting cells the bursting pair; synapses whose source stayed
-        silent decay at the bursting rate.
+        Synapses onto predicted cells use the predicted rate pair and all
+        others the bursting pair, so synapses onto bursting cells grow at the
+        bursting rate and those whose source stayed silent, unpredicted,
+        decay at it.
         """
         self._check_input(l4.active_cells)
-        self._check_winners(winners)
-        if not winners.active:
-            return
-        w = list(winners.active)
-        sources = self._sources[w]
-        old = self._permanences[w]
-        on = l4.active_cells.dense().take(sources)
-        pred_src = l4.predicted_cells.dense().take(sources)
-        inc = np.where(pred_src, self.delta_inc_pred, self.delta_inc_burst)
-        dec = np.where(pred_src, self.delta_dec_pred, self.delta_dec_burst)
-        self._write_rows(w, sources, old, _hebbian(old, on, inc, dec))
+        predicted = l4.predicted_cells.dense()
+        self._learn_rows(
+            winners,
+            l4.active_cells.dense(),
+            np.where(predicted, self.delta_inc_pred, self.delta_inc_burst),
+            np.where(predicted, self.delta_dec_pred, self.delta_dec_burst),
+        )
 
     def to_state(self) -> dict:
         state = super().to_state()

@@ -277,14 +277,6 @@ class TmLayer:
         n_columns: int,
         cells_per_column: int,
         *,
-        n_active: int | None = None,
-        sparsity: float = 0.02,
-        n_synapses: int | None = None,
-        potential_fraction: float = 0.5,
-        connect_threshold: float = 0.2,
-        delta_inc: float = 0.05,
-        delta_dec: float = 0.008,
-        min_overlap: int = 1,
         alpha: float = 1.0,
         beta: float = 0.5,
         beta_sub: float = 0.0,
@@ -304,26 +296,23 @@ class TmLayer:
         initial_segment_permanence: float | None = None,
         blank_winner: str = "random",
         seed: int = 0,
+        **kwargs,
     ):
+        """``kwargs`` are the proximal layer's keywords, as ``PatternLayer``
+        takes them. ``initial_segment_permanence`` defaults to its
+        ``connect_threshold`` + 0.05."""
+        pattern_ss, distal_ss = np.random.SeedSequence(seed).spawn(2)
+        pattern = PatternLayer(input_size, n_columns, seed=pattern_ss, **kwargs)
         if initial_segment_permanence is None:
-            initial_segment_permanence = connect_threshold + 0.05
+            initial_segment_permanence = pattern.connect_threshold + 0.05
+            if initial_segment_permanence > 1.0:
+                raise ValueError(
+                    f"initial_segment_permanence must be in [0, 1], got "
+                    f"{initial_segment_permanence}, derived from connect_threshold "
+                    f"{pattern.connect_threshold} + 0.05; give it explicitly"
+                )
         given = locals()  # the distal arguments, by the names in _DISTAL_PARAMS
         self._configure(cells_per_column, **{name: given[name] for name in _DISTAL_PARAMS})
-        root = np.random.SeedSequence(seed)
-        pattern_ss, distal_ss = root.spawn(2)
-        pattern = PatternLayer(
-            input_size,
-            n_columns,
-            n_active=n_active,
-            sparsity=sparsity,
-            n_synapses=n_synapses,
-            potential_fraction=potential_fraction,
-            connect_threshold=connect_threshold,
-            delta_inc=delta_inc,
-            delta_dec=delta_dec,
-            min_overlap=min_overlap,
-            seed=pattern_ss,
-        )
         self._attach(pattern, np.random.default_rng(distal_ss))
 
     def _configure(
@@ -792,10 +781,11 @@ class TmLayer:
                     winners[blank] = picks
         return cells[fired], pred[fired], rates[fired], predicted_columns, winners, at
 
-    def _reinforce(self, rows: np.ndarray, on: np.ndarray) -> None:
-        """Grow synapses on sources active in ``on``, shrink the rest."""
+    def _reinforce(self, rows: np.ndarray, on: np.ndarray, inc, dec) -> None:
+        """The Hebbian update of segment ``rows``: synapses on sources active
+        in ``on`` scale by (1 + inc), the rest by (1 - dec)."""
         self._permanences[rows] = _hebbian(
-            self._permanences[rows], on[self._sources[rows]], self.sigma_inc, self.sigma_dec
+            self._permanences[rows], on[self._sources[rows]], inc, dec
         )
 
     def _grow_segment(self, cell: int, prev_winners: Sdr) -> None:
@@ -835,11 +825,7 @@ class TmLayer:
         on = evals.on
         if self.sigma_punish > 0.0:
             punish = evals.predictive[evals.rank] & inactive[evals.cells // self.cells_per_column]
-            rows = evals.rows[evals.active & punish]
-            p = self._permanences[rows]
-            self._permanences[rows] = np.where(
-                on[self._sources[rows]], p * (1.0 - self.sigma_punish), p
-            )
+            self._reinforce(evals.rows[evals.active & punish], on, -self.sigma_punish, 0.0)
 
         # The padding entry may be marked too; no scored segment ranks there.
         is_winner = np.zeros(evals.owners.size, dtype=bool)
@@ -855,7 +841,7 @@ class TmLayer:
             hit = evals.raw == target[evals.rank]
             lowest = np.unique(evals.rank[hit], return_index=True)[1]
             reinforce = np.concatenate((reinforce, evals.rows[hit][lowest]))
-        self._reinforce(reinforce, on)
+        self._reinforce(reinforce, on, self.sigma_inc, self.sigma_dec)
         for cell in winners[quiet & ~matching].tolist():
             self._grow_segment(cell, prev_winners)
 

@@ -199,6 +199,18 @@ CASES = [
     ),
     ("segment-too-long", edit_header(overlong_segment), SnapshotValidationError, "synapses_per_segment"),
     (
+        "encoder-kind-unknown",
+        edit_header(lambda s: s.update(encoder_kind="bogus")),
+        SnapshotValidationError,
+        "encoder_kind",
+    ),
+    (
+        "encoder-kind-list",
+        edit_header(lambda s: s.update(encoder_kind=["x"])),
+        SnapshotValidationError,
+        "encoder_kind",
+    ),
+    (
         # the fixture predicts 9 cells; the copy lists 8
         "prev-predictive-disagrees",
         edit_header(lambda s: s["tm"]["prev_predictive"].pop()),

@@ -203,11 +203,12 @@ def keyword_defaults(*classes) -> dict:
 class TestConfigKeys:
     def test_every_constructor_keyword_accepted(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
-        raw["layer"] = {**keyword_defaults(TmLayer), **raw["layer"]}
+        raw["layer"] = {**keyword_defaults(PatternLayer, TmLayer), **raw["layer"]}
         raw["pool"] = {**keyword_defaults(PatternLayer, PoolingLayer), "n_columns": 32}
-        assert set(raw["layer"]) == set(inspect.signature(TmLayer).parameters) - {
-            "input_size", "seed"
-        }
+        assert set(raw["layer"]) == (
+            set(inspect.signature(PatternLayer).parameters)
+            | set(inspect.signature(TmLayer).parameters)
+        ) - {"input_size", "seed", "kwargs"}
         assert set(raw["pool"]) == (
             set(inspect.signature(PatternLayer).parameters)
             | set(inspect.signature(PoolingLayer).parameters)
@@ -358,6 +359,14 @@ class TestSequenceCommand:
             ("beta", "NaN", "beta must be finite, got nan"),
             ("spike_size", "Infinity", "spike_size must be positive and finite"),
             ("activation_threshold", "Infinity", "activation_threshold must be finite, got inf"),
+            ("connect_threshold", "1.5", "connect_threshold must be in [0, 1], got 1.5"),
+            ("connect_threshold", "NaN", "connect_threshold must be in [0, 1], got nan"),
+            (
+                "connect_threshold",
+                "0.97",
+                "initial_segment_permanence must be in [0, 1], got 1.02, derived from "
+                "connect_threshold 0.97 + 0.05",
+            ),
         ],
     )
     def test_value_the_model_cannot_use_exits_2(self, tmp_path, capsys, key, value, message):

@@ -14,7 +14,8 @@ with the dense formula. Shapes include one synapse per neuron and
 empty and the full input.
 
 The top-k selection and the Hebbian update are checked the same way, against
-the stable-argsort selection and the ``np.where`` update they replaced.
+the stable-argsort selection and the ``np.where`` update they replaced, and
+so are distal punishment and ``tp_learn``, which go through the same update.
 """
 
 import numpy as np
@@ -395,10 +396,67 @@ def test_hebbian_matches_where_formula(rows, width, data):
 
     p = matrix(PERMANENCE)
     on = matrix(st.booleans()).astype(bool)
-    if data.draw(st.booleans(), label="per-synapse rates"):
+    rates = data.draw(st.sampled_from(["scalar", "per-synapse", "punish"]), label="rates")
+    if rates == "punish":
+        # distal punishment: scale the synapses on active sources by (1 - s),
+        # leave the rest; distal permanences never exceed 1
+        p = np.minimum(p, 1.0)
+        s = data.draw(DECREMENT)
+        got = _hebbian(p, on, -s, 0.0)
+        assert got.tobytes() == np.where(on, p * (1.0 - s), p).tobytes()
+        return
+    if rates == "per-synapse":
         inc, dec = matrix(INCREMENT), matrix(DECREMENT)
     else:
         inc, dec = data.draw(INCREMENT), data.draw(DECREMENT)
     got = _hebbian(p, on, inc, dec)
     assert got.dtype == np.float64 and got.shape == p.shape
     assert got.tobytes() == oracle_hebbian(p, on, inc, dec).tobytes()
+
+
+def oracle_tp_learn(pool, l4, winners):
+    """The pooling layer's permanences after ``tp_learn``, by the per-synapse
+    rule: each winner's synapse reads whether its source is active and
+    whether it is predicted, picks the predicted or the bursting rate pair by
+    the latter, and takes the Hebbian update."""
+    p = pool.permanences.copy()
+    w = list(winners.active)
+    sources = pool.sources[w]
+    on = l4.active_cells.dense()[sources]
+    pred = l4.predicted_cells.dense()[sources]
+    inc = np.where(pred, pool.delta_inc_pred, pool.delta_inc_burst)
+    dec = np.where(pred, pool.delta_dec_pred, pool.delta_dec_burst)
+    p[w] = oracle_hebbian(p[w], on, inc, dec)
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tp_learn_matches_per_synapse_rule(data):
+    input_size = data.draw(st.integers(1, 48))
+    n_columns = data.draw(st.integers(1, 12))
+    inc_burst, inc_pred = sorted(data.draw(st.lists(INCREMENT, min_size=2, max_size=2)))
+    dec_pred, dec_burst = sorted(data.draw(st.lists(DECREMENT, min_size=2, max_size=2)))
+    pool = PoolingLayer(
+        input_size,
+        n_columns,
+        n_active=data.draw(st.integers(1, n_columns)),
+        n_synapses=data.draw(st.integers(1, input_size)),
+        connect_threshold=data.draw(UNIT),
+        delta_inc_pred=inc_pred,
+        delta_dec_pred=dec_pred,
+        delta_inc_burst=inc_burst,
+        delta_dec_burst=dec_burst,
+        seed=data.draw(st.integers(0, 2**16)),
+    )
+    pool.raw_overlaps(Sdr(input_size))  # build the matrix, so learning maintains it
+    for _ in range(data.draw(st.integers(1, 4))):
+        active = data.draw(inputs(input_size))
+        # predicted cells may lie outside the active ones
+        predicted = data.draw(inputs(input_size))
+        l4 = layer_output(active, predicted)
+        winners = Sdr(n_columns, data.draw(st.sets(st.integers(0, n_columns - 1))))
+        expected = oracle_tp_learn(pool, l4, winners)
+        pool.tp_learn(l4, winners)
+        assert pool.permanences.tobytes() == expected.tobytes()
+        assert_connections_current(pool)

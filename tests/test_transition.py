@@ -293,7 +293,8 @@ class TestDistalLearning:
     def test_reinforce_active_synapse(self):
         layer = small_layer(sigma_inc=0.1, sigma_dec=0.05)
         row = layer.add_segment(0, [1, 2], [0.4, 0.4], activation_threshold=1)
-        layer._reinforce(np.array([row]), layer._eval_segments([1]).on)
+        on = layer._eval_segments([1]).on
+        layer._reinforce(np.array([row]), on, layer.sigma_inc, layer.sigma_dec)
         (seg,) = layer.segments[0]
         assert seg.permanences[0] == pytest.approx(0.44)
         assert seg.permanences[1] == pytest.approx(0.38)
