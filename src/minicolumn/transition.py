@@ -139,12 +139,26 @@ def _record(units, kinds, rates) -> FiringSequence:
     return record
 
 
-def _firing_sequence(units, kinds, rates) -> FiringSequence:
-    """The step's firing sequence from its events, given with ascending units
-    within each kind: kinds in ``KINDS`` order, each fastest first, the
-    stable sort breaking rate ties to the lower unit."""
+def _firing_sequence(units, kinds, rates, raw, n_synapses, sheath, inactive) -> FiringSequence:
+    """The step's firing sequence: kinds in ``KINDS`` order, each fastest
+    first, the stable sorts breaking rate ties to the lower unit.
+
+    ``units``, ``kinds`` and ``rates`` are the fired cells and the active
+    columns' sheaths, with ascending units within each kind. The spreading
+    sheaths, last, are the ``inactive`` columns' rates in ``sheath``, which
+    rise strictly with their overlaps ``raw`` (at most ``n_synapses``). So
+    ``n_synapses - raw`` orders them, and in an unsigned type of 16 bits or
+    less numpy's stable sort is a radix sort.
+    """
     order = np.lexsort((-rates, kinds))
-    return _record(units[order], kinds[order], rates[order])
+    key = (n_synapses - raw).astype(np.min_scalar_type(n_synapses))
+    spread = np.argsort(key, kind="stable")
+    spread = spread[inactive[spread]]
+    return _record(
+        np.concatenate((units[order], spread)),
+        np.concatenate((kinds[order], np.full(spread.size, _I_SPREAD, dtype=np.uint8))),
+        np.concatenate((rates[order], sheath[spread])),
+    )
 
 
 def firing_time(rate: float, gamma: float = 1.0) -> float:
@@ -389,6 +403,18 @@ class TmLayer:
         n_cells = pattern.n_columns * self.cells_per_column
         if n_cells >= 2**31:  # the presynaptic index packs a source into 31 bits
             raise ValueError(f"cannot allocate a layer of {n_cells} cells: 2**31 or more")
+        # _firing_sequence orders the sheaths by overlap, which is their order
+        # by rate only while the rate rises strictly with the overlap; _fire
+        # times a sheath as gamma_inh / rate, slowest at overlap 1.
+        with np.errstate(over="ignore"):
+            rates = self.alpha_inh * np.arange(pattern.n_synapses + 1)
+        rising = (rates[1:] > rates[:-1]).all() and np.isfinite(rates[-1])
+        if not (rising and math.isfinite(self.gamma_inh / self.alpha_inh)):
+            raise ValueError(
+                f"alpha_inh * overlap must be finite and rise strictly for overlaps 0 to "
+                f"n_synapses={pattern.n_synapses}, with gamma_inh / alpha_inh finite; got "
+                f"alpha_inh={self.alpha_inh!r}"
+            )
         self.pattern = pattern
         self._rng = rng
         self.n_columns = pattern.n_columns
@@ -773,12 +799,11 @@ class TmLayer:
                 if self.blank_winner == "lowest":
                     winners[blank] = np.argmin(counts, axis=1)
                 else:
-                    picks = []
-                    for row in counts.tolist():
-                        fewest = min(row)
-                        pool = [i for i, k in enumerate(row) if k == fewest]
-                        picks.append(pool[int(self._rng.integers(len(pool)))])
-                    winners[blank] = picks
+                    # One draw for every row gives the values and the rng
+                    # state of one scalar draw per row, in row order.
+                    pool = counts == counts.min(axis=1, keepdims=True)
+                    k = self._rng.integers(np.count_nonzero(pool, axis=1))
+                    winners[blank] = np.argmax(np.cumsum(pool, axis=1) > k[:, None], axis=1)
         return cells[fired], pred[fired], rates[fired], predicted_columns, winners, at
 
     def _reinforce(self, rows: np.ndarray, on: np.ndarray, inc, dec) -> None:
@@ -858,14 +883,20 @@ class TmLayer:
         predicted, burst = active[is_pred], active[~is_pred]
         winners = columns * self.cells_per_column + offsets
 
-        # Each column's sheath kind: inactive columns' sheaths spread.
-        sheath_kinds = np.full(self.n_columns, _I_SPREAD, dtype=np.uint8)
-        sheath_kinds[columns] = np.where(predicted_columns, _I_PRED, _I_FF)
-        inactive = sheath_kinds == _I_SPREAD
+        # Inactive columns' sheaths spread.
+        inactive = np.ones(self.n_columns, dtype=bool)
+        inactive[columns] = False
+        kinds = np.concatenate(
+            (np.where(is_pred, _P_PRED, _P_BURST), np.where(predicted_columns, _I_PRED, _I_FF))
+        )
         firing_sequence = _firing_sequence(
-            np.concatenate((active, np.arange(self.n_columns))),
-            np.concatenate((np.where(is_pred, _P_PRED, _P_BURST).astype(np.uint8), sheath_kinds)),
-            np.concatenate((rates, sheath)),
+            np.concatenate((active, columns)),
+            kinds.astype(np.uint8),
+            np.concatenate((rates, sheath[columns])),
+            raw,
+            self.pattern.n_synapses,
+            sheath,
+            inactive,
         )
 
         hits = int(np.count_nonzero(predicted_columns))

@@ -4,8 +4,9 @@ anomaly score, one column at a time.
 This is ``TmLayer._select_columns`` (with ``PatternLayer._select``),
 ``TmLayer._fire``, and the firing-sequence assembly and anomaly score of
 ``TmLayer.step``, as they were before the step worked on the block of active
-columns' cells. They are kept as the reference the block form is tested
-against. ``layer`` supplies the parameters, the segment counts and the rng.
+columns' cells, plus ``lexsorted``, the firing order as one sort of every
+event. They are kept as the reference the block form is tested against.
+``layer`` supplies the parameters, the segment counts and the rng.
 """
 
 from __future__ import annotations
@@ -130,6 +131,16 @@ def firing_sequence(layer, columns: list[int], raw: np.ndarray, fired) -> tuple:
         + sorted(ev_p_burst, key=order)
         + list(map(_new_event, ev_spread))
     )
+
+
+def lexsorted(units, kinds, rates):
+    """Every event of a step, given with ascending units within each kind, in
+    firing order: kinds in ``KINDS`` order, each fastest first, ties to the
+    lower unit. This is one stable lexsort over all of them, as
+    ``transition._firing_sequence`` was before it sorted the spreading
+    sheaths by their overlaps."""
+    order = np.lexsort((-rates, kinds))
+    return units[order], kinds[order], rates[order]
 
 
 def anomaly(layer, columns: list[int]) -> float:

@@ -211,6 +211,13 @@ CASES = [
         "encoder_kind",
     ),
     (
+        # 1e308 * 2 overflows: the sheath rates stop rising at overlap 2 of 16
+        "alpha-inh-overflows",
+        edit_header(lambda s: s["tm"]["params"].update(alpha_inh=1e308)),
+        SnapshotValidationError,
+        "alpha_inh * overlap must be finite",
+    ),
+    (
         # the fixture predicts 9 cells; the copy lists 8
         "prev-predictive-disagrees",
         edit_header(lambda s: s["tm"]["prev_predictive"].pop()),

@@ -367,8 +367,15 @@ class TestSequenceCommand:
                 "initial_segment_permanence must be in [0, 1], got 1.02, derived from "
                 "connect_threshold 0.97 + 0.05",
             ),
+            (
+                "alpha_inh",
+                "1e308",
+                "alpha_inh * overlap must be finite and rise strictly for overlaps 0 to "
+                "n_synapses=128, with gamma_inh / alpha_inh finite; got alpha_inh=1e+308",
+            ),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_value_the_model_cannot_use_exits_2(self, tmp_path, capsys, key, value, message):
         # JSON has no NaN or Infinity, but Python's parser reads both.
         text = json.dumps(BASE_CONFIG).replace('"n_active": 4', f'"n_active": 4, "{key}": {value}')

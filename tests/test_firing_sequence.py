@@ -1,18 +1,28 @@
 """``FiringSequence``: the columnar record ``TmLayer.step`` returns as
 ``LayerOutput.firing_sequence``, read against the tuple of events it stands
-for, on the random layers of ``test_fire_kernel.scenarios``."""
+for, on the random layers of ``test_fire_kernel.scenarios``; and the order
+``_firing_sequence`` builds, against one lexsort of every event."""
 
 import copy
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minicolumn import FiringSequence, Sdr
-from minicolumn.transition import FiringEvent
+from minicolumn import FiringSequence, Sdr, TmLayer
+from minicolumn.transition import (
+    _I_FF,
+    _I_PRED,
+    _I_SPREAD,
+    _P_BURST,
+    _P_PRED,
+    FiringEvent,
+    _firing_sequence,
+)
 
+import oracle_fire as oracle
 from test_fire_kernel import scenarios
 
 
@@ -164,3 +174,74 @@ def test_constructor_copies():
     units[0] = 7
     assert tuple(record) == (FiringEvent(3, "P_pred", 2.0), FiringEvent(1, "I_spread", 1.0))
     assert units.flags.writeable
+
+
+@st.composite
+def step_pieces(draw):
+    """The pieces of one step's firing sequence, for a sheath rate the layer
+    accepts: the fired cells, each active column's sheath, and every column's
+    overlap, with many tied overlaps and rates."""
+    n_synapses = draw(
+        st.integers(1, 12) | st.integers(250, 700) | st.sampled_from([65535, 65536]),
+        label="n_synapses",
+    )
+    alpha = draw(st.sampled_from([1.0, 0.7, 1e-300]))
+    gamma_p, gamma_inh = draw(st.sampled_from([1.0, 0.8, 2.0])), draw(st.sampled_from([1.0, 1.3]))
+    bound = alpha * gamma_inh / gamma_p
+    factor = draw(st.just(1.0) | st.floats(1.0001, 10.0) | st.integers(1, 300).map(10.0.__pow__))
+    # at least the next float above the bound
+    alpha_inh = max(bound * factor, float(np.nextafter(bound, np.inf)))
+    try:  # the layer holds the rule the order relies on
+        TmLayer(
+            n_synapses, 1, 1, n_active=1, n_synapses=n_synapses, alpha=alpha, gamma_p=gamma_p,
+            gamma_inh=gamma_inh, alpha_inh=alpha_inh,
+        )
+    except ValueError as exc:
+        assert "alpha_inh * overlap" in str(exc)
+        assume(False)
+
+    n_columns, cells = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    levels = draw(st.lists(st.integers(0, n_synapses), min_size=1, max_size=4))
+    raw = draw(st.lists(st.sampled_from(levels), min_size=n_columns, max_size=n_columns))
+    raw = np.array(raw, dtype=np.intp)
+    every = list(range(n_columns))
+    some = st.lists(st.sampled_from(every), unique=True).map(sorted)
+    columns = np.array(draw(st.just(every) | st.just([]) | some), dtype=np.intp)
+    predicted = draw(st.lists(st.booleans(), min_size=columns.size, max_size=columns.size))
+    rates = st.sampled_from([0.0, 0.5, 1.0, 3.0])
+    fired = [
+        (m * cells + i, _P_PRED if p else _P_BURST, draw(rates))
+        for m, p in zip(columns.tolist(), predicted)
+        for i in sorted(draw(st.sets(st.integers(0, cells - 1), min_size=1)))
+    ]
+    return n_synapses, alpha_inh, raw, columns, predicted, fired
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_pieces())
+def test_firing_sequence_is_one_lexsort_of_every_event(pieces):
+    n_synapses, alpha_inh, raw, columns, predicted, fired = pieces
+    n_columns = raw.size
+    sheath = alpha_inh * raw
+    inactive = np.ones(n_columns, dtype=bool)
+    inactive[columns] = False
+    cells = np.array([c for c, _, _ in fired], dtype=np.int64)
+    cell_kinds = np.array([k for _, k, _ in fired], dtype=np.uint8)
+    cell_rates = np.array([r for _, _, r in fired], dtype=np.float64)
+    column_kinds = np.array([_I_PRED if p else _I_FF for p in predicted], dtype=np.uint8)
+    record = _firing_sequence(
+        np.concatenate((cells, columns)),
+        np.concatenate((cell_kinds, column_kinds)),
+        np.concatenate((cell_rates, sheath[columns])),
+        raw, n_synapses, sheath, inactive,
+    )
+
+    sheath_kinds = np.full(n_columns, _I_SPREAD, dtype=np.uint8)
+    sheath_kinds[columns] = column_kinds
+    expected = oracle.lexsorted(
+        np.concatenate((cells, np.arange(n_columns))),
+        np.concatenate((cell_kinds, sheath_kinds)),
+        np.concatenate((cell_rates, sheath)),
+    )
+    assert [a.dtype for a in record._arrays()] == [np.int64, np.uint8, np.float64]
+    assert record._key() == tuple(a.tobytes() for a in expected)

@@ -25,10 +25,18 @@ def configs(draw):
     if scalar:
         encoder.update(min_value=0, max_value=10)
     n_columns = draw(st.integers(4, 32))
+    alpha = draw(st.sampled_from([1.0, 0.7]))
+    gamma_p, gamma_inh = draw(st.sampled_from([1.0, 0.8])), draw(st.sampled_from([1.0, 1.3]))
+    # from just above the rule alpha_inh > alpha * gamma_inh / gamma_p up to 10 times it
+    factor = draw(st.just(1.0001) | st.floats(1.0001, 10.0))
     layer = {
         "n_columns": n_columns,
         "cells_per_column": draw(st.integers(1, 4)),
         "n_active": draw(st.integers(1, min(n_columns, 4))),
+        "alpha": alpha,
+        "gamma_p": gamma_p,
+        "gamma_inh": gamma_inh,
+        "alpha_inh": alpha * gamma_inh / gamma_p * factor,
         "beta": draw(st.floats(0.0, 2.0)),
         "beta_sub": draw(st.floats(0.0, 2.0)),
         "dtau_vert": draw(st.just("inf") | st.floats(1e-6, 2.0)),

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minicolumn import (
     CategoryEncoder,
@@ -288,6 +291,25 @@ class TestWinnerCells:
         out = layer.step(x, learn=False)
         assert cell in out.winner_cells.active_set
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.lists(st.integers(1, 40) | st.just(1) | st.integers(1, 2**40), min_size=1, max_size=60),
+        st.booleans(),
+    )
+    def test_one_draw_over_bounds_is_one_draw_per_bound(self, seed, bounds, half_used):
+        # _fire draws every blank column's pick at once. That equals one
+        # scalar draw per column in order, values and generator state alike,
+        # on numpy's implementation; numpy does not document it.
+        one, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_used:  # an odd 32-bit draw leaves half of a 64-bit output buffered
+            one.integers(7)
+            loop.integers(7)
+            assert one.bit_generator.state["has_uint32"] == 1
+        drawn = one.integers(np.array(bounds, dtype=np.intp))
+        assert drawn.tolist() == [int(loop.integers(b)) for b in bounds]
+        assert one.bit_generator.state == loop.bit_generator.state
+
 
 class TestDistalLearning:
     def test_reinforce_active_synapse(self):
@@ -548,6 +570,7 @@ class TestParameterChecks:
             ("dtau_vert", -INF),
             ("spike_size", INF),
             ("alpha_inh", INF),
+            ("alpha_inh", 1e308),
             ("activation_threshold", INF),
             ("potential_fraction", INF),
         ],
@@ -586,6 +609,28 @@ class TestParameterChecks:
     def test_bounds_accepted(self):
         layer = small_layer(initial_segment_permanence=1.0, sigma_dec=1.0, delta_dec=0.0)
         assert (layer.initial_segment_permanence, layer.sigma_dec) == (1.0, 1.0)
+
+    def test_sheath_rate_that_overflows_rejected_without_a_warning(self):
+        # The sheath's rate alpha_inh * overlap must stay finite for every
+        # overlap up to n_synapses=32: top / 32 * 32 does, top / 31 * 32 does not.
+        top = np.finfo(np.float64).max
+        assert small_layer(alpha_inh=top / 32).alpha_inh == top / 32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"alpha_inh \* overlap must be finite and rise"):
+                small_layer(alpha_inh=top / 31)
+
+    def test_subnormal_sheath_rate_rejected(self):
+        # With alpha this small, alpha * gamma_inh / gamma_p rounds to 0 and
+        # the smallest subnormal alpha_inh passes the gamma rule. Its rates
+        # still rise with the overlap, but a sheath's firing time
+        # gamma_inh / alpha_inh overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "with gamma_inh / alpha_inh finite; got alpha_inh=5e-324"
+            with pytest.raises(ValueError, match=message):
+                small_layer(alpha=5e-324, gamma_p=2.0, alpha_inh=5e-324)
+        assert small_layer(alpha=5e-324, gamma_p=2.0, alpha_inh=1e-308).alpha_inh == 1e-308
 
     def test_layer_of_2_31_cells_rejected(self):
         # The presynaptic index packs each source cell into 31 bits; the
