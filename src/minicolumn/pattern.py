@@ -186,8 +186,8 @@ class PatternLayer:
         return self._connected
 
     def _write_rows(self, w, sources, old, new) -> None:
-        """Store ``new`` as the permanences of rows ``w``, whose sources and
-        current permanences are ``sources`` and ``old``.
+        """Store ``new`` as the permanences of rows ``w`` (an intp array),
+        whose sources and current permanences are ``sources`` and ``old``.
 
         Flips the connection-matrix entries of the synapses that crossed
         ``connect_threshold``, so the matrix stays equal to a rebuilt one.
@@ -196,8 +196,11 @@ class PatternLayer:
             now = new >= self._connect_threshold
             flips = np.flatnonzero(now != (old >= self._connect_threshold))
             if flips.size:
-                columns = np.take(w, flips // self.n_synapses)
-                self._connected[sources.take(flips), columns] = now.take(flips)
+                # flat entries, in intp: input_size * n_columns may pass 2**31
+                columns = w.take(flips // self.n_synapses)
+                self._connected.put(
+                    sources.take(flips) * np.intp(self.n_columns) + columns, now.take(flips)
+                )
         self._permanences[w] = new
 
     def _check_input(self, x_ff: Sdr) -> None:
@@ -250,23 +253,34 @@ class PatternLayer:
         cover its input; this is what makes recognition survive noise.
         """
         self._check_input(x_ff)
-        self._learn_rows(winners, x_ff.dense(), self.delta_inc, self.delta_dec)
+        self._learn_rows(winners, x_ff.dense(), self.delta_inc, self.delta_dec, self.delta_dec)
 
-    def _learn_rows(self, winners: Sdr, on: np.ndarray, inc, dec) -> None:
+    def _learn_rows(self, winners: Sdr, on: np.ndarray, inc, dec, rest: float) -> None:
         """The Hebbian update of the rows of ``winners`` over the dense input
         ``on``. ``inc`` and ``dec`` are both scalars, or both per-input-bit
-        arrays, read at each synapse's source."""
+        arrays, read at each synapse's source.
+
+        Every synapse first decays at the resting rate ``rest`` in one pass.
+        Only the hot ones, whose source is on or whose ``dec`` differs from
+        ``rest``, then take the update at their own rates; any other gets the
+        same product either way.
+        """
         self._check_winners(winners)
         if not winners.active:
             return
-        w = list(winners.active)
-        sources = self._sources[w]
-        old = self._permanences[w]
-        # take() gathers with int32 indices ~2x faster than fancy indexing
-        on = on.take(sources)
+        w = np.array(winners.active, dtype=np.intp)
+        # take() gathers rows and elements ~2x faster than fancy indexing
+        sources = self._sources.take(w, axis=0)
+        # Gathered while ``sources`` is still in cache. Its values lie in
+        # range, so "clip" only skips the bounds check.
+        hot = np.flatnonzero((on | (dec != rest)).take(sources, mode="clip"))
+        old = self._permanences.take(w, axis=0)
+        new = old * (1.0 - rest)
+        bits = sources.take(hot)
         if isinstance(inc, np.ndarray):
-            inc, dec = inc.take(sources), dec.take(sources)
-        self._write_rows(w, sources, old, _hebbian(old, on, inc, dec))
+            inc, dec = inc.take(bits), dec.take(bits)
+        new.put(hot, _hebbian(old.take(hot), on.take(bits), inc, dec))
+        self._write_rows(w, sources, old, new)
 
     def reconstruct(self, winners: Sdr) -> np.ndarray:
         """Summed back-projection of the winners' connected synapses."""
@@ -311,14 +325,11 @@ def _hebbian(p: np.ndarray, on: np.ndarray, inc, dec) -> np.ndarray:
 
     A synapse whose source is ``on`` is multiplied by (1 + inc) and clamped
     to 1; any other by (1 - dec). ``inc`` and ``dec`` are scalars or arrays
-    shaped like ``p``.
+    shaped like ``p``. Both branches are computed for every synapse, so
+    callers pass a few thousand at most: the hot synapses of a proximal
+    block, or distal segments.
     """
-    out = p * (1.0 - dec)
-    grow = np.flatnonzero(on)  # at 2% input density, a few percent of the synapses
-    if np.ndim(inc):
-        inc = inc.take(grow)
-    out.put(grow, np.minimum(1.0, p.take(grow) * (1.0 + inc)))
-    return out
+    return np.where(on, np.minimum(1.0, p * (1.0 + inc)), p * (1.0 - dec))
 
 
 def _check_finite(**params) -> None:

@@ -92,7 +92,8 @@ class PoolingLayer(PatternLayer):
         Synapses onto predicted cells use the predicted rate pair and all
         others the bursting pair, so synapses onto bursting cells grow at the
         bursting rate and those whose source stayed silent, unpredicted,
-        decay at it.
+        decay at it. That bursting decay is the resting rate: only synapses
+        onto active or predicted sources read their own rates.
         """
         self._check_input(l4.active_cells)
         predicted = l4.predicted_cells.dense()
@@ -101,6 +102,7 @@ class PoolingLayer(PatternLayer):
             l4.active_cells.dense(),
             np.where(predicted, self.delta_inc_pred, self.delta_inc_burst),
             np.where(predicted, self.delta_dec_pred, self.delta_dec_burst),
+            self.delta_dec_burst,
         )
 
     def to_state(self) -> dict:

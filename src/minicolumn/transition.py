@@ -415,6 +415,17 @@ class TmLayer:
                 f"n_synapses={pattern.n_synapses}, with gamma_inh / alpha_inh finite; got "
                 f"alpha_inh={self.alpha_inh!r}"
             )
+        # _select_columns scores alpha * overlap, and _fire times a bursting
+        # cell as gamma_p / (alpha * overlap + ...), slowest at overlap 1.
+        with np.errstate(over="ignore", divide="ignore"):
+            alpha = np.float64(self.alpha)
+            limits = self.gamma_p / alpha, alpha * pattern.n_synapses
+        if not np.isfinite(limits).all():
+            raise ValueError(
+                f"alpha * n_synapses and gamma_p / alpha must be finite; got "
+                f"alpha={self.alpha!r} with n_synapses={pattern.n_synapses}, "
+                f"gamma_p={self.gamma_p!r}"
+            )
         self.pattern = pattern
         self._rng = rng
         self.n_columns = pattern.n_columns
@@ -431,6 +442,8 @@ class TmLayer:
         self._owner = np.zeros(0, dtype=np.int64)
         self._thresholds = np.zeros(0, dtype=np.int64)
         self._spikes = np.zeros(0, dtype=np.float64)
+        # Segments per cell, kept by _add_segments and _grow_segment.
+        self._segment_counts = np.zeros(n_cells, dtype=np.int64)
         self._drop_index()
         self.reset()
 
@@ -461,11 +474,6 @@ class TmLayer:
         return self._prev_evals
 
     # -- distal segment store -----------------------------------------------
-
-    @property
-    def _segment_counts(self) -> np.ndarray:
-        """Segments per cell."""
-        return np.bincount(self._owner[: self._n_segments], minlength=self.n_cells)
 
     def distal_counts(self) -> dict[str, int]:
         """Cells owning segments, segments, and synapses on them."""
@@ -566,6 +574,7 @@ class TmLayer:
         self._thresholds[start:stop] = thresholds
         self._spikes[start:stop] = spikes
         self._n_segments = stop
+        self._segment_counts = counts
 
     def _reserve(self, rows: int) -> None:
         """Make room for ``rows`` segments; capacity at least doubles as it grows."""
@@ -576,18 +585,6 @@ class TmLayer:
             self._owner = _resized(self._owner, size, 0)
             self._thresholds = _resized(self._thresholds, size, 0)
             self._spikes = _resized(self._spikes, size, 0.0)
-
-    def _store(self, row, cell, sources, permanences, activation_threshold, spike_size) -> None:
-        if row < self._index[2]:  # a replaced row: the next read rebuilds the index
-            self._drop_index()
-        k = len(sources)
-        self._sources[row, :k] = sources
-        self._sources[row, k:] = self.n_cells
-        self._permanences[row, :k] = permanences
-        self._permanences[row, k:] = 0.0
-        self._owner[row] = cell
-        self._thresholds[row] = activation_threshold
-        self._spikes[row] = spike_size
 
     # -- presynaptic index ----------------------------------------------------
     #
@@ -809,28 +806,38 @@ class TmLayer:
     def _reinforce(self, rows: np.ndarray, on: np.ndarray, inc, dec) -> None:
         """The Hebbian update of segment ``rows``: synapses on sources active
         in ``on`` scale by (1 + inc), the rest by (1 - dec)."""
-        self._permanences[rows] = _hebbian(
-            self._permanences[rows], on[self._sources[rows]], inc, dec
-        )
+        on = on.take(self._sources.take(rows, axis=0))
+        self._permanences[rows] = _hebbian(self._permanences.take(rows, axis=0), on, inc, dec)
 
     def _grow_segment(self, cell: int, prev_winners: Sdr) -> None:
-        candidates = [c for c in prev_winners.active if c != cell]
-        if not candidates:
+        """Give ``cell`` a segment on a random sample of the previous winners
+        other than itself. A cell at its budget overwrites its weakest
+        segment, the lowest row on a tie."""
+        candidates = np.array(prev_winners.active, dtype=np.int64)
+        candidates = candidates[candidates != cell]
+        if not candidates.size:
             return
-        k = min(self.synapses_per_segment, len(candidates))
-        picked = self._rng.choice(len(candidates), size=k, replace=False)
-        sources = sorted(candidates[i] for i in picked)
-        rows = np.flatnonzero(self._owner[: self._n_segments] == cell).tolist()
-        if len(rows) >= self.segments_per_cell:
-            # Totals summed left to right over each row; padding adds 0.0.
-            totals = [sum(self._permanences[r].tolist()) for r in rows]
-            row = rows[min(range(len(rows)), key=lambda i: (totals[i], i))]
+        k = min(self.synapses_per_segment, candidates.size)
+        sources = np.sort(candidates[self._rng.choice(candidates.size, size=k, replace=False)])
+        if self._segment_counts[cell] >= self.segments_per_cell:
+            rows = np.flatnonzero(self._owner[: self._n_segments] == cell)
+            # Totals summed left to right over each row, as cumsum does;
+            # padding adds 0.0. argmin takes the first of tied totals.
+            row = rows[np.argmin(np.cumsum(self._permanences[rows], axis=1)[:, -1])]
+            if row < self._index[2]:  # an indexed row: the next read rebuilds the index
+                self._drop_index()
         else:
             row = self._n_segments
             self._reserve(row + 1)
             self._n_segments = row + 1
-        perms = [self.initial_segment_permanence] * k
-        self._store(row, cell, sources, perms, self.activation_threshold, self.spike_size)
+            self._segment_counts[cell] += 1
+        self._sources[row, :k] = sources
+        self._sources[row, k:] = self.n_cells
+        self._permanences[row, :k] = self.initial_segment_permanence
+        self._permanences[row, k:] = 0.0
+        self._owner[row] = cell
+        self._thresholds[row] = self.activation_threshold
+        self._spikes[row] = self.spike_size
 
     def _learn_distal(
         self, winners: np.ndarray, at: np.ndarray, evals: _Evals, inactive: np.ndarray,

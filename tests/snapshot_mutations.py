@@ -218,6 +218,13 @@ CASES = [
         "alpha_inh * overlap must be finite",
     ),
     (
+        # gamma_p / alpha overflows: a bursting cell's firing time is inf
+        "alpha-subnormal",
+        edit_header(lambda s: s["tm"]["params"].update(alpha=5e-324)),
+        SnapshotValidationError,
+        "gamma_p / alpha must be finite",
+    ),
+    (
         # the fixture predicts 9 cells; the copy lists 8
         "prev-predictive-disagrees",
         edit_header(lambda s: s["tm"]["prev_predictive"].pop()),

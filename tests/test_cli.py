@@ -373,6 +373,14 @@ class TestSequenceCommand:
                 "alpha_inh * overlap must be finite and rise strictly for overlaps 0 to "
                 "n_synapses=128, with gamma_inh / alpha_inh finite; got alpha_inh=1e+308",
             ),
+            (
+                # a subnormal alpha passes the alpha_inh rule, but a bursting
+                # cell's firing time gamma_p / alpha overflows
+                "alpha",
+                '5e-324, "gamma_p": 2.0, "alpha_inh": 1e-308',
+                "alpha * n_synapses and gamma_p / alpha must be finite; got alpha=5e-324 with "
+                "n_synapses=128, gamma_p=2.0",
+            ),
         ],
     )
     @pytest.mark.filterwarnings("error")

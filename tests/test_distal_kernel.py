@@ -277,8 +277,9 @@ OPERATIONS = ("grow", "grow", "grow", "add_segment", "reset", "save_load", "rebu
 def test_index_tracks_every_store(model, data):
     """Growth, budget replacement of a full cell's weakest segment,
     ``add_segment``, reset, save/load and forced rebuilds, interleaved:
-    after each, the index matches a fresh build and scoring through it
-    matches the references.
+    after each, the index matches a fresh build, the maintained segments per
+    cell match a count of the owners, and scoring through the index matches
+    the references.
 
     Cells hold up to four segments with low thresholds and spikes of 0.1,
     0.2 or 0.3, so that several are active at once and their spike sum
@@ -321,5 +322,7 @@ def test_index_tracks_every_store(model, data):
         else:  # rebuild: the next read indexes every row afresh
             layer._drop_index()
         assert_index_current(layer)
+        counts = np.bincount(layer._owner[: layer._n_segments], minlength=N_CELLS)
+        assert layer._segment_counts.tolist() == counts.tolist()
         for active in data.draw(st.lists(busy_sets, min_size=1, max_size=3)):
             assert_evals_current(layer, segments, active)

@@ -14,8 +14,12 @@ with the dense formula. Shapes include one synapse per neuron and
 empty and the full input.
 
 The top-k selection and the Hebbian update are checked the same way, against
-the stable-argsort selection and the ``np.where`` update they replaced, and
+the stable-argsort selection and the ``np.where`` formula of the update, and
 so are distal punishment and ``tp_learn``, which go through the same update.
+``learn`` and ``tp_learn`` decay every winner synapse at a resting rate and
+update only the hot ones at their own rates; they are checked against the
+update over the winners' whole block, also with equal predicted and bursting
+decrements and with inputs that leave no synapse hot.
 """
 
 import numpy as np
@@ -430,13 +434,13 @@ def oracle_tp_learn(pool, l4, winners):
     return p
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_tp_learn_matches_per_synapse_rule(data):
+def assert_tp_learn_matches_rule(data, dec_pred, dec_burst):
+    """Drive ``tp_learn`` on a random pooling layer with these decrements;
+    after each call the permanences equal the per-synapse rule's and the
+    connection matrix is current."""
     input_size = data.draw(st.integers(1, 48))
     n_columns = data.draw(st.integers(1, 12))
     inc_burst, inc_pred = sorted(data.draw(st.lists(INCREMENT, min_size=2, max_size=2)))
-    dec_pred, dec_burst = sorted(data.draw(st.lists(DECREMENT, min_size=2, max_size=2)))
     pool = PoolingLayer(
         input_size,
         n_columns,
@@ -460,3 +464,86 @@ def test_tp_learn_matches_per_synapse_rule(data):
         pool.tp_learn(l4, winners)
         assert pool.permanences.tobytes() == expected.tobytes()
         assert_connections_current(pool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tp_learn_matches_per_synapse_rule(data):
+    dec_pred, dec_burst = sorted(data.draw(st.lists(DECREMENT, min_size=2, max_size=2)))
+    assert_tp_learn_matches_rule(data, dec_pred, dec_burst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(DECREMENT, st.data())
+def test_tp_learn_with_equal_decrements_matches_per_synapse_rule(dec, data):
+    # Predicted sources that are not active then decay at the resting rate,
+    # so ``tp_learn`` leaves them out of the hot synapses; sorted random
+    # decrements almost never tie.
+    assert_tp_learn_matches_rule(data, dec, dec)
+
+
+def oracle_learn(layer, x, winners):
+    """The pattern layer's permanences after ``learn``: the Hebbian update
+    over every synapse of every winner."""
+    p = layer.permanences.copy()
+    w = list(winners.active)
+    on = x.dense()[layer.sources[w]]
+    p[w] = oracle_hebbian(p[w], on, layer.delta_inc, layer.delta_dec)
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_learn_matches_hebbian_over_whole_block(data):
+    input_size = data.draw(st.integers(1, 24))
+    n_columns = data.draw(st.integers(1, 6))
+    n_synapses = data.draw(st.one_of(st.just(input_size), st.integers(1, input_size)))
+    layer = PatternLayer(
+        input_size,
+        n_columns,
+        n_active=1,
+        n_synapses=n_synapses,
+        connect_threshold=data.draw(UNIT),
+        delta_inc=data.draw(INCREMENT),
+        delta_dec=data.draw(DECREMENT),
+        seed=data.draw(st.integers(0, 2**16)),
+    )
+    size = n_columns * n_synapses
+    perms = data.draw(st.lists(UNIT, min_size=size, max_size=size))
+    layer.permanences = np.array(perms).reshape(n_columns, n_synapses)
+    layer.raw_overlaps(Sdr(input_size))  # build the matrix, so learning maintains it
+    for _ in range(data.draw(st.integers(1, 4))):
+        x = data.draw(inputs(input_size))  # often the empty or the full input
+        winners = Sdr(n_columns, data.draw(st.sets(st.integers(0, n_columns - 1))))
+        expected = oracle_learn(layer, x, winners)
+        layer.learn(x, winners)
+        assert layer.permanences.tobytes() == expected.tobytes()
+        assert_connections_current(layer)
+
+
+@pytest.mark.parametrize("active", [(), (8, 9, 10)])
+@pytest.mark.parametrize("predicted", [(), (11, 12)])
+def test_learning_without_a_hot_synapse(active, predicted):
+    """Winner 0 samples bits 0-7 and column 1 bits 8-15, where the input and
+    the predicted bits lie: no winner synapse is hot, so every one decays at
+    the resting rate, and those at the threshold disconnect."""
+    for cls in (PatternLayer, PoolingLayer):
+        layer = cls(16, 2, n_active=1, n_synapses=8)
+        layer.sources = np.arange(16).reshape(2, 8)
+        layer.permanences = np.full((2, 8), layer.connect_threshold)
+        layer.raw_overlaps(Sdr(16))  # build the matrix, so learning maintains it
+        winners = Sdr(2, [0])
+        if isinstance(layer, PoolingLayer):
+            l4 = layer_output(Sdr(16, active), Sdr(16, predicted))
+            expected = oracle_tp_learn(layer, l4, winners)
+            rest = layer.delta_dec_burst
+            layer.tp_learn(l4, winners)
+        else:
+            expected = oracle_learn(layer, Sdr(16, active), winners)
+            rest = layer.delta_dec
+            layer.learn(Sdr(16, active), winners)
+        assert layer.permanences.tobytes() == expected.tobytes()
+        assert (layer.permanences[0] == layer.connect_threshold * (1.0 - rest)).all()
+        assert (layer.permanences[1] == layer.connect_threshold).all()
+        assert_connections_current(layer)
+        assert not layer._connections()[:8, 0].any()

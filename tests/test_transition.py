@@ -630,7 +630,21 @@ class TestParameterChecks:
             message = "with gamma_inh / alpha_inh finite; got alpha_inh=5e-324"
             with pytest.raises(ValueError, match=message):
                 small_layer(alpha=5e-324, gamma_p=2.0, alpha_inh=5e-324)
-        assert small_layer(alpha=5e-324, gamma_p=2.0, alpha_inh=1e-308).alpha_inh == 1e-308
+        # a normal alpha near the smallest passes every rule, and so does alpha_inh
+        assert small_layer(alpha=2.3e-308, gamma_p=2.0, alpha_inh=2e-308).alpha_inh == 2e-308
+
+    def test_alpha_whose_drive_or_firing_time_overflows_rejected_without_a_warning(self):
+        # A subnormal alpha passes the rule on alpha_inh, but a bursting
+        # cell's firing time gamma_p / alpha overflows; alpha * 32 overflows
+        # for alpha above top / 32, with gamma_p large enough to pass that rule.
+        top = np.finfo(np.float64).max
+        message = r"alpha \* n_synapses and gamma_p / alpha must be finite; got alpha="
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha, gamma_p, alpha_inh in ((5e-324, 2.0, 1e-308), (top / 31, 1e300, 1e7)):
+                with pytest.raises(ValueError, match=message):
+                    small_layer(alpha=alpha, gamma_p=gamma_p, alpha_inh=alpha_inh)
+        assert small_layer(alpha=top / 32, gamma_p=1e300, alpha_inh=1e7).alpha == top / 32
 
     def test_layer_of_2_31_cells_rejected(self):
         # The presynaptic index packs each source cell into 31 bits; the
