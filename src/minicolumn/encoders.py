@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import Hashable
+from types import MappingProxyType
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .sdr import DimensionError, Sdr, overlap
+from .sdr import DimensionError, Sdr
 
 __all__ = ["CategoryEncoder", "ScalarEncoder"]
 
@@ -19,7 +20,8 @@ class CategoryEncoder:
     drawn from the seeded rng and cached, so codes depend on first-seen order
     but are stable within a run and across identically seeded runs.
 
-    encode() mutates the symbol table; serialize calls externally if the
+    ``symbol_table`` is a read-only view: ``encode`` and ``from_state`` are
+    its only writers. encode() adds to it; serialize calls externally if the
     encoder is shared between threads, or pre-populate the table up front.
     """
 
@@ -32,37 +34,42 @@ class CategoryEncoder:
             )
         self.universe_size = universe_size
         self.active_bits = active_bits
-        self.symbol_table: dict[Hashable, Sdr] = {}
+        self._table: dict[Hashable, Sdr] = {}
+        self._codebook = None  # built by best_match; dropped when a symbol is added
         self._rng = np.random.default_rng(rng_seed)
 
+    @property
+    def symbol_table(self) -> Mapping[Hashable, Sdr]:
+        """Read-only view of each known symbol's code."""
+        return MappingProxyType(self._table)
+
     def encode(self, symbol: Hashable) -> Sdr:
-        code = self.symbol_table.get(symbol)
+        code = self._table.get(symbol)
         if code is None:
             picks = self._rng.choice(
                 self.universe_size, size=self.active_bits, replace=False
             )
             code = Sdr(self.universe_size, picks)
-            self.symbol_table[symbol] = code
+            self._table[symbol] = code
+            self._codebook = None
         return code
 
-    def best_match(self, probe: Sdr) -> tuple[Hashable, int]:
-        """Known symbol with maximal overlap against ``probe``.
+    def best_match(self, probe) -> tuple[Hashable, int]:
+        """Known symbol with maximal overlap against ``probe``, an ``Sdr`` or
+        a dense boolean array over the encoder's bits.
 
-        Ties break to the lexicographically smallest symbol.
+        Ties break to the lexicographically smallest symbol by ``str``, and
+        symbols with equal strings to the first added.
         """
-        if not self.symbol_table:
+        if not self._table:
             raise ValueError("symbol table is empty")
-        if probe.universe_size != self.universe_size:
-            raise DimensionError(
-                f"probe width {probe.universe_size} != encoder width {self.universe_size}"
-            )
-        best_symbol = None
-        best_overlap = -1
-        for symbol in sorted(self.symbol_table, key=str):
-            ov = overlap(self.symbol_table[symbol], probe)
-            if ov > best_overlap:
-                best_symbol, best_overlap = symbol, ov
-        return best_symbol, best_overlap
+        hits = _dense_probe(probe, self.universe_size)
+        book = self._codebook
+        if book is None:
+            symbols = sorted(self._table, key=str)
+            codes = np.array([self._table[symbol].active for symbol in symbols], dtype=np.intp)
+            book = self._codebook = symbols, codes
+        return _best_match(*book, hits)
 
     def to_state(self) -> dict:
         return {
@@ -81,7 +88,13 @@ class CategoryEncoder:
     def from_state(cls, state: dict) -> "CategoryEncoder":
         enc = cls(**state["params"])
         for symbol, active in state["symbol_table"]:
-            enc.symbol_table[symbol] = Sdr(enc.universe_size, active)
+            code = Sdr(enc.universe_size, active)
+            if len(code) != enc.active_bits:
+                raise ValueError(
+                    f"symbol {symbol!r} has a code of {len(code)} bits, "
+                    f"not active_bits={enc.active_bits}"
+                )
+            enc._table[symbol] = code
         enc._rng.bit_generator.state = state["rng"]
         return enc
 
@@ -116,14 +129,32 @@ class ScalarEncoder:
         self.active_bits = active_bits
 
     def encode(self, value: float) -> Sdr:
+        start = self._start(value)
+        return Sdr(self.universe_size, range(start, start + self.active_bits))
+
+    def _start(self, value: float) -> int:
+        """The first bit of ``value``'s run."""
         v = float(value)
         if math.isnan(v):
             raise ValueError("cannot encode NaN")
         v = min(max(v, self.min_value), self.max_value)
         span = self.universe_size - self.active_bits
         frac = (v - self.min_value) / (self.max_value - self.min_value)
-        start = min(int(math.floor(frac * span)), span)
-        return Sdr(self.universe_size, range(start, start + self.active_bits))
+        return min(int(math.floor(frac * span)), span)
+
+    def best_match(self, probe, values: Sequence[float]) -> tuple[float, int]:
+        """The one of ``values`` whose code has maximal overlap against
+        ``probe``, an ``Sdr`` or a dense boolean array over the encoder's bits.
+
+        The encoder keeps no table, so the caller names the candidates. Ties
+        break as in ``CategoryEncoder.best_match``, by ``str``.
+        """
+        if not values:
+            raise ValueError("no values to match")
+        hits = _dense_probe(probe, self.universe_size)
+        symbols = sorted(values, key=str)
+        starts = np.array([self._start(value) for value in symbols], dtype=np.intp)
+        return _best_match(symbols, starts[:, None] + np.arange(self.active_bits), hits)
 
     def to_state(self) -> dict:
         return {
@@ -138,3 +169,28 @@ class ScalarEncoder:
     @classmethod
     def from_state(cls, state: dict) -> "ScalarEncoder":
         return cls(**state["params"])
+
+
+def _dense_probe(probe, universe_size: int) -> np.ndarray:
+    """``probe``, an ``Sdr`` or a dense boolean array, as a dense boolean
+    array of ``universe_size`` bits."""
+    if isinstance(probe, Sdr):
+        if probe.universe_size != universe_size:
+            raise DimensionError(
+                f"probe width {probe.universe_size} != encoder width {universe_size}"
+            )
+        return probe.dense()
+    hits = np.asarray(probe)
+    if hits.shape != (universe_size,):
+        raise DimensionError(f"probe shape {hits.shape} != encoder width ({universe_size},)")
+    if hits.dtype != bool:
+        raise ValueError(f"a dense probe must be boolean, got dtype {hits.dtype}")
+    return hits
+
+
+def _best_match(symbols: list, codes: np.ndarray, hits: np.ndarray) -> tuple[Hashable, int]:
+    """The first of ``symbols`` whose row of bit indices in ``codes`` has the
+    most bits on in ``hits``, and that count."""
+    overlaps = np.count_nonzero(hits.take(codes), axis=1)
+    best = int(np.argmax(overlaps))
+    return symbols[best], int(overlaps[best])

@@ -322,23 +322,28 @@ def _layer_record(t: int, output: LayerOutput, prev: LayerOutput | None) -> dict
     }
 
 
-def decode_prediction(model: SequenceModel, output: LayerOutput):
+def decode_prediction(model: SequenceModel, output: LayerOutput, values=None):
     """Read the layer's next-step guess back out as a known symbol.
 
     The predicted cells' columns are back-projected through their proximal
-    synapses into input space and matched against the encoder table.
-    Returns (symbol, overlap) or (None, 0) when nothing is predicted.
+    synapses into input space, and every input bit with a vote is matched
+    against the encoder's codes: a category encoder's table, or for a scalar
+    encoder, which keeps none, the codes of ``values``. Returns
+    (symbol, overlap) or (None, 0) when nothing is predicted.
     """
     cells = output.predictive_cells_next
     if not cells.active:
         return None, 0
     tm = model.tm
-    columns = np.unique(np.array(cells.active) // tm.cells_per_column)
-    estimate = tm.pattern.reconstruct(Sdr._from_sorted(tm.n_columns, columns))
+    # The cells ascend, so their columns do too: keep each column's first.
+    columns = np.array(cells.active) // tm.cells_per_column
+    columns = columns[np.diff(columns, prepend=-1) != 0]
     # build_model and SequenceModel.from_state make the encoder's universe
-    # the layer's input size, which the estimate spans.
-    probe = Sdr._from_sorted(model.encoder.universe_size, np.flatnonzero(estimate))
-    return model.encoder.best_match(probe)
+    # the layer's input size, which the back-projection spans.
+    hits = tm.pattern.reconstruct(Sdr._from_sorted(tm.n_columns, columns)) > 0
+    if isinstance(model.encoder, ScalarEncoder):
+        return model.encoder.best_match(hits, values)
+    return model.encoder.best_match(hits)
 
 
 def run_sequence(config: ExperimentConfig, model: SequenceModel | None = None):
@@ -374,6 +379,8 @@ def run_sequence(config: ExperimentConfig, model: SequenceModel | None = None):
                 prev = output
                 t += 1
 
+    # A scalar encoder decodes to the run's distinct tokens.
+    values = list(dict.fromkeys(token for spec in config.sequences for token in spec.tokens))
     evaluations = []
     for s, spec in enumerate(config.sequences):
         tm.reset()
@@ -383,7 +390,7 @@ def run_sequence(config: ExperimentConfig, model: SequenceModel | None = None):
             if flip > 0.0:
                 x = flip_noise(x, flip, noise_seed + 1000 * s + k)
             output = tm.step(x, learn=False)
-        predicted, ov = decode_prediction(model, output)
+        predicted, ov = decode_prediction(model, output, values)
         evaluations.append(
             {
                 "sequence": s,

@@ -285,9 +285,9 @@ class PatternLayer:
     def reconstruct(self, winners: Sdr) -> np.ndarray:
         """Summed back-projection of the winners' connected synapses."""
         self._check_winners(winners)
-        w = list(winners.active)
-        connected = self._permanences[w] >= self._connect_threshold
-        return np.bincount(self._sources[w][connected], minlength=self.input_size)
+        w = np.array(winners.active, dtype=np.intp)
+        connected = self._permanences.take(w, axis=0) >= self._connect_threshold
+        return np.bincount(self._sources.take(w, axis=0)[connected], minlength=self.input_size)
 
     def masked_reconstruct(self, winners: Sdr, x_ff: Sdr) -> np.ndarray:
         """Back-projection restricted to the input's on-bits."""

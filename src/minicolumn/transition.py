@@ -236,6 +236,26 @@ def _check_spike(activation_threshold, spike_size) -> None:
         raise ValueError("spike_size must be positive and finite")
 
 
+def _check_sub_drive(gamma_p, beta_sub, spike_size) -> None:
+    """Refuse spike sizes (one, or an array of them) for which a bursting
+    cell can take an infinite time to fire.
+
+    ``_fire`` times a bursting cell as gamma_p / (alpha * overlap + beta_sub
+    * o_sub). In a column without feedforward overlap (``min_overlap`` 0)
+    that is gamma_p / (beta_sub * o_sub), slowest at one segment of the
+    smallest spike.
+    """
+    if beta_sub > 0:
+        smallest = np.min(spike_size, initial=np.inf)
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            slowest = gamma_p / (beta_sub * smallest)
+        if not np.isfinite(slowest):
+            raise ValueError(
+                f"gamma_p / (beta_sub * spike_size) must be finite; got beta_sub={beta_sub!r} "
+                f"with spike_size={float(smallest)!r}, gamma_p={gamma_p!r}"
+            )
+
+
 def _flat(name: str, values, dtype) -> np.ndarray:
     """``values`` as a 1-D array of ``dtype``. Raises ``ValueError`` naming
     the field unless every value is an integer, or a real number when
@@ -369,6 +389,7 @@ class TmLayer:
         if synapses_per_segment < 1 or segments_per_cell < 1:
             raise ValueError("segment budgets must be >= 1")
         _check_spike(activation_threshold, spike_size)
+        _check_sub_drive(gamma_p, beta_sub, spike_size)
         if sigma_inc < 0:
             raise ValueError("sigma_inc must be >= 0")
         _check_unit(
@@ -445,6 +466,16 @@ class TmLayer:
         # Segments per cell, kept by _add_segments and _grow_segment.
         self._segment_counts = np.zeros(n_cells, dtype=np.int64)
         self._drop_index()
+        # The evaluation of no activity, as after a reset: no segment seen,
+        # only the padding entry. Built once and shared, so read-only.
+        none = np.zeros(0, dtype=np.int64)
+        self._idle = _Evals(
+            np.zeros(n_cells + 1, dtype=bool), none, none, none, none.astype(bool), none,
+            np.array([n_cells]), np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64),
+            np.zeros(1, dtype=bool),
+        )
+        for array in self._idle:
+            array.flags.writeable = False
         self.reset()
 
     # -- basic geometry -----------------------------------------------------
@@ -470,7 +501,7 @@ class TmLayer:
     def _previous_evals(self) -> _Evals:
         """The segments scored against ``prev_active``, cached until they change."""
         if self._prev_evals is None:
-            self._prev_evals = self._eval_segments(self._prev_active)
+            self._prev_evals = self._eval_segments(self._prev_active.active)
         return self._prev_evals
 
     # -- distal segment store -----------------------------------------------
@@ -549,6 +580,7 @@ class TmLayer:
         if not ((flat_perms >= 0.0) & (flat_perms <= 1.0)).all():
             raise ValueError("segment permanences outside [0, 1]")
         _check_spike(thresholds, spikes)
+        _check_sub_drive(self.gamma_p, self.beta_sub, spikes)
         counts = self._segment_counts + np.bincount(cells, minlength=n_cells)
         if counts.max(initial=0) > self.segments_per_cell:
             cell = int(np.argmax(counts > self.segments_per_cell))
@@ -652,19 +684,16 @@ class TmLayer:
             raise ValueError(f"active cells must lie in [0, {self.n_cells})")
         return idx
 
-    def _segment_overlaps(self, active) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense activity of one activity set (its extra last slot, the padding
+    def _segment_overlaps(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Dense activity of the cells ``idx`` (its extra last slot, the padding
         source, stays off), then the segments seeing an active source,
         ascending, with their raw and connected overlaps.
 
         Only the synapses on active cells are read, through the presynaptic
         index.
         """
-        idx = self._cell_ids(active)
         on = np.zeros(self.n_cells + 1, dtype=bool)
         on[idx] = True
-        if not idx.size:
-            return on, idx, idx, idx
         slots = self._hit_slots(idx)
         hit_rows = slots // self.synapses_per_segment
         connected = self._permanences.reshape(-1)[slots] >= self.pattern.connect_threshold
@@ -674,17 +703,19 @@ class TmLayer:
         return on, rows, raw[rows], conn.astype(np.int64)
 
     def _eval_segments(self, active) -> _Evals:
-        """Score every segment against one activity set.
+        """Score every segment against one activity set: ``active``, distinct
+        cell ids in the layer, in an integer array or a sequence. Callers
+        check ids from outside with ``_cell_ids``.
 
         This is the only distal scoring path. Spikes are summed per cell in
         segment order, as one-at-a-time accumulation would.
         """
-        on, rows, raw, conn = self._segment_overlaps(active)
-        if not rows.size:  # nothing seen, as after a reset: only the padding entry
-            return _Evals(
-                on, rows, rows, rows, rows.astype(bool), rows, np.array([self.n_cells]),
-                np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool),
-            )
+        idx = np.asarray(active, dtype=np.int64)
+        if not idx.size:
+            return self._idle
+        on, rows, raw, conn = self._segment_overlaps(idx)
+        if not rows.size:  # no segment seen: only the padding entry
+            return self._idle._replace(on=on)
         cells, thresholds, spikes = self._owner[rows], self._thresholds[rows], self._spikes[rows]
         act = conn >= thresholds
         sub = (2 * conn >= thresholds) ^ act  # at or above half threshold, not active
@@ -707,7 +738,7 @@ class TmLayer:
         """Summed spike sizes of this cell's active segments."""
         if not 0 <= cell < self.n_cells:
             raise ValueError(f"cell must lie in [0, {self.n_cells}), got {cell}")
-        evals = self._eval_segments(prev_active)
+        evals = self._eval_segments(self._cell_ids(prev_active))
         return float(evals.o_pred[evals.lookup(cell)])
 
     def depolarisation_rates(
@@ -723,7 +754,7 @@ class TmLayer:
         """
         raw = self.pattern.raw_overlaps(x_ff).astype(np.float64)
         o_ff = np.repeat(self.alpha * raw, self.cells_per_column)
-        evals = self._eval_segments(prev_active)
+        evals = self._eval_segments(self._cell_ids(prev_active))
         at = evals.lookup(np.arange(self.n_cells))
         d_cells = np.where(
             evals.predictive[at],
@@ -809,12 +840,11 @@ class TmLayer:
         on = on.take(self._sources.take(rows, axis=0))
         self._permanences[rows] = _hebbian(self._permanences.take(rows, axis=0), on, inc, dec)
 
-    def _grow_segment(self, cell: int, prev_winners: Sdr) -> None:
+    def _grow_segment(self, cell: int, prev_winners: np.ndarray) -> None:
         """Give ``cell`` a segment on a random sample of the previous winners
-        other than itself. A cell at its budget overwrites its weakest
-        segment, the lowest row on a tie."""
-        candidates = np.array(prev_winners.active, dtype=np.int64)
-        candidates = candidates[candidates != cell]
+        (ascending int64 cell ids) other than itself. A cell at its budget
+        overwrites its weakest segment, the lowest row on a tie."""
+        candidates = prev_winners[prev_winners != cell]
         if not candidates.size:
             return
         k = min(self.synapses_per_segment, candidates.size)
@@ -874,8 +904,12 @@ class TmLayer:
             lowest = np.unique(evals.rank[hit], return_index=True)[1]
             reinforce = np.concatenate((reinforce, evals.rows[hit][lowest]))
         self._reinforce(reinforce, on, self.sigma_inc, self.sigma_dec)
-        for cell in winners[quiet & ~matching].tolist():
-            self._grow_segment(cell, prev_winners)
+        grow = winners[quiet & ~matching]
+        # After a reset there are no previous winners to grow from.
+        if grow.size and prev_winners.active:
+            candidates = np.array(prev_winners.active, dtype=np.int64)
+            for cell in grow.tolist():
+                self._grow_segment(cell, candidates)
 
     def step(self, x_ff: Sdr, learn: bool = True) -> LayerOutput:
         """Run one timestep: select columns, fire cells, learn, advance state."""

@@ -74,6 +74,13 @@ def overlong_segment(state) -> None:
     seg["permanences"] += [0.5] * len(extra)
 
 
+def tiny_segment_spike(state) -> None:
+    """Turn on sub-threshold drive and give the first segment a spike so
+    small that beta_sub * spike_size underflows to 0."""
+    state["tm"]["params"]["beta_sub"] = 1e-300
+    first_segment(state)["spike_size"] = 1e-10
+
+
 def drop_format_version(members) -> None:
     doc = header(members)
     del doc["format_version"]
@@ -223,6 +230,21 @@ CASES = [
         edit_header(lambda s: s["tm"]["params"].update(alpha=5e-324)),
         SnapshotValidationError,
         "gamma_p / alpha must be finite",
+    ),
+    (
+        # gamma_p / (beta_sub * spike_size) overflows: a bursting cell in a
+        # column without feedforward overlap never fires
+        "beta-sub-subnormal",
+        edit_header(lambda s: s["tm"]["params"].update(beta_sub=5e-324)),
+        SnapshotValidationError,
+        "gamma_p / (beta_sub * spike_size) must be finite",
+    ),
+    (
+        # the layer's beta_sub and spike_size pass; one segment's spike does not
+        "segment-spike-tiny",
+        edit_header(tiny_segment_spike),
+        SnapshotValidationError,
+        "gamma_p / (beta_sub * spike_size) must be finite",
     ),
     (
         # the fixture predicts 9 cells; the copy lists 8

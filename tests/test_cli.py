@@ -381,6 +381,14 @@ class TestSequenceCommand:
                 "alpha * n_synapses and gamma_p / alpha must be finite; got alpha=5e-324 with "
                 "n_synapses=128, gamma_p=2.0",
             ),
+            (
+                # a bursting cell in a column without feedforward overlap
+                # times as gamma_p / (beta_sub * o_sub), which overflows
+                "beta_sub",
+                "5e-324",
+                "gamma_p / (beta_sub * spike_size) must be finite; got beta_sub=5e-324 with "
+                "spike_size=1.0, gamma_p=1.0",
+            ),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -428,6 +436,25 @@ class TestSequenceCommand:
         err = capsys.readouterr().err
         assert f"config {config}: not UTF-8 at byte offset 21" in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_scalar_encoder_decodes_to_the_run_tokens(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {
+                "encoder": dict(SCALAR_ENCODER, universe_size=512, active_bits=16, max_value=100),
+                "layer": {"n_columns": 256, "cells_per_column": 8, "n_active": 8},
+                "sequences": [{"tokens": [10, 40, 70, 95], "repeats": 15}],
+            },
+        )
+        out_dir = tmp_path / "out"
+        assert main(["sequence", "--config", str(config), "--out", str(out_dir)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "[ok] 10 40 70 -> predicted 95 (expected 95, overlap 16)" in captured.out
+        summary = json.loads((out_dir / "sequence_summary.json").read_text())
+        assert summary["evaluations"][0]["predicted"] == "95"
+        assert summary["eval_accuracy"] == 1.0
 
     def test_snapshot_and_resume(self, tmp_path):
         config = write_config(tmp_path)

@@ -300,7 +300,7 @@ def test_index_tracks_every_store(model, data):
                 rng = np.random.default_rng(seed)
                 oracle.grow_segment(segments, cell, sorted(prev_winners), rng, layer)
                 layer._rng = np.random.default_rng(seed)
-                layer._grow_segment(cell, Sdr(N_CELLS, prev_winners))
+                layer._grow_segment(cell, np.array(sorted(prev_winners), dtype=np.int64))
         elif op == "add_segment":
             cell = data.draw(st.integers(0, N_CELLS - 1))
             if len(segments.get(cell, [])) >= layer.segments_per_cell:

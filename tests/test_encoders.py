@@ -1,8 +1,42 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minicolumn import CategoryEncoder, ScalarEncoder, Sdr, overlap, union
+from minicolumn import CategoryEncoder, DimensionError, ScalarEncoder, Sdr, overlap, union
+
+
+def set_based_best_match(codes: dict, probe: Sdr):
+    """``best_match`` as a loop over the symbols sorted by ``str``, scoring
+    each code's overlap with the probe: the first strictly best wins."""
+    best_symbol, best_overlap = None, -1
+    for symbol in sorted(codes, key=str):
+        ov = overlap(codes[symbol], probe)
+        if ov > best_overlap:
+            best_symbol, best_overlap = symbol, ov
+    return best_symbol, best_overlap
+
+
+# Symbols whose strings collide (1 and "1", 2.0 and "2.0") and a few others;
+# small codes over a small universe, so that overlaps often tie.
+SYMBOLS = st.sampled_from([1, "1", 2.0, "2.0", "a", "b", "B", None, "None", 10, -3, "x y"])
+UNIVERSE = 24
+
+
+@st.composite
+def probes(draw, universe=UNIVERSE):
+    return Sdr(universe, draw(st.sets(st.integers(0, universe - 1))))
+
+
+def assert_matches_reference(enc, probe):
+    expected = set_based_best_match(dict(enc.symbol_table), probe)
+    for form in (probe, probe.dense()):
+        answer = enc.best_match(form)
+        assert answer == expected
+        assert answer[0] is expected[0]  # 1 and 1.0 are equal, not the same symbol
+        assert type(answer[1]) is int
 
 
 class TestCategoryEncoder:
@@ -60,6 +94,59 @@ class TestCategoryEncoder:
         with pytest.raises(ValueError):
             enc.best_match(Sdr(64))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(SYMBOLS, min_size=1, max_size=8),
+        st.integers(1, 6),
+        st.integers(0, 2**16),
+        probes(),
+        probes(),
+        SYMBOLS,
+    )
+    def test_best_match_matches_set_based_rule(self, symbols, bits, seed, first, second, added):
+        enc = CategoryEncoder(UNIVERSE, bits, rng_seed=seed)
+        for symbol in symbols:
+            enc.encode(symbol)
+        assert_matches_reference(enc, first)
+        # a symbol added between two calls takes part in the second
+        enc.encode(added)
+        assert_matches_reference(enc, second)
+        assert_matches_reference(enc, Sdr(UNIVERSE))
+
+    def test_best_match_ties_break_by_string_then_first_added(self):
+        enc = CategoryEncoder(8, 8, rng_seed=0)  # every code is every bit
+        for symbol in ("b", 1, "1", "a"):
+            enc.encode(symbol)
+        symbol, ov = enc.best_match(Sdr(8, [3]))
+        assert (type(symbol), symbol, ov) == (int, 1, 1)
+
+    def test_best_match_probe_width_mismatch(self):
+        enc = CategoryEncoder(64, 4)
+        enc.encode("A")
+        with pytest.raises(DimensionError, match="probe width 32 != encoder width 64"):
+            enc.best_match(Sdr(32))
+        with pytest.raises(DimensionError, match=r"probe shape \(32,\) != encoder width \(64,\)"):
+            enc.best_match(np.zeros(32, dtype=bool))
+        with pytest.raises(DimensionError):
+            enc.best_match(np.zeros((1, 64), dtype=bool))
+        with pytest.raises(ValueError, match="must be boolean, got dtype int64"):
+            enc.best_match(np.zeros(64, dtype=np.int64))
+
+    def test_symbol_table_is_read_only(self):
+        enc = CategoryEncoder(64, 4)
+        enc.encode("A")
+        with pytest.raises(TypeError):
+            enc.symbol_table["B"] = Sdr(64, [1, 2, 3, 4])
+        with pytest.raises(AttributeError):
+            enc.symbol_table = {}
+        assert list(enc.symbol_table) == ["A"]
+
+    def test_loaded_code_of_the_wrong_length_rejected(self):
+        state = CategoryEncoder(64, 4).to_state()
+        state["symbol_table"] = [["A", [1, 2, 3]]]
+        with pytest.raises(ValueError, match="symbol 'A' has a code of 3 bits, not active_bits=4"):
+            CategoryEncoder.from_state(state)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             CategoryEncoder(16, 0)
@@ -101,6 +188,29 @@ class TestScalarEncoder:
         enc = ScalarEncoder(-1.0, 1.0, 100, 9)
         for v in (-1.0, -0.37, 0.0, 0.62, 1.0):
             assert enc.encode(v).cardinality == 9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-5, 15), st.floats(-5.0, 15.0)), min_size=1, max_size=8),
+        st.integers(1, 8),
+        probes(48),
+    )
+    def test_best_match_matches_set_based_rule(self, values, bits, probe):
+        enc = ScalarEncoder(0.0, 10.0, 48, bits)
+        values = list(dict.fromkeys(values))  # distinct, as run_sequence passes them
+        expected = set_based_best_match({v: enc.encode(v) for v in values}, probe)
+        for form in (probe, probe.dense()):
+            answer = enc.best_match(form, values)
+            assert answer == expected
+            assert answer[0] is expected[0]
+            assert type(answer[1]) is int
+
+    def test_best_match_needs_values(self):
+        enc = ScalarEncoder(0.0, 10.0, 64, 8)
+        with pytest.raises(ValueError, match="no values to match"):
+            enc.best_match(Sdr(64), [])
+        with pytest.raises(DimensionError):
+            enc.best_match(Sdr(32), [1.0])
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

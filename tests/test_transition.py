@@ -40,7 +40,7 @@ def segment_overlaps(sources, permanences, active, **kw):
     """(raw, connected) overlap of one segment, scored by the layer's kernel."""
     layer = small_layer(synapses_per_segment=16)
     layer.add_segment(0, sources, permanences, **kw)
-    _, rows, raw, conn = layer._segment_overlaps(active)
+    _, rows, raw, conn = layer._segment_overlaps(layer._cell_ids(active))
     return (int(raw[0]), int(conn[0])) if rows.size else (0, 0)
 
 
@@ -247,7 +247,7 @@ class TestFiringPartition:
         # cell 1 of column 0 gets sub-threshold context (2 of 4 needed)
         layer.add_segment(1, [20, 21, 22, 23], [0.9] * 4, activation_threshold=4)
         layer._prev_active = Sdr(layer.n_cells, [20, 21])
-        layer._prev_evals = layer._eval_segments(frozenset({20, 21}))
+        layer._prev_evals = layer._eval_segments([20, 21])
         x = Sdr(64, range(20))
         out = layer.step(x, learn=False)
         assert 0 in out.active_columns.active_set
@@ -287,7 +287,7 @@ class TestWinnerCells:
         cell = target_column * 4 + 2
         layer.add_segment(cell, [50, 51, 52], [0.01, 0.01, 0.01], activation_threshold=3)
         layer._prev_active = Sdr(layer.n_cells, [50, 51, 52])
-        layer._prev_evals = layer._eval_segments(frozenset({50, 51, 52}))
+        layer._prev_evals = layer._eval_segments([50, 51, 52])
         out = layer.step(x, learn=False)
         assert cell in out.winner_cells.active_set
 
@@ -344,7 +344,7 @@ class TestDistalLearning:
         layer.add_segment(cell, [10, 11], [0.01, 0.01], activation_threshold=2)
         layer.add_segment(cell, [12, 13], [0.9, 0.9], activation_threshold=2)
         weak, strong = layer.segments[cell]
-        layer._grow_segment(cell, Sdr(layer.n_cells, [30, 31, 32]))
+        layer._grow_segment(cell, np.array([30, 31, 32]))
         assert len(layer.segments[cell]) == 2
         assert strong in layer.segments[cell]
         assert weak not in layer.segments[cell]
@@ -354,7 +354,7 @@ class TestDistalLearning:
         cell = 0  # column 0 cell: will be predicted but column 0 won't activate
         layer.add_segment(cell, [40, 41], [0.4, 0.4], activation_threshold=2)
         layer._prev_active = Sdr(layer.n_cells, [40, 41])
-        layer._prev_evals = layer._eval_segments(frozenset({40, 41}))
+        layer._prev_evals = layer._eval_segments([40, 41])
         assert layer.prev_predictive.active == (cell,)
         layer.step(Sdr(64, range(40, 60)))
         seg = layer.segments[cell][0]
@@ -655,3 +655,93 @@ class TestParameterChecks:
     def test_infinite_segment_spike_rejected(self):
         with pytest.raises(ValueError, match="spike_size"):
             small_layer().add_segment(0, [5], [0.5], spike_size=INF)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sub_threshold_drive_whose_firing_time_overflows_rejected(self):
+        # A column without feedforward overlap (min_overlap 0) times its
+        # bursting cells as gamma_p / (beta_sub * o_sub), which overflowed
+        # in _fire for a subnormal beta_sub and raised a RuntimeWarning.
+        params = dict(
+            input_size=16, n_columns=8, cells_per_column=4, n_active=8, n_synapses=4,
+            min_overlap=0, activation_threshold=4, min_match_threshold=1,
+            synapses_per_segment=4, seed=1,
+        )
+        message = r"gamma_p / \(beta_sub \* spike_size\) must be finite; got beta_sub="
+        with pytest.raises(ValueError, match=message + "5e-324 with spike_size=1.0"):
+            TmLayer(beta_sub=5e-324, **params)
+        with pytest.raises(ValueError, match=message):
+            TmLayer(beta_sub=1e-300, spike_size=1e-10, **params)  # the product underflows
+        layer = TmLayer(beta_sub=1e-308, **params)
+        for cell in range(layer.n_cells):
+            sources = [c for c in (0, 1, 2) if c != cell][:2]
+            layer.add_segment(cell, sources, [0.5, 0.5])
+        layer._prev_active = Sdr(layer.n_cells, [0, 1, 2])
+        layer._prev_evals = None
+        out = layer.step(Sdr(16, []))
+        assert len(out.active_columns) == 8
+        # a segment's own spike is checked too, and nothing is stored
+        with pytest.raises(ValueError, match=message + "1e-308 with spike_size=1e-10"):
+            layer.add_segment(0, [5], [0.5], spike_size=1e-10)
+        assert layer._n_segments == layer.n_cells
+        # without sub-threshold drive, any positive spike will do
+        small_layer(beta_sub=0.0).add_segment(0, [5], [0.5], spike_size=5e-324)
+
+
+class TestNoActivityEvaluation:
+    def test_is_prebuilt_read_only_and_equal_to_a_fresh_one(self):
+        layer = small_layer()
+        layer.add_segment(5, [1, 2], [0.5, 0.5], activation_threshold=2)
+        idle = layer._eval_segments([])
+        assert idle is layer._idle
+        n = layer.n_cells
+        empty = np.zeros(0, dtype=np.int64)
+        expected = (
+            np.zeros(n + 1, dtype=bool), empty, empty, empty, empty.astype(bool), empty,
+            np.array([n]), np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64),
+            np.zeros(1, dtype=bool),
+        )
+        for got, want in zip(idle, expected, strict=True):
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        # activity that reaches no segment: its own dense activity, the rest shared
+        quiet = layer._eval_segments(np.array([40, 41]))
+        assert quiet.on.flags.writeable and np.flatnonzero(quiet.on).tolist() == [40, 41]
+        assert all(got is want for got, want in zip(quiet[1:], idle[1:]))
+
+    def test_reset_and_load_read_it_only_for_no_activity(self):
+        layer = small_layer()
+        layer.add_segment(5, [1, 2], [0.5, 0.5], activation_threshold=2)
+        layer.step(Sdr(64, range(20)))
+        layer.reset()
+        assert layer._previous_evals() is layer._idle
+        layer._prev_active = Sdr(layer.n_cells, [1, 2])
+        layer._prev_evals = None
+        assert layer.prev_predictive.active == (5,)
+        loaded = TmLayer.from_state(layer.to_state())
+        assert loaded.prev_predictive.active == (5,)
+        assert loaded._previous_evals() is not loaded._idle
+
+    def test_steps_after_resets_leave_it_unchanged(self):
+        layer = small_layer()
+        before = [array.copy() for array in layer._idle]
+        for x in (range(20), range(10, 30), range(20), range(40, 60)):
+            layer.reset()
+            layer.step(Sdr(64, x), learn=False)
+            layer.reset()
+            layer.step(Sdr(64, x))
+            layer.step(Sdr(64, range(30, 50)))
+        assert layer._n_segments > 0
+        for got, want in zip(layer._idle, before):
+            assert np.array_equal(got, want)
+
+    def test_learning_after_a_reset_grows_nothing(self, monkeypatch):
+        # No previous winners: segment growth is skipped, and no rng is drawn for it.
+        layer = small_layer()
+        layer.step(Sdr(64, range(20)))
+        layer.reset()
+
+        def grow(cell, prev_winners):
+            raise AssertionError("grew a segment with no previous winners")
+
+        monkeypatch.setattr(layer, "_grow_segment", grow)
+        layer.step(Sdr(64, range(30, 50)))
