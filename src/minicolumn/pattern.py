@@ -104,13 +104,18 @@ class PatternLayer:
 
     @property
     def sources(self) -> np.ndarray:
-        """Read-only (n_columns, n_synapses) int32 matrix of sampled input bits.
+        """Read-only view of the (n_columns, n_synapses) int32 matrix of
+        sampled input bits.
 
         Learning never changes it. To change it, assign a new array: the
         setter validates and copies it and drops the connection matrix that
-        ``raw_overlaps`` keeps.
+        ``raw_overlaps`` keeps. A full-potential layer, which samples every
+        input bit in ascending rows, stores one ``arange`` row broadcast over
+        its columns.
         """
-        return self._sources
+        view = self._sources.view()
+        view.flags.writeable = False
+        return view
 
     @sources.setter
     def sources(self, value) -> None:
@@ -122,12 +127,20 @@ class PatternLayer:
             raise ValueError(f"sources must have shape {shape}, got {value.shape}")
         if value.min() < 0 or value.max() >= self.input_size:
             raise ValueError(f"sources must lie in [0, {self.input_size})")
-        value = np.array(value, dtype=np.int32)
-        if not (value[:, 1:] > value[:, :-1]).all():  # rows not strictly ascending
+        ascending = bool((value[:, 1:] > value[:, :-1]).all())
+        if not ascending:
             rows = np.sort(value, axis=1)
             if (rows[:, 1:] == rows[:, :-1]).any():
                 raise ValueError("sources must be distinct within each row")
-        value.flags.writeable = False
+        full_potential = ascending and self.n_synapses == self.input_size
+        if full_potential:
+            # Ascending rows of every input bit are all arange(input_size), so
+            # a synapse's slot is its bit: one read-only row, broadcast, holds them.
+            value = np.broadcast_to(np.arange(self.input_size, dtype=np.int32), shape)
+        else:
+            value = np.array(value, dtype=np.int32)
+            value.flags.writeable = False
+        self._full_potential = full_potential
         self._sources = value
         self._connected = None
 
@@ -188,6 +201,7 @@ class PatternLayer:
     def _write_rows(self, w, sources, old, new) -> None:
         """Store ``new`` as the permanences of rows ``w`` (an intp array),
         whose sources and current permanences are ``sources`` and ``old``.
+        ``sources`` is None for a full-potential layer, whose slots are bits.
 
         Flips the connection-matrix entries of the synapses that crossed
         ``connect_threshold``, so the matrix stays equal to a rebuilt one.
@@ -196,17 +210,16 @@ class PatternLayer:
             now = new >= self._connect_threshold
             flips = np.flatnonzero(now != (old >= self._connect_threshold))
             if flips.size:
-                # flat entries, in intp: input_size * n_columns may pass 2**31
                 columns = w.take(flips // self.n_synapses)
-                self._connected.put(
-                    sources.take(flips) * np.intp(self.n_columns) + columns, now.take(flips)
-                )
+                bits = flips % self.n_synapses if sources is None else sources.take(flips)
+                # flat entries, in intp: input_size * n_columns may pass 2**31
+                self._connected.put(bits * np.intp(self.n_columns) + columns, now.take(flips))
         self._permanences[w] = new
 
-    def _check_input(self, x_ff: Sdr) -> None:
+    def _check_input(self, x_ff: Sdr, name: str = "input") -> None:
         if x_ff.universe_size != self.input_size:
             raise DimensionError(
-                f"input width {x_ff.universe_size} != layer width {self.input_size}"
+                f"{name} width {x_ff.universe_size} != layer width {self.input_size}"
             )
 
     def _check_winners(self, winners: Sdr) -> None:
@@ -264,19 +277,29 @@ class PatternLayer:
         Only the hot ones, whose source is on or whose ``dec`` differs from
         ``rest``, then take the update at their own rates; any other gets the
         same product either way.
+
+        A full-potential layer finds its hot slots from the hot input bits
+        alone, since each slot is its bit; any other gathers its winners'
+        sources and the hot mask at them.
         """
         self._check_winners(winners)
         if not winners.active:
             return
         w = np.array(winners.active, dtype=np.intp)
-        # take() gathers rows and elements ~2x faster than fancy indexing
-        sources = self._sources.take(w, axis=0)
-        # Gathered while ``sources`` is still in cache. Its values lie in
-        # range, so "clip" only skips the bounds check.
-        hot = np.flatnonzero((on | (dec != rest)).take(sources, mode="clip"))
+        if self._full_potential:
+            sources = None
+            bits = np.flatnonzero(on | (dec != rest))
+            # [winner, hot bit] slots of the gathered block
+            hot = np.arange(0, w.size * self.n_synapses, self.n_synapses)[:, None] + bits
+        else:
+            # take() gathers rows and elements ~2x faster than fancy indexing
+            sources = self._sources.take(w, axis=0)
+            # Gathered while ``sources`` is still in cache. Its values lie in
+            # range, so "clip" only skips the bounds check.
+            hot = np.flatnonzero((on | (dec != rest)).take(sources, mode="clip"))
+            bits = sources.take(hot)
         old = self._permanences.take(w, axis=0)
         new = old * (1.0 - rest)
-        bits = sources.take(hot)
         if isinstance(inc, np.ndarray):
             inc, dec = inc.take(bits), dec.take(bits)
         new.put(hot, _hebbian(old.take(hot), on.take(bits), inc, dec))

@@ -69,6 +69,10 @@ class PoolingLayer(PatternLayer):
         self.delta_inc_burst = float(delta_inc_burst)
         self.delta_dec_burst = float(delta_dec_burst)
 
+    def _check_layer_output(self, l4: LayerOutput) -> None:
+        self._check_input(l4.active_cells)
+        self._check_input(l4.predicted_cells, "predicted cells")
+
     def tp_step(self, l4: LayerOutput) -> Sdr:
         """Pooled SDR for one step of the layer below.
 
@@ -76,6 +80,7 @@ class PoolingLayer(PatternLayer):
         overlap with the predicted sub-input to their score, so a pooled code
         persists exactly while the sequence below stays predictable.
         """
+        self._check_layer_output(l4)
         raw = self.raw_overlaps(l4.active_cells)
         scores = raw.astype(np.float64)
         if self.persistence > 0.0 and self.active_prev.active and l4.predicted_cells.active:
@@ -95,7 +100,7 @@ class PoolingLayer(PatternLayer):
         decay at it. That bursting decay is the resting rate: only synapses
         onto active or predicted sources read their own rates.
         """
-        self._check_input(l4.active_cells)
+        self._check_layer_output(l4)
         predicted = l4.predicted_cells.dense()
         self._learn_rows(
             winners,

@@ -44,6 +44,10 @@ GOLDEN = {
         "81748c80a5940750f0c59e91443735228ec23cec90a9d40e89b77a689b87bef3",
         "dac94ba94cf02ba8a67b62144cc33591a204b6de144cf6149ba81fb828a91404",
     ),
+    "pool_full": (
+        "6263633cf6a34a83b42fab0623bef0a3ce0df9b1b2b23b13a38c79ff8beacf46",
+        "10a276e6f8e8100c6b8c0ffbba11f0f6b0c1ca0e5728335cbfd9436508affe9a",
+    ),
     "paper": (
         "16397f39f1b384c420f9762b873d9562e4e67d6ad27015e7f8e05622e45301d6",
         "c4d4de0f50b0fdbee34c8aca673dfd340ab60f8eb2e6db209167136a906d2311",
@@ -113,6 +117,24 @@ def pool_run(tmp_path):
     return h.hexdigest(), snapshot_digest(model, tmp_path / "pool.json")
 
 
+def pool_full_run(tmp_path):
+    # The configs/pool.json stack as shipped, with fewer cycles: every pooling
+    # column samples all 4096 input cells (potential_fraction 1.0).
+    raw = json.loads((ROOT / "configs" / "pool.json").read_text())
+    raw["sequences"][0]["repeats"] = 10
+    raw["eval_cycles"] = 2
+    config = ExperimentConfig.from_dict(raw)
+    model = build_model(config, with_pool=True)
+    assert model.pool.n_synapses == model.pool.input_size
+    outputs = record_steps(model.tm)
+    report, model = run_pool(config, model=model)
+    h = hashlib.sha256()
+    hash_outputs(h, outputs)
+    h.update(repr([r["pooled"] for r in report.steps]).encode())
+    h.update(repr((report.summary["stability_pooled"], report.summary["stability_l4"])).encode())
+    return h.hexdigest(), snapshot_digest(model, tmp_path / "pool_full.json")
+
+
 def paper_run(tmp_path):
     # Paper scale: 2048 columns x 32 cells, 40 active. Proximal fan-in is cut
     # to 32 so the final snapshot stays small.
@@ -142,6 +164,10 @@ def test_sequence_config_trace(tmp_path):
 
 def test_pool_config_trace(tmp_path):
     assert pool_run(tmp_path) == GOLDEN["pool"]
+
+
+def test_full_potential_pool_config_trace(tmp_path):
+    assert pool_full_run(tmp_path) == GOLDEN["pool_full"]
 
 
 def test_paper_scale_trace(tmp_path):

@@ -119,6 +119,40 @@ class TestTpLearn:
             PoolingLayer(16, 4, delta_dec_pred=0.05, delta_dec_burst=0.01)
 
 
+def _narrow_prediction(pool):
+    """Active cells as wide as the pool's input, predicted cells half as wide."""
+    from minicolumn.transition import LayerOutput
+
+    return LayerOutput(
+        active_columns=Sdr(1, [0]),
+        active_cells=Sdr(pool.input_size, [1, 2, 3]),
+        predicted_cells=Sdr(pool.input_size // 2, [1]),
+        burst_cells=Sdr(pool.input_size, [2, 3]),
+        winner_cells=Sdr(pool.input_size),
+        firing_sequence=(),
+        predictive_cells_next=Sdr(pool.input_size),
+        anomaly=0.0,
+    )
+
+
+def test_tp_learn_checks_predicted_width():
+    pool = PoolingLayer(64, 8, n_active=2, seed=0)
+    before = pool.permanences.copy()
+    with pytest.raises(DimensionError, match="predicted cells width 32 != layer width 64"):
+        pool.tp_learn(_narrow_prediction(pool), Sdr(8, [0, 1]))
+    assert np.array_equal(pool.permanences, before)
+
+
+@pytest.mark.parametrize("persistence", [0.0, 0.5])
+def test_tp_step_checks_predicted_width(persistence):
+    """Also where the persistence term, which reads the predicted cells, is
+    skipped: on the first step, or with ``persistence`` 0."""
+    pool = PoolingLayer(64, 8, n_active=2, persistence=persistence, seed=0)
+    with pytest.raises(DimensionError, match="predicted cells width 32 != layer width 64"):
+        pool.tp_step(_narrow_prediction(pool))
+    assert not pool.active_prev.active
+
+
 class TestStability:
     def test_identical_history_is_stable(self):
         s = Sdr(64, range(8))

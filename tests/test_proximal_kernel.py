@@ -19,8 +19,14 @@ so are distal punishment and ``tp_learn``, which go through the same update.
 ``learn`` and ``tp_learn`` decay every winner synapse at a resting rate and
 update only the hot ones at their own rates; they are checked against the
 update over the winners' whole block, also with equal predicted and bursting
-decrements and with inputs that leave no synapse hot.
+decrements and with inputs that leave no synapse hot. A full-potential layer,
+whose rows are all ``arange(input_size)``, finds its hot synapses by input bit
+and any other by gathering its winners' sources; both paths are checked, on
+layers whose ``sources`` are reassigned between calls.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -300,10 +306,39 @@ class TestSourcesSetter:
     )
     def test_invalid_sources_rejected(self, sources, message):
         layer = PatternLayer(16, 2, n_active=1, n_synapses=3, seed=0)
-        before = layer.sources
+        before = layer._sources  # the property returns a fresh read-only view
         with pytest.raises(ValueError, match=message):
             layer.sources = sources
-        assert layer.sources is before
+        assert layer._sources is before
+
+    @pytest.mark.parametrize("n_synapses", [8, 16])
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda layer: pickle.loads(pickle.dumps(layer))]
+    )
+    def test_copies_keep_sources_read_only(self, clone, n_synapses):
+        """numpy copies drop the read-only flag; the property's view keeps
+        it, also for a full-potential layer's one broadcast row."""
+        layer = PatternLayer(16, 4, n_active=1, n_synapses=n_synapses, seed=0)
+        twin = clone(layer)
+        assert np.array_equal(twin.sources, layer.sources)
+        with pytest.raises(ValueError):
+            twin.sources[0, 0] = 15
+        with pytest.raises(ValueError):
+            twin.sources[3] = np.arange(n_synapses)
+        x = Sdr(16, range(16))
+        assert twin.raw_overlaps(x).tolist() == oracle_overlaps(twin, x).tolist()
+        twin.learn(x, Sdr(4, [1, 2]))
+        assert_connections_current(twin)
+
+    def test_full_potential_sources_are_one_broadcast_row(self):
+        layer = PatternLayer(16, 4, n_active=1, n_synapses=16, seed=0)
+        assert layer._full_potential
+        assert layer.sources.dtype == np.int32 and layer.sources.strides == (0, 4)
+        assert layer.sources.tolist() == [list(range(16))] * 4
+        assert np.array_equal(PatternLayer.from_state(layer.to_state()).sources, layer.sources)
+        layer.sources = np.tile(np.arange(15, -1, -1), (4, 1))  # full, not ascending
+        assert not layer._full_potential and layer.sources.strides == (64, 4)
+        assert not PatternLayer(16, 4, n_active=1, n_synapses=15, seed=0)._full_potential
 
     def test_unsorted_rows_accepted(self):
         layer = PatternLayer(16, 2, n_active=1, n_synapses=3, seed=0)
@@ -434,6 +469,26 @@ def oracle_tp_learn(pool, l4, winners):
     return p
 
 
+def maybe_assign_sources(layer, data):
+    """Before a learning call, maybe assign random rows, which are unsorted
+    (per-row permutations when every input bit is sampled) and take the
+    gather path, or the same rows sorted, which a full-potential layer learns
+    by input bit. Rebuild the matrix, so learning maintains it. Returns the
+    sources the layer must read back."""
+    how = data.draw(st.sampled_from(["keep", "unsorted", "ascending"]), label="sources")
+    if how == "keep":
+        return layer.sources.copy()
+    sources = random_sources(layer, data.draw(st.integers(0, 2**16)))
+    if how == "ascending":
+        sources.sort(axis=1)
+    layer.sources = sources
+    assert np.array_equal(layer.sources, sources)
+    ascending = (np.diff(sources, axis=1) > 0).all()
+    assert layer._full_potential == (ascending and layer.n_synapses == layer.input_size)
+    layer.raw_overlaps(Sdr(layer.input_size))
+    return sources
+
+
 def assert_tp_learn_matches_rule(data, dec_pred, dec_burst):
     """Drive ``tp_learn`` on a random pooling layer with these decrements;
     after each call the permanences equal the per-synapse rule's and the
@@ -445,7 +500,7 @@ def assert_tp_learn_matches_rule(data, dec_pred, dec_burst):
         input_size,
         n_columns,
         n_active=data.draw(st.integers(1, n_columns)),
-        n_synapses=data.draw(st.integers(1, input_size)),
+        n_synapses=data.draw(st.one_of(st.just(input_size), st.integers(1, input_size))),
         connect_threshold=data.draw(UNIT),
         delta_inc_pred=inc_pred,
         delta_dec_pred=dec_pred,
@@ -455,6 +510,7 @@ def assert_tp_learn_matches_rule(data, dec_pred, dec_burst):
     )
     pool.raw_overlaps(Sdr(input_size))  # build the matrix, so learning maintains it
     for _ in range(data.draw(st.integers(1, 4))):
+        sources = maybe_assign_sources(pool, data)
         active = data.draw(inputs(input_size))
         # predicted cells may lie outside the active ones
         predicted = data.draw(inputs(input_size))
@@ -464,6 +520,7 @@ def assert_tp_learn_matches_rule(data, dec_pred, dec_burst):
         pool.tp_learn(l4, winners)
         assert pool.permanences.tobytes() == expected.tobytes()
         assert_connections_current(pool)
+        assert np.array_equal(pool.sources, sources)
 
 
 @settings(max_examples=150, deadline=None)
@@ -513,12 +570,14 @@ def test_learn_matches_hebbian_over_whole_block(data):
     layer.permanences = np.array(perms).reshape(n_columns, n_synapses)
     layer.raw_overlaps(Sdr(input_size))  # build the matrix, so learning maintains it
     for _ in range(data.draw(st.integers(1, 4))):
+        sources = maybe_assign_sources(layer, data)
         x = data.draw(inputs(input_size))  # often the empty or the full input
         winners = Sdr(n_columns, data.draw(st.sets(st.integers(0, n_columns - 1))))
         expected = oracle_learn(layer, x, winners)
         layer.learn(x, winners)
         assert layer.permanences.tobytes() == expected.tobytes()
         assert_connections_current(layer)
+        assert np.array_equal(layer.sources, sources)
 
 
 @pytest.mark.parametrize("active", [(), (8, 9, 10)])
