@@ -67,7 +67,7 @@ class CategoryEncoder:
         book = self._codebook
         if book is None:
             symbols = sorted(self._table, key=str)
-            codes = np.array([self._table[symbol].active for symbol in symbols], dtype=np.intp)
+            codes = np.stack([self._table[symbol].ids for symbol in symbols])
             book = self._codebook = symbols, codes
         return _best_match(*book, hits)
 
@@ -78,7 +78,7 @@ class CategoryEncoder:
                 "active_bits": self.active_bits,
             },
             "symbol_table": [
-                [symbol, list(code.active)]
+                [symbol, code.ids.tolist()]
                 for symbol, code in sorted(self.symbol_table.items(), key=lambda kv: str(kv[0]))
             ],
             "rng": self._rng.bit_generator.state,
@@ -130,7 +130,7 @@ class ScalarEncoder:
 
     def encode(self, value: float) -> Sdr:
         start = self._start(value)
-        return Sdr(self.universe_size, range(start, start + self.active_bits))
+        return Sdr._from_sorted(self.universe_size, np.arange(start, start + self.active_bits))
 
     def _start(self, value: float) -> int:
         """The first bit of ``value``'s run."""

@@ -310,9 +310,9 @@ def _layer_record(t: int, output: LayerOutput, prev: LayerOutput | None) -> dict
     active = len(output.active_cells)
     return {
         "t": t,
-        "active_columns": list(output.active_columns.active),
-        "pred_cells": list(output.predicted_cells.active),
-        "burst_cells": list(output.burst_cells.active),
+        "active_columns": output.active_columns.ids.tolist(),
+        "pred_cells": output.predicted_cells.ids.tolist(),
+        "burst_cells": output.burst_cells.ids.tolist(),
         "anomaly": output.anomaly,
         "prediction_accuracy": (
             prediction_accuracy(prev, output) if prev is not None else 0.0
@@ -332,11 +332,11 @@ def decode_prediction(model: SequenceModel, output: LayerOutput, values=None):
     (symbol, overlap) or (None, 0) when nothing is predicted.
     """
     cells = output.predictive_cells_next
-    if not cells.active:
+    if not cells:
         return None, 0
     tm = model.tm
     # The cells ascend, so their columns do too: keep each column's first.
-    columns = np.array(cells.active) // tm.cells_per_column
+    columns = cells.ids // tm.cells_per_column
     columns = columns[np.diff(columns, prepend=-1) != 0]
     # build_model and SequenceModel.from_state make the encoder's universe
     # the layer's input size, which the back-projection spans.
@@ -452,7 +452,7 @@ def run_pool(config: ExperimentConfig, model: SequenceModel | None = None):
                 pooled = pool.tp_step(output)
                 record = _layer_record(t, output, prev)
                 record["token"] = str(token)
-                record["pooled"] = list(pooled.active)
+                record["pooled"] = pooled.ids.tolist()
                 if learn:
                     pool.tp_learn(output, pooled)
                 else:

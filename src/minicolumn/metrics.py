@@ -65,7 +65,7 @@ def prediction_accuracy(prev_output: LayerOutput, cur_output: LayerOutput) -> fl
     step with no active column gives 0.0, while its anomaly is 0.0 too.
     """
     active = cur_output.active_columns
-    if not active.active:
+    if not active:
         return 0.0
     n = cur_output.active_cells.universe_size // cur_output.active_columns.universe_size
     predicted_columns = {c // n for c in prev_output.predictive_cells_next}
@@ -75,7 +75,7 @@ def prediction_accuracy(prev_output: LayerOutput, cur_output: LayerOutput) -> fl
 
 def sdr_overlap_curve(reference: Sdr, probes: Sequence[Sdr]) -> list[float]:
     """Overlap of each probe with the reference, as a fraction of it."""
-    if not reference.active:
+    if not reference:
         raise ValueError("reference must have at least one active bit")
     curve = []
     for probe in probes:

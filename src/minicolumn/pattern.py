@@ -232,7 +232,7 @@ class PatternLayer:
         """Overlap score of every neuron with the input: its connected
         synapses that see an on-bit."""
         self._check_input(x_ff)
-        rows = self._connections()[list(x_ff.active)]
+        rows = self._connections()[x_ff.ids]
         # at most n_synapses per column, so this type cannot overflow
         return rows.sum(axis=0, dtype=np.min_scalar_type(self.n_synapses)).astype(np.intp)
 
@@ -283,9 +283,9 @@ class PatternLayer:
         sources and the hot mask at them.
         """
         self._check_winners(winners)
-        if not winners.active:
+        w = winners.ids
+        if not w.size:
             return
-        w = np.array(winners.active, dtype=np.intp)
         if self._full_potential:
             sources = None
             bits = np.flatnonzero(on | (dec != rest))
@@ -308,7 +308,7 @@ class PatternLayer:
     def reconstruct(self, winners: Sdr) -> np.ndarray:
         """Summed back-projection of the winners' connected synapses."""
         self._check_winners(winners)
-        w = np.array(winners.active, dtype=np.intp)
+        w = winners.ids
         connected = self._permanences.take(w, axis=0) >= self._connect_threshold
         return np.bincount(self._sources.take(w, axis=0)[connected], minlength=self.input_size)
 

@@ -83,8 +83,8 @@ class PoolingLayer(PatternLayer):
         self._check_layer_output(l4)
         raw = self.raw_overlaps(l4.active_cells)
         scores = raw.astype(np.float64)
-        if self.persistence > 0.0 and self.active_prev.active and l4.predicted_cells.active:
-            prev = list(self.active_prev.active)
+        if self.persistence > 0.0 and self.active_prev and l4.predicted_cells:
+            prev = self.active_prev.ids
             pred_raw = self.raw_overlaps(l4.predicted_cells)
             scores[prev] += self.persistence * pred_raw[prev]
         out = self._select(scores, raw)
@@ -113,7 +113,7 @@ class PoolingLayer(PatternLayer):
     def to_state(self) -> dict:
         state = super().to_state()
         state["params"].update((name, getattr(self, name)) for name in _POOLING_PARAMS)
-        state["active_prev"] = list(self.active_prev.active)
+        state["active_prev"] = self.active_prev.ids.tolist()
         return state
 
     @classmethod
@@ -130,16 +130,16 @@ class PoolingLayer(PatternLayer):
 def stability(history: Sequence[Sdr], n_active: int | None = None) -> float:
     """Mean step-to-step turnover of a sequence of SDRs; 0 is perfectly stable.
 
-    Each consecutive pair contributes 1 - overlap/n_active. When ``n_active``
-    is not given, the largest cardinality in the history is used.
+    Each consecutive pair contributes 1 - overlap/n_active. ``n_active`` is a
+    positive integer, at least the history's largest cardinality (its default).
     """
     if len(history) < 2:
         raise ValueError("need at least two SDRs to measure stability")
+    largest = max(len(s) for s in history)
     if n_active is None:
-        n_active = max(len(s) for s in history)
-    if n_active <= 0:
-        raise ValueError("n_active must be positive")
-    changes = [
-        1.0 - overlap(a, b) / n_active for a, b in zip(history, history[1:])
-    ]
+        n_active = largest
+    whole = isinstance(n_active, (int, np.integer)) and not isinstance(n_active, bool)
+    if not (whole and n_active >= max(largest, 1)):
+        raise ValueError(f"n_active must be an integer >= {max(largest, 1)}, got {n_active!r}")
+    changes = [1.0 - overlap(a, b) / n_active for a, b in zip(history, history[1:])]
     return float(np.mean(changes))

@@ -1,10 +1,10 @@
-"""Sparse binary vectors stored as sorted index tuples.
+"""Sparse binary vectors stored as one read-only array of active indices.
 
-Layer activity runs near 2% density, so only the active indices are kept.
-Instances are immutable after construction and safe to share across threads:
-the only state filled in later is the ``active_set`` cache, built from
-``active`` on first use, and two threads that both build it get equal sets.
-Kernels that want dense scratch buffers build them on demand.
+Layer activity runs near 2% density, so only the active indices are kept:
+``ids``, an ascending int64 array that kernels read directly. An ``Sdr`` holds
+its width and that array, and nothing is filled in after construction, so
+instances are safe to share across threads. The tuple ``active`` and the
+frozenset ``active_set`` are built on each read.
 """
 
 from __future__ import annotations
@@ -20,70 +20,86 @@ class DimensionError(ValueError):
     """Two bit vectors (or a vector and its consumer) disagree on width."""
 
 
+def _as_ids(active, universe_size: int, what: str) -> np.ndarray:
+    """``active``, an array or iterable of ids, as a flat int64 array in the
+    order given (an int64 array itself). Raises ``ValueError``, its message
+    led by ``what``, unless every id is an integer in ``[0, universe_size)``."""
+    idx = active if isinstance(active, np.ndarray) else np.array(list(active))
+    if idx.ndim != 1:
+        raise ValueError(f"{what} must be a flat list of ids, got shape {idx.shape}")
+    if idx.size:
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be integer ids, got dtype {idx.dtype}")
+        low, high = idx.min(), idx.max()
+        if not (low >= 0 and high < universe_size):
+            raise ValueError(f"{what} must lie in [0, {universe_size}), got [{low}, {high}]")
+    return idx.astype(np.int64, copy=False)
+
+
 class Sdr:
     """Immutable sparse binary vector over ``universe_size`` bit positions.
 
-    Active indices are stored sorted, without duplicates, each in
-    ``[0, universe_size)``.
+    ``ids`` holds the active indices: a read-only int64 array, ascending,
+    without duplicates, each in ``[0, universe_size)``.
     """
 
-    __slots__ = ("universe_size", "active", "_active_set")
+    __slots__ = ("universe_size", "ids")
 
     def __init__(self, universe_size: int, active: Iterable[int] = ()):
-        universe_size = int(universe_size)
-        if universe_size <= 0:
-            raise ValueError(f"universe_size must be positive, got {universe_size}")
-        idx = tuple(sorted(int(i) for i in active))
-        if idx:
-            if idx[0] < 0 or idx[-1] >= universe_size:
-                raise ValueError(
-                    f"active indices must lie in [0, {universe_size}), "
-                    f"got range [{idx[0]}, {idx[-1]}]"
-                )
-            for a, b in zip(idx, idx[1:]):
-                if a == b:
-                    raise ValueError(f"duplicate active index {a}")
-        self.universe_size = universe_size
-        self.active = idx
-        self._active_set = None
+        try:
+            width = int(universe_size)
+        except (TypeError, ValueError, OverflowError):
+            width = 0
+        if isinstance(universe_size, (bool, np.bool_)) or width != universe_size or width <= 0:
+            raise ValueError(f"universe_size must be a positive integer, got {universe_size!r}")
+        ids = np.sort(_as_ids(active, width, "active indices"))
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise ValueError(f"duplicate active index {repeated[0]}")
+        ids.flags.writeable = False
+        self.universe_size = width
+        self.ids = ids
 
     @classmethod
-    def _from_sorted(cls, universe_size: int, active: np.ndarray) -> "Sdr":
-        """An ``Sdr`` over indices known to be ascending, distinct and in
-        ``[0, universe_size)``, taken without checks."""
+    def _from_sorted(cls, universe_size: int, ids: np.ndarray) -> "Sdr":
+        """An ``Sdr`` over integer ``ids`` known to be ascending, distinct and
+        in ``[0, universe_size)``, taken without checks. An int64 array is
+        kept, not copied, and made read-only."""
+        ids = np.asarray(ids, dtype=np.int64)
+        ids.flags.writeable = False
         sdr = cls.__new__(cls)
         sdr.universe_size = universe_size
-        sdr.active = tuple(active.tolist())
-        sdr._active_set = None
+        sdr.ids = ids
         return sdr
 
     @classmethod
     def from_dense(cls, bits) -> "Sdr":
         arr = np.asarray(bits)
+        if arr.ndim != 1:
+            raise ValueError(f"dense bits must be 1-D, got shape {arr.shape}")
         return cls(arr.shape[0], np.nonzero(arr)[0])
 
     @property
-    def cardinality(self) -> int:
-        return len(self.active)
+    def active(self) -> tuple[int, ...]:
+        return tuple(self.ids.tolist())
 
     @property
     def active_set(self) -> frozenset:
-        if self._active_set is None:
-            self._active_set = frozenset(self.active)
-        return self._active_set
+        return frozenset(self.ids.tolist())
 
     def dense(self) -> np.ndarray:
         """Dense boolean copy (fresh array every call)."""
         out = np.zeros(self.universe_size, dtype=bool)
-        if self.active:
-            out[list(self.active)] = True
+        out[self.ids] = True
         return out
 
     def __len__(self) -> int:
-        return len(self.active)
+        return len(self.ids)
+
+    cardinality = property(__len__)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.active)
+        return iter(self.ids.tolist())
 
     def __contains__(self, index) -> bool:
         return index in self.active_set
@@ -92,35 +108,34 @@ class Sdr:
         return (
             isinstance(other, Sdr)
             and self.universe_size == other.universe_size
-            and self.active == other.active
+            and np.array_equal(self.ids, other.ids)
         )
 
     def __hash__(self) -> int:
         return hash((self.universe_size, self.active))
 
     def __repr__(self) -> str:
-        return f"Sdr(universe_size={self.universe_size}, active={list(self.active)})"
+        return f"Sdr(universe_size={self.universe_size}, active={self.ids.tolist()})"
+
+    def __reduce__(self):  # through the constructor, so a copy's ids are read-only too
+        return Sdr, (self.universe_size, self.ids)
 
 
 def _check_same_universe(a: Sdr, b: Sdr) -> None:
     if a.universe_size != b.universe_size:
-        raise DimensionError(
-            f"universe sizes differ: {a.universe_size} != {b.universe_size}"
-        )
+        raise DimensionError(f"universe sizes differ: {a.universe_size} != {b.universe_size}")
 
 
 def overlap(a: Sdr, b: Sdr) -> int:
     """Number of positions active in both vectors (binary dot product)."""
     _check_same_universe(a, b)
-    if len(a) > len(b):
-        a, b = b, a
-    return len(a.active_set & b.active_set)
+    return np.intersect1d(a.ids, b.ids, assume_unique=True).size
 
 
 def union(a: Sdr, b: Sdr) -> Sdr:
     """Elementwise OR of two vectors."""
     _check_same_universe(a, b)
-    return Sdr(a.universe_size, a.active_set | b.active_set)
+    return Sdr._from_sorted(a.universe_size, np.union1d(a.ids, b.ids))
 
 
 def sparsity(a: Sdr) -> float:
@@ -143,12 +158,8 @@ def flip_noise(a: Sdr, flip_fraction: float, rng_seed: int) -> Sdr:
     if n_move == 0:
         return a
     rng = np.random.default_rng(rng_seed)
-    active = np.fromiter(a.active, dtype=np.int64, count=k)
-    inactive = np.setdiff1d(
-        np.arange(a.universe_size, dtype=np.int64), active, assume_unique=True
-    )
+    inactive = np.setdiff1d(np.arange(a.universe_size), a.ids, assume_unique=True)
     n_move = min(n_move, inactive.size)
     drop = rng.choice(k, size=n_move, replace=False)
     land = rng.choice(inactive.size, size=n_move, replace=False)
-    kept = np.delete(active, drop)
-    return Sdr(a.universe_size, np.concatenate([kept, inactive[land]]))
+    return Sdr(a.universe_size, np.concatenate([np.delete(a.ids, drop), inactive[land]]))

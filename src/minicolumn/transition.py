@@ -29,7 +29,7 @@ from .pattern import (
     _check_unit,
     _hebbian,
 )
-from .sdr import DimensionError, Sdr
+from .sdr import DimensionError, Sdr, _as_ids
 
 __all__ = [
     "P_PRED",
@@ -501,7 +501,7 @@ class TmLayer:
     def _previous_evals(self) -> _Evals:
         """The segments scored against ``prev_active``, cached until they change."""
         if self._prev_evals is None:
-            self._prev_evals = self._eval_segments(self._prev_active.active)
+            self._prev_evals = self._eval_segments(self._prev_active.ids)
         return self._prev_evals
 
     # -- distal segment store -----------------------------------------------
@@ -670,19 +670,9 @@ class TmLayer:
                 raise DimensionError(
                     f"activity width {active.universe_size} != layer cells {self.n_cells}"
                 )
-            active = active.active
-        idx = active if isinstance(active, np.ndarray) else np.array(list(active))
-        if idx.ndim != 1:
-            raise ValueError(f"active cells must be a flat list of ids, got shape {idx.shape}")
-        if idx.dtype.kind not in "iu":
-            if idx.size:
-                raise ValueError(f"active cells must be integer ids, got dtype {idx.dtype}")
-            idx = idx.astype(np.int64)
-        if not (idx[1:] > idx[:-1]).all():
-            idx = np.unique(idx)
-        if idx.size and not (idx[0] >= 0 and idx[-1] < self.n_cells):
-            raise ValueError(f"active cells must lie in [0, {self.n_cells})")
-        return idx
+            return active.ids
+        idx = _as_ids(active, self.n_cells, "active cells")
+        return idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)
 
     def _segment_overlaps(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Dense activity of the cells ``idx`` (its extra last slot, the padding
@@ -906,17 +896,16 @@ class TmLayer:
         self._reinforce(reinforce, on, self.sigma_inc, self.sigma_dec)
         grow = winners[quiet & ~matching]
         # After a reset there are no previous winners to grow from.
-        if grow.size and prev_winners.active:
-            candidates = np.array(prev_winners.active, dtype=np.int64)
+        if grow.size and prev_winners:
             for cell in grow.tolist():
-                self._grow_segment(cell, candidates)
+                self._grow_segment(cell, prev_winners.ids)
 
     def step(self, x_ff: Sdr, learn: bool = True) -> LayerOutput:
         """Run one timestep: select columns, fire cells, learn, advance state."""
         raw = self.pattern.raw_overlaps(x_ff)
         evals = self._previous_evals()
         active_columns = self._select_columns(raw, evals)
-        columns = np.array(active_columns.active, dtype=np.intp)
+        columns = active_columns.ids
         sheath = self.alpha_inh * raw
         active, is_pred, rates, predicted_columns, offsets, at = self._fire(
             columns, raw, sheath, evals
@@ -989,9 +978,9 @@ class TmLayer:
                 [cell, [seg._asdict() for seg in segs]]
                 for cell, segs in self.segments.items()
             ],
-            "prev_active": list(self._prev_active.active),
-            "prev_winners": list(self._prev_winners.active),
-            "prev_predictive": list(self.prev_predictive.active),
+            "prev_active": self._prev_active.ids.tolist(),
+            "prev_winners": self._prev_winners.ids.tolist(),
+            "prev_predictive": self.prev_predictive.ids.tolist(),
             "rng": self._rng.bit_generator.state,
         }
 
@@ -1037,7 +1026,7 @@ def representation_views(output: LayerOutput) -> dict:
     n_columns = output.active_columns.universe_size
 
     def columns_of(cells: Sdr) -> Sdr:
-        return Sdr(n_columns, sorted({c // n for c in cells}))
+        return Sdr._from_sorted(n_columns, np.unique(cells.ids // n))
 
     sequence = output.firing_sequence
     cells = (sequence.kinds == _P_PRED) | (sequence.kinds == _P_BURST)

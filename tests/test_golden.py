@@ -27,6 +27,7 @@ from minicolumn.experiments import (
     ExperimentConfig,
     SequenceModel,
     build_model,
+    run_anomaly,
     run_pool,
     run_sequence,
 )
@@ -51,6 +52,10 @@ GOLDEN = {
     "paper": (
         "16397f39f1b384c420f9762b873d9562e4e67d6ad27015e7f8e05622e45301d6",
         "c4d4de0f50b0fdbee34c8aca673dfd340ab60f8eb2e6db209167136a906d2311",
+    ),
+    "scalar": (
+        "85b3610292ddd01b13f3712ae5b0119974f28daac36d46348b58cbffdfdb0aed",
+        "fa0be5323bc73ee0700dcd9d94bcf7c7787bf3b5ef98c365f61e9784bd5d6d94",
     ),
     "fixture_resume": (
         "1be1a010320f8d09882d5506339ea2ab8d01d91daf952ae6341ee947b2ddf255",
@@ -158,6 +163,35 @@ def paper_run(tmp_path):
     return h.hexdigest(), snapshot_digest(SequenceModel(enc, tm), tmp_path / "paper.json")
 
 
+def scalar_run(tmp_path):
+    # A scalar-encoder anomaly stream at desk scale, as in the benchmark's
+    # scalar_stream: a period of grid levels with off-grid values injected.
+    config = ExperimentConfig.from_dict(
+        {
+            "seed": 3,
+            "encoder": {
+                "type": "scalar", "universe_size": 1024, "active_bits": 20,
+                "min_value": 0.0, "max_value": 100.0,
+            },
+            "layer": {
+                "n_columns": 512, "cells_per_column": 8, "n_active": 10,
+                "delta_inc": 0.1, "delta_dec": 0.05, "sigma_punish": 0.05,
+            },
+            "sequences": [{"tokens": [0, 0], "repeats": 1}],
+        }
+    )
+    values = [5.0, 65.0, 25.0, 95.0, 45.0, 15.0, 85.0, 35.0] * 20
+    for t, value in ((90, 50.0), (121, 20.0), (140, 100.0)):
+        values[t] = value
+    model = build_model(config)
+    outputs = record_steps(model.tm)
+    report, model = run_anomaly(config, values, model=model)
+    h = hashlib.sha256()
+    hash_outputs(h, outputs)
+    h.update(repr((report.steps, report.summary)).encode())
+    return h.hexdigest(), snapshot_digest(model, tmp_path / "scalar.json")
+
+
 def test_sequence_config_trace(tmp_path):
     assert sequence_run(tmp_path) == GOLDEN["sequence"]
 
@@ -172,6 +206,10 @@ def test_full_potential_pool_config_trace(tmp_path):
 
 def test_paper_scale_trace(tmp_path):
     assert paper_run(tmp_path) == GOLDEN["paper"]
+
+
+def test_scalar_anomaly_trace(tmp_path):
+    assert scalar_run(tmp_path) == GOLDEN["scalar"]
 
 
 def format2_of_fixture() -> dict:

@@ -172,6 +172,20 @@ class TestStability:
         with pytest.raises(ValueError):
             stability([Sdr(8, [1])])
 
+    @pytest.mark.parametrize("n_active", [0.5, True, 2, 0, -1, 8.0, "8"])
+    def test_n_active_that_cannot_bound_the_overlaps_rejected(self, n_active):
+        s = Sdr(64, [1, 2, 3])
+        with pytest.raises(ValueError, match="n_active must be an integer >= 3"):
+            stability([s, s], n_active)
+
+    def test_n_active_defaults_to_the_largest_cardinality(self):
+        a, b = Sdr(64, [1, 2, 3, 4]), Sdr(64, [1, 2])
+        assert stability([a, b]) == stability([a, b], np.int64(4)) == 0.5
+
+    def test_empty_history_rejected(self):
+        with pytest.raises(ValueError, match="n_active must be an integer >= 1"):
+            stability([Sdr(8), Sdr(8)])
+
 
 @pytest.mark.parametrize(
     "name, value",

@@ -1,9 +1,23 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicolumn import DimensionError, Sdr, flip_noise, overlap, sparsity, union
+from minicolumn import (
+    CategoryEncoder,
+    DimensionError,
+    Sdr,
+    TmLayer,
+    flip_noise,
+    overlap,
+    sparsity,
+    union,
+)
+
+import oracle_sdr as oracle
 
 
 def sdr_strategy(universe=64):
@@ -41,6 +55,75 @@ class TestSdrType:
     def test_dense_round_trip(self):
         s = Sdr(10, [0, 4, 9])
         assert Sdr.from_dense(s.dense()) == s
+
+    @pytest.mark.parametrize(
+        "active, message",
+        [
+            ([3.7], "must be integer ids, got dtype float64"),
+            (["3"], "must be integer ids, got dtype <U1"),
+            ([True], "must be integer ids, got dtype bool"),
+            (np.array([1.0, 2.0]), "must be integer ids, got dtype float64"),
+            (np.array([[1, 2]]), "must be a flat list of ids, got shape"),
+            ([[1], [2]], "must be a flat list of ids, got shape"),
+            ([2, 10], r"must lie in \[0, 10\), got \[2, 10\]"),
+            (np.array([-1, 4], dtype=np.int32), r"must lie in \[0, 10\), got \[-1, 4\]"),
+            (np.array([2**63], dtype=np.uint64), r"must lie in \[0, 10\)"),
+        ],
+    )
+    def test_ids_that_are_not_indices_rejected(self, active, message):
+        with pytest.raises(ValueError, match=f"active indices {message}"):
+            Sdr(10, active)
+
+    @pytest.mark.parametrize(
+        "universe_size", [10.5, True, np.True_, 0, -3, "10", None, float("nan"), float("inf")]
+    )
+    def test_width_that_is_not_a_positive_integer_rejected(self, universe_size):
+        with pytest.raises(ValueError, match="universe_size must be a positive integer"):
+            Sdr(universe_size)
+
+    @pytest.mark.parametrize("universe_size", [10, 10.0, np.int32(10), np.uint64(10)])
+    def test_whole_width_accepted(self, universe_size):
+        s = Sdr(universe_size, [3])
+        assert type(s.universe_size) is int and s == Sdr(10, [3])
+
+    @pytest.mark.parametrize("bits", [np.zeros((2, 3), dtype=bool), np.array(True)])
+    def test_dense_input_that_is_not_flat_rejected(self, bits):
+        with pytest.raises(ValueError, match="dense bits must be 1-D"):
+            Sdr.from_dense(bits)
+
+    def test_ids_are_read_only_int64(self):
+        supplied = np.array([4, 1], dtype=np.int64)
+        s = Sdr(8, supplied)
+        assert s.ids.dtype == np.int64 and not s.ids.flags.writeable
+        assert supplied.flags.writeable  # the constructor copies
+        with pytest.raises(ValueError):
+            s.ids[0] = 5
+
+
+def _copy_by_pickle(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class TestCopies:
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, _copy_by_pickle])
+    def test_copies_keep_ids_read_only(self, copy_of):
+        for s in (Sdr(16, [9, 2]), Sdr._from_sorted(16, np.array([2, 9])), Sdr(16)):
+            c = copy_of(s)
+            assert c == s and hash(c) == hash(s) and repr(c) == repr(s)
+            assert c.ids.dtype == np.int64 and not c.ids.flags.writeable
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, _copy_by_pickle])
+    def test_copied_layer_keeps_ids_read_only(self, copy_of):
+        enc = CategoryEncoder(64, 4, rng_seed=0)
+        layer = TmLayer(64, 16, 4, n_active=4, n_synapses=16, seed=0)
+        for token in "ABCDABCD":
+            layer.step(enc.encode(token))
+        c = copy_of(layer)
+        for name in ("_prev_active", "_prev_winners"):
+            original, copied = getattr(layer, name), getattr(c, name)
+            assert copied == original and len(copied) > 0
+            assert not copied.ids.flags.writeable
+        assert c.step(enc.encode("A")) == layer.step(enc.encode("A"))
 
 
 class TestOverlap:
@@ -161,13 +244,83 @@ class TestFromSorted:
         assert overlap(trusted, b) == overlap(checked, b) == overlap(b, trusted)
         assert union(trusted, b) == union(checked, b) == union(b, trusted)
 
-    def test_active_set_built_once(self):
-        s = Sdr._from_sorted(16, np.array([2, 5]))
-        assert s._active_set is None  # nothing built until asked
-        first = s.active_set
-        assert first == frozenset({2, 5})
-        assert 5 in s and 3 not in s
-        assert s.active_set is first
-
     def test_empty(self):
         assert Sdr._from_sorted(8, np.array([], dtype=np.intp)) == Sdr(8)
+
+    def test_keeps_an_int64_array_and_makes_it_read_only(self):
+        ids = np.array([2, 5], dtype=np.int64)
+        assert Sdr._from_sorted(8, ids).ids is ids
+        assert not ids.flags.writeable
+
+
+# Every way to build an Sdr, each with the tuple-based reference's value.
+ROUTES = (
+    "list", "set", "range", "int32", "int64",
+    "sorted intp", "sorted int32", "sorted int64",
+    "from_dense", "union", "flip_noise",
+)
+
+
+@st.composite
+def built(draw, universe: int):
+    """An ``(Sdr, oracle.TupleSdr)`` pair built by one route from one draw."""
+    ids = draw(st.sets(st.integers(0, universe - 1), max_size=universe))
+    shuffled = draw(st.permutations(sorted(ids)))
+    route = draw(st.sampled_from(ROUTES))
+    ref = oracle.TupleSdr(universe, ids)
+    if route == "list":
+        return Sdr(universe, shuffled), ref
+    if route == "set":
+        return Sdr(universe, ids), ref
+    if route == "range":
+        start = draw(st.integers(0, universe))
+        stop = draw(st.integers(start, universe))
+        return Sdr(universe, range(start, stop)), oracle.TupleSdr(universe, range(start, stop))
+    if route in ("int32", "int64"):
+        return Sdr(universe, np.array(shuffled, dtype=route)), ref
+    if route.startswith("sorted"):
+        dtype = {"intp": np.intp, "int32": np.int32, "int64": np.int64}[route.split()[1]]
+        return Sdr._from_sorted(universe, np.array(sorted(ids), dtype=dtype)), ref
+    if route == "from_dense":
+        bits = ref.dense()
+        return Sdr.from_dense(bits), oracle.from_dense(bits)
+    if route == "union":
+        other = draw(st.sets(st.integers(0, universe - 1), max_size=universe))
+        return (
+            union(Sdr(universe, ids), Sdr(universe, other)),
+            oracle.union(ref, oracle.TupleSdr(universe, other)),
+        )
+    fraction = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return flip_noise(Sdr(universe, ids), fraction, seed), oracle.flip_noise(ref, fraction, seed)
+
+
+def assert_matches(s: Sdr, ref: oracle.TupleSdr) -> None:
+    universe = ref.universe_size
+    assert s.universe_size == universe
+    assert s.ids.dtype == np.int64 and not s.ids.flags.writeable
+    assert s.active == ref.active and all(type(i) is int for i in s.active)
+    assert len(s) == s.cardinality == len(ref)
+    assert list(s) == list(ref) and all(type(i) is int for i in s)
+    probes = [*range(-1, universe + 1)]
+    probes += [i + 0.0 for i in probes] + [i + 0.5 for i in probes] + [str(i) for i in probes]
+    assert [p in s for p in probes] == [p in ref for p in probes]
+    assert hash(s) == hash(ref) and repr(s) == repr(ref)
+    dense = s.dense()
+    assert dense.dtype == bool and np.array_equal(dense, ref.dense())
+    assert s.active_set == ref.active_set
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(built(n), built(n))))
+def test_matches_tuple_reference(pairs):
+    (a, ref_a), (b, ref_b) = pairs
+    assert_matches(a, ref_a)
+    assert_matches(b, ref_b)
+    assert (a == b) == (ref_a == ref_b) == (b == a)
+    # Equal values hash equal whatever route built them.
+    checked = Sdr(a.universe_size, ref_a.active)
+    assert a == checked and hash(a) == hash(checked)
+    assert overlap(a, b) == oracle.overlap(ref_a, ref_b)
+    assert type(overlap(a, b)) is int
+    assert_matches(union(a, b), oracle.union(ref_a, ref_b))

@@ -107,6 +107,7 @@ class TestPredictivePotential:
             ([True], "must be integer ids, got dtype bool"),
             (np.array([[1, 2]]), "must be a flat list of ids, got shape"),
             ([[1], [2]], "must be a flat list of ids, got shape"),
+            ([3, 64], r"must lie in \[0, 64\), got \[3, 64\]"),
         ],
     )
     def test_activity_that_is_not_cell_ids_rejected(self, active, message):
