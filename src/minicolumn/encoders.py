@@ -8,7 +8,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .sdr import DimensionError, Sdr
+from .sdr import DimensionError, Sdr, _check_finite, _check_integral
 
 __all__ = ["CategoryEncoder", "ScalarEncoder"]
 
@@ -26,14 +26,7 @@ class CategoryEncoder:
     """
 
     def __init__(self, universe_size: int, active_bits: int, rng_seed: int = 0):
-        if universe_size <= 0:
-            raise ValueError(f"universe_size must be positive, got {universe_size}")
-        if not 0 < active_bits <= universe_size:
-            raise ValueError(
-                f"active_bits must be in [1, {universe_size}], got {active_bits}"
-            )
-        self.universe_size = universe_size
-        self.active_bits = active_bits
+        self.universe_size, self.active_bits = _check_widths(universe_size, active_bits, 0)
         self._table: dict[Hashable, Sdr] = {}
         self._codebook = None  # built by best_match; dropped when a symbol is added
         self._rng = np.random.default_rng(rng_seed)
@@ -115,18 +108,14 @@ class ScalarEncoder:
         universe_size: int,
         active_bits: int,
     ):
+        _check_finite(min_value=min_value, max_value=max_value)
         if not min_value < max_value:
             raise ValueError(f"need min_value < max_value, got [{min_value}, {max_value}]")
-        if universe_size <= 0:
-            raise ValueError(f"universe_size must be positive, got {universe_size}")
-        if not 0 < active_bits < universe_size:
-            raise ValueError(
-                f"active_bits must be in [1, {universe_size}), got {active_bits}"
-            )
         self.min_value = float(min_value)
         self.max_value = float(max_value)
-        self.universe_size = universe_size
-        self.active_bits = active_bits
+        if self.max_value - self.min_value == math.inf:
+            raise ValueError(f"max_value - min_value overflows, got [{min_value}, {max_value}]")
+        self.universe_size, self.active_bits = _check_widths(universe_size, active_bits, 1)
 
     def encode(self, value: float) -> Sdr:
         start = self._start(value)
@@ -169,6 +158,17 @@ class ScalarEncoder:
     @classmethod
     def from_state(cls, state: dict) -> "ScalarEncoder":
         return cls(**state["params"])
+
+
+def _check_widths(universe_size, active_bits, spare: int) -> tuple[int, int]:
+    """``universe_size`` and ``active_bits`` as ints, once checked to be
+    integers with ``active_bits`` in [1, universe_size - ``spare``]."""
+    _check_integral(universe_size=universe_size, active_bits=active_bits)
+    if universe_size <= 0:
+        raise ValueError(f"universe_size must be positive, got {universe_size}")
+    if not 0 < active_bits <= universe_size - spare:
+        raise ValueError(f"active_bits must be in [1, {universe_size - spare}], got {active_bits}")
+    return int(universe_size), int(active_bits)
 
 
 def _dense_probe(probe, universe_size: int) -> np.ndarray:

@@ -8,18 +8,16 @@ RunReports; the command-line front end handles file I/O around them.
 from __future__ import annotations
 
 import inspect
-import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .encoders import CategoryEncoder, ScalarEncoder
 from .metrics import RunReport, prediction_accuracy
 from .pattern import PatternLayer
 from .pooling import PoolingLayer, stability
 from .sdr import Sdr, flip_noise
-from .transition import LayerOutput, TmLayer
+from .transition import LayerOutput, TmLayer, _columns_of, _read_dtau_vert
 
 __all__ = [
     "ConfigError",
@@ -44,21 +42,20 @@ class ConfigError(ValueError):
 # Encoder classes by kind: a config's ``encoder.type`` and a snapshot's
 # ``encoder_kind``.
 _ENCODERS = {"category": CategoryEncoder, "scalar": ScalarEncoder}
-_ENCODER_KEYS = {
-    "category": {"type", "universe_size", "active_bits"},
-    "scalar": {"type", "universe_size", "active_bits", "min_value", "max_value"},
-}
 
 
 def _keywords(*classes) -> frozenset:
     """Constructor keywords a config section may set; ``build_model``
-    supplies ``input_size`` and ``seed`` itself."""
+    supplies ``input_size``, ``seed`` and ``rng_seed`` itself."""
     names = {name for cls in classes for name in inspect.signature(cls).parameters}
-    return frozenset(names - {"input_size", "seed", "kwargs"})
+    return frozenset(names - {"input_size", "seed", "rng_seed", "kwargs"})
 
 
+_ENCODER_KEYS = {kind: _keywords(cls) | {"type"} for kind, cls in _ENCODERS.items()}
 _LAYER_KEYS = _keywords(TmLayer, PatternLayer)
-_POOL_KEYS = _keywords(PoolingLayer, PatternLayer)
+# The runners train a pooling layer with tp_learn alone, which never reads
+# the pattern layer's delta_inc and delta_dec.
+_POOL_KEYS = _keywords(PoolingLayer, PatternLayer) - {"delta_inc", "delta_dec"}
 
 
 def _is(value, *types) -> bool:
@@ -67,26 +64,29 @@ def _is(value, *types) -> bool:
 
 
 def _finite_number(value) -> bool:
-    """Whether a JSON value is a finite number."""
-    if not _is(value, int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
+    """Whether a JSON value is a finite number; an integer too large for a float is not."""
+    return _is(value, int, float) and abs(value) <= sys.float_info.max
 
 
-def _section_errors(name: str, section: dict, keys: frozenset, integers: tuple) -> list[str]:
-    """Problems with a layer or pool section: unknown keys, ``integers``
-    that are missing or not integers, and booleans, which no constructor
-    keyword takes."""
+def _section_errors(
+    name: str, section: dict, keys: frozenset, integers: tuple, numbers: tuple = ()
+) -> list[str]:
+    """Problems with a config section: unknown keys, ``integers`` or
+    ``numbers`` that are missing, not integers or not finite numbers, and
+    booleans, which no constructor keyword takes."""
     errors = [f"unknown {name} key {key!r}" for key in sorted(set(section) - keys)]
     errors += [
         f"{name}.{key} must be an integer" for key in integers if not _is(section.get(key), int)
     ]
+    for key in numbers:
+        value = section.get(key)
+        if not _is(value, int, float):
+            errors.append(f"{name}.{key} must be a number")
+        elif not _finite_number(value):
+            errors.append(f"{name}.{key} must be finite, got {value!r}")
     errors += [
         f"{name}.{key} must not be a boolean"
-        for key in sorted(set(section) & keys - set(integers))
+        for key in sorted(set(section) & keys - set(integers) - set(numbers))
         if isinstance(section[key], bool)
     ]
     return errors
@@ -140,15 +140,11 @@ class ExperimentConfig:
             if enc_type not in _ENCODERS:
                 errors.append(f"encoder.type must be 'category' or 'scalar', got {enc_type!r}")
             else:
-                for key in sorted(set(encoder) - _ENCODER_KEYS[enc_type]):
-                    errors.append(f"unknown encoder key {key!r}")
-                for key in ("universe_size", "active_bits"):
-                    if not _is(encoder.get(key), int):
-                        errors.append(f"encoder.{key} must be an integer")
-                if enc_type == "scalar":
-                    for key in ("min_value", "max_value"):
-                        if not _is(encoder.get(key), int, float):
-                            errors.append(f"encoder.{key} must be a number")
+                integers = ("universe_size", "active_bits")
+                numbers = ("min_value", "max_value") if enc_type == "scalar" else ()
+                errors += _section_errors(
+                    "encoder", encoder, _ENCODER_KEYS[enc_type], integers, numbers
+                )
 
         layer = raw.get("layer")
         if not isinstance(layer, dict):
@@ -279,7 +275,7 @@ def _construct(section: str, cls, **kwargs):
     """Build one part of the model; a rejected value becomes a ConfigError."""
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError([f"{section}: {exc}"]) from exc
 
 
@@ -289,9 +285,7 @@ def build_model(config: ExperimentConfig, with_pool: bool = False) -> SequenceMo
         enc["rng_seed"] = config.seed
     encoder = _construct("encoder", _ENCODERS[config.encoder_type], **enc)
 
-    layer = dict(config.layer)
-    if layer.get("dtau_vert") == "inf":
-        layer["dtau_vert"] = math.inf
+    layer = _read_dtau_vert(config.layer)
     tm = _construct(
         "layer", TmLayer, input_size=encoder.universe_size, seed=config.seed, **layer
     )
@@ -335,12 +329,9 @@ def decode_prediction(model: SequenceModel, output: LayerOutput, values=None):
     if not cells:
         return None, 0
     tm = model.tm
-    # The cells ascend, so their columns do too: keep each column's first.
-    columns = cells.ids // tm.cells_per_column
-    columns = columns[np.diff(columns, prepend=-1) != 0]
     # build_model and SequenceModel.from_state make the encoder's universe
     # the layer's input size, which the back-projection spans.
-    hits = tm.pattern.reconstruct(Sdr._from_sorted(tm.n_columns, columns)) > 0
+    hits = tm.pattern.reconstruct(_columns_of(cells, tm.n_columns)) > 0
     if isinstance(model.encoder, ScalarEncoder):
         return model.encoder.best_match(hits, values)
     return model.encoder.best_match(hits)

@@ -8,11 +8,9 @@ weaken the rest.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .sdr import DimensionError, Sdr
+from .sdr import DimensionError, Sdr, _as_array, _check_finite, _check_integral, _check_unit
 
 __all__ = ["PatternLayer", "reconstruction_error"]
 
@@ -76,10 +74,7 @@ class PatternLayer:
         delta_dec, min_overlap,
     ) -> None:
         """Check and store the resolved parameters, as snapshots hold them."""
-        _check_finite(
-            input_size=input_size, n_columns=n_columns, n_active=n_active, n_synapses=n_synapses,
-            delta_inc=delta_inc, delta_dec=delta_dec, min_overlap=min_overlap,
-        )
+        _check_finite(delta_inc=delta_inc, delta_dec=delta_dec)
         _check_integral(
             input_size=input_size, n_columns=n_columns, n_active=n_active, n_synapses=n_synapses,
             min_overlap=min_overlap,
@@ -97,7 +92,7 @@ class PatternLayer:
         self.n_columns = int(n_columns)
         self.n_active = int(n_active)
         self.n_synapses = int(n_synapses)
-        self.connect_threshold = float(connect_threshold)
+        self.connect_threshold = connect_threshold
         self.delta_inc = float(delta_inc)
         self.delta_dec = float(delta_dec)
         self.min_overlap = int(min_overlap)
@@ -175,8 +170,7 @@ class PatternLayer:
 
     @connect_threshold.setter
     def connect_threshold(self, value) -> None:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"connect_threshold must be in [0, 1], got {value}")
+        _check_unit(connect_threshold=value)
         self._connect_threshold = float(value)
         self._connected = None
 
@@ -353,36 +347,6 @@ def _hebbian(p: np.ndarray, on: np.ndarray, inc, dec) -> np.ndarray:
     block, or distal segments.
     """
     return np.where(on, np.minimum(1.0, p * (1.0 + inc)), p * (1.0 - dec))
-
-
-def _check_finite(**params) -> None:
-    """Raise ``ValueError`` naming the first parameter that is infinite or NaN."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _check_integral(**params) -> None:
-    """Raise ``ValueError`` naming the first finite parameter that is not a
-    whole number. Integral floats such as ``32.0`` pass."""
-    for name, value in params.items():
-        if value != int(value):
-            raise ValueError(f"{name} must be an integer, got {value}")
-
-
-def _check_unit(**params) -> None:
-    """Raise ``ValueError`` naming the first parameter outside [0, 1]."""
-    for name, value in params.items():
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-def _as_array(name: str, value) -> np.ndarray:
-    """``np.asarray`` whose errors (ragged rows) name the field."""
-    try:
-        return np.asarray(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: {exc}") from exc
 
 
 def reconstruction_error(x_ff: Sdr, x_hat) -> float:

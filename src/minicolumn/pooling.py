@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .pattern import PatternLayer, _check_finite, _check_unit
-from .sdr import Sdr, overlap
+from .pattern import PatternLayer
+from .sdr import Sdr, _check_finite, _check_unit, overlap
 from .transition import LayerOutput
 
 __all__ = ["PoolingLayer", "stability"]
@@ -54,7 +54,9 @@ class PoolingLayer(PatternLayer):
     def _configure_pooling(
         self, persistence, delta_inc_pred, delta_dec_pred, delta_inc_burst, delta_dec_burst
     ) -> None:
-        _check_finite(delta_inc_pred=delta_inc_pred, delta_inc_burst=delta_inc_burst)
+        _check_finite(
+            persistence=persistence, delta_inc_pred=delta_inc_pred, delta_inc_burst=delta_inc_burst
+        )
         _check_unit(delta_dec_pred=delta_dec_pred, delta_dec_burst=delta_dec_burst)
         if not 0.0 <= persistence < 1.0:
             raise ValueError(f"persistence must be in [0, 1), got {persistence}")

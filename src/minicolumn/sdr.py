@@ -9,6 +9,7 @@ frozenset ``active_set`` are built on each read.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,6 +35,46 @@ def _as_ids(active, universe_size: int, what: str) -> np.ndarray:
         if not (low >= 0 and high < universe_size):
             raise ValueError(f"{what} must lie in [0, {universe_size}), got [{low}, {high}]")
     return idx.astype(np.int64, copy=False)
+
+
+def _refuse_booleans(params: dict):
+    """The items of ``params``, once no value is a boolean, which no number takes."""
+    for name, value in params.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must not be a boolean, got {value!r}")
+    return params.items()
+
+
+def _check_finite(**params) -> None:
+    """Raise ``ValueError`` naming the first parameter that is a boolean,
+    infinite, NaN or an integer too large for a float."""
+    for name, value in _refuse_booleans(params):
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_integral(**params) -> None:
+    """Raise ``ValueError`` naming the first parameter that fails ``_check_finite``
+    or is not a whole number. Integral floats such as ``32.0`` pass."""
+    _check_finite(**params)
+    for name, value in params.items():
+        if value != int(value):
+            raise ValueError(f"{name} must be an integer, got {value}")
+
+
+def _check_unit(**params) -> None:
+    """Raise ``ValueError`` naming the first parameter that is a boolean or outside [0, 1]."""
+    for name, value in _refuse_booleans(params):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def _as_array(name: str, value) -> np.ndarray:
+    """``np.asarray`` whose errors (ragged rows) name the field."""
+    try:
+        return np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 class Sdr:
@@ -151,8 +192,7 @@ def flip_noise(a: Sdr, flip_fraction: float, rng_seed: int) -> Sdr:
     preserved. If fewer inactive positions exist than bits to move, the count
     is capped. Deterministic for a given seed.
     """
-    if not 0.0 <= flip_fraction <= 1.0:
-        raise ValueError(f"flip_fraction must be in [0, 1], got {flip_fraction}")
+    _check_unit(flip_fraction=flip_fraction)
     k = len(a)
     n_move = int(round(flip_fraction * k))
     if n_move == 0:

@@ -20,16 +20,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pattern import (
-    _PATTERN_PARAMS,
-    PatternLayer,
-    _as_array,
-    _check_finite,
-    _check_integral,
-    _check_unit,
-    _hebbian,
+from .pattern import _PATTERN_PARAMS, PatternLayer, _hebbian
+from .sdr import (
+    DimensionError, Sdr, _as_array, _as_ids, _check_finite, _check_integral, _check_unit,
+    _refuse_booleans,
 )
-from .sdr import DimensionError, Sdr, _as_ids
 
 __all__ = [
     "P_PRED",
@@ -161,9 +156,16 @@ def _firing_sequence(units, kinds, rates, raw, n_synapses, sheath, inactive) -> 
     )
 
 
+def _firing_times(gamma: float, rates: np.ndarray) -> np.ndarray:
+    """Each of ``rates``' time to reach the firing threshold ``gamma``:
+    gamma / rate, infinite where nothing depolarises (a rate not above 0)."""
+    return np.divide(gamma, rates, out=np.full(np.shape(rates), np.inf), where=rates > 0)
+
+
 def firing_time(rate: float, gamma: float = 1.0) -> float:
     """Time to reach firing threshold; infinite when nothing depolarises."""
-    return gamma / rate if rate > 0.0 else math.inf
+    with np.errstate(all="ignore"):  # overflow gives inf, as a float division does
+        return float(_firing_times(gamma, np.float64(rate)))
 
 
 class DistalSegment(NamedTuple):
@@ -296,6 +298,12 @@ _DISTAL_PARAMS = (
 )
 
 
+def _read_dtau_vert(params: dict) -> dict:
+    """A copy of ``params`` in which a ``dtau_vert`` of ``"inf"``, the JSON
+    spelling that ``TmLayer.to_state`` writes, is ``math.inf``."""
+    return dict(params, dtau_vert=math.inf) if params.get("dtau_vert") == "inf" else dict(params)
+
+
 class TmLayer:
     """Columns-of-cells sequence memory with prediction-assisted inhibition.
 
@@ -358,18 +366,15 @@ class TmLayer:
         """Check and store the layer's own resolved parameters, as snapshots
         hold them."""
         _check_finite(
-            cells_per_column=cells_per_column, alpha=alpha, beta=beta, beta_sub=beta_sub,
-            alpha_inh=alpha_inh, gamma_p=gamma_p, gamma_inh=gamma_inh,
-            predictive_threshold=predictive_threshold,
-            synapses_per_segment=synapses_per_segment, segments_per_cell=segments_per_cell,
-            activation_threshold=activation_threshold, min_match_threshold=min_match_threshold,
-            sigma_inc=sigma_inc,
+            alpha=alpha, beta=beta, beta_sub=beta_sub, alpha_inh=alpha_inh, gamma_p=gamma_p,
+            gamma_inh=gamma_inh, predictive_threshold=predictive_threshold, sigma_inc=sigma_inc,
         )
         _check_integral(
             cells_per_column=cells_per_column, synapses_per_segment=synapses_per_segment,
             segments_per_cell=segments_per_cell, activation_threshold=activation_threshold,
             min_match_threshold=min_match_threshold,
         )
+        _refuse_booleans({"dtau_vert": dtau_vert, "spike_size": spike_size})
         if cells_per_column < 1:
             raise ValueError("cells_per_column must be >= 1")
         # dtau_vert may be +inf: an unbounded vertical window.
@@ -742,16 +747,11 @@ class TmLayer:
         potential, its rate when the column bursts. The sheath sees only
         alpha_inh * feedforward overlap.
         """
-        raw = self.pattern.raw_overlaps(x_ff).astype(np.float64)
-        o_ff = np.repeat(self.alpha * raw, self.cells_per_column)
+        raw = self.pattern.raw_overlaps(x_ff)
         evals = self._eval_segments(self._cell_ids(prev_active))
-        at = evals.lookup(np.arange(self.n_cells))
-        d_cells = np.where(
-            evals.predictive[at],
-            o_ff + self.beta * evals.o_pred[at],
-            o_ff + self.beta_sub * evals.o_sub[at],
-        )
-        return d_cells, self.alpha_inh * raw
+        _, at, _, o_ff, rates = self._drive(np.arange(self.n_columns), raw, evals)
+        burst = o_ff + self.beta_sub * evals.o_sub[at]
+        return np.where(evals.predictive[at], rates, burst).reshape(-1), self.alpha_inh * raw
 
     # -- stepping -----------------------------------------------------------
 
@@ -762,6 +762,17 @@ class TmLayer:
         np.maximum.at(top, evals.owners[:-1] // self.cells_per_column, evals.o_pred[:-1])
         scores = self.alpha * raw + self.beta * top
         return self.pattern._select(scores, raw)
+
+    def _drive(self, columns: np.ndarray, raw: np.ndarray, evals: _Evals):
+        """The ``[len(columns), cells_per_column]`` block of the ``columns``' cells:
+        the cells, their entries in ``evals``, their potentials ``o_pred``, each
+        row's drive alpha * raw, and each cell's rate alpha * raw + beta * o_pred."""
+        n = self.cells_per_column
+        cells = columns[:, None] * n + np.arange(n)
+        at = evals.lookup(cells)
+        o_pred = evals.o_pred[at]
+        o_ff = self.alpha * raw[columns][:, None]
+        return cells, at, o_pred, o_ff, o_ff + self.beta * o_pred
 
     def _fire(self, columns: np.ndarray, raw: np.ndarray, sheath: np.ndarray, evals: _Evals):
         """Fire the active columns' cells and pick one winner per column.
@@ -779,27 +790,18 @@ class TmLayer:
         which columns held a predictive cell, each row's winner offset and the
         block's entries in ``evals``.
         """
-        n = self.cells_per_column
-        cells = columns[:, None] * n + np.arange(n)
-        at = evals.lookup(cells)
-        o_pred = evals.o_pred[at]
-        o_ff = self.alpha * raw[columns][:, None]
+        cells, at, o_pred, o_ff, rates = self._drive(columns, raw, evals)
         fired = pred = evals.predictive[at]
         predicted_columns = pred.any(axis=1)
         winners = np.argmax(np.where(pred, o_pred, -np.inf), axis=1)
-        rates = o_ff + self.beta * o_pred
         # Most steps of a trained layer burst no column; the block below
         # gives the same result for them, but with a dozen more numpy calls.
         if not predicted_columns.all():
             bursting = ~predicted_columns
-            sheaths = sheath[columns]
             sub = self.beta_sub * evals.o_sub[at]
             d = o_ff + sub
-            t_cell = np.divide(self.gamma_p, d, out=np.full(d.shape, np.inf), where=d > 0)
-            t_sheath = np.divide(
-                self.gamma_inh, sheaths, out=np.full(sheaths.shape, np.inf), where=sheaths > 0
-            )
-            fire = t_cell < (t_sheath + self.dtau_vert)[:, None]
+            t_sheath = _firing_times(self.gamma_inh, sheath[columns])
+            fire = _firing_times(self.gamma_p, d) < (t_sheath + self.dtau_vert)[:, None]
             # The column won the feedforward competition; its fastest cell
             # must represent it even when the vertical window is narrower
             # than the sheath margin.
@@ -986,9 +988,7 @@ class TmLayer:
 
     @classmethod
     def from_state(cls, state: dict) -> "TmLayer":
-        params = dict(state["params"])
-        if params.get("dtau_vert") == "inf":
-            params["dtau_vert"] = math.inf
+        params = _read_dtau_vert(state["params"])
         pattern_params = {name: params.pop(name) for name in _PATTERN_PARAMS}
         # The pattern state repeats its parameters; a copy must agree with these.
         for name, value in state["pattern"].get("params", {}).items():
@@ -1020,22 +1020,24 @@ class TmLayer:
         return layer
 
 
+def _columns_of(cells: Sdr, n_columns: int) -> Sdr:
+    """The columns holding any of ``cells``, of a layer of ``n_columns``."""
+    columns = cells.ids // (cells.universe_size // n_columns)
+    # The cells ascend, so their columns do too: keep each column's first.
+    return Sdr._from_sorted(n_columns, columns[np.diff(columns, prepend=-1) != 0])
+
+
 def representation_views(output: LayerOutput) -> dict:
     """Simultaneous read-outs of one step at every level of detail."""
-    n = output.active_cells.universe_size // output.active_columns.universe_size
     n_columns = output.active_columns.universe_size
-
-    def columns_of(cells: Sdr) -> Sdr:
-        return Sdr._from_sorted(n_columns, np.unique(cells.ids // n))
-
     sequence = output.firing_sequence
     cells = (sequence.kinds == _P_PRED) | (sequence.kinds == _P_BURST)
     ordered = _record(*(a[cells] for a in sequence._arrays()))
     return {
         "columnar": output.active_columns,
         "cellular": output.active_cells,
-        "pred_columnar": columns_of(output.predicted_cells),
-        "burst_columnar": columns_of(output.burst_cells),
+        "pred_columnar": _columns_of(output.predicted_cells, n_columns),
+        "burst_columnar": _columns_of(output.burst_cells, n_columns),
         "pred_cellular": output.predicted_cells,
         "burst_cellular": output.burst_cells,
         "ordered": ordered,
@@ -1049,6 +1051,7 @@ def capacity(n_cols: int, k: int, cells: int) -> dict:
     cells**k contexts; the cellular capacity is their product. Computed via
     log-gamma so huge counts never overflow.
     """
+    _check_integral(n_cols=n_cols, k=k, cells=cells)
     if k > n_cols:
         raise ValueError(f"k must be <= n_cols, got k={k}, n_cols={n_cols}")
     if k < 0 or cells < 1:

@@ -204,7 +204,11 @@ class TestConfigKeys:
     def test_every_constructor_keyword_accepted(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["layer"] = {**keyword_defaults(PatternLayer, TmLayer), **raw["layer"]}
-        raw["pool"] = {**keyword_defaults(PatternLayer, PoolingLayer), "n_columns": 32}
+        # The runners never call PatternLayer.learn on a pooling layer, so the
+        # pool section takes no delta_inc or delta_dec.
+        inert = {"delta_inc", "delta_dec"}
+        pool = keyword_defaults(PatternLayer, PoolingLayer)
+        raw["pool"] = {**{k: v for k, v in pool.items() if k not in inert}, "n_columns": 32}
         assert set(raw["layer"]) == (
             set(inspect.signature(PatternLayer).parameters)
             | set(inspect.signature(TmLayer).parameters)
@@ -212,7 +216,7 @@ class TestConfigKeys:
         assert set(raw["pool"]) == (
             set(inspect.signature(PatternLayer).parameters)
             | set(inspect.signature(PoolingLayer).parameters)
-        ) - {"input_size", "seed", "kwargs"}
+        ) - {"input_size", "seed", "kwargs"} - inert
         model = build_model(ExperimentConfig.from_dict(raw), with_pool=True)
         assert model.pool.n_columns == 32
 
@@ -224,6 +228,8 @@ class TestConfigKeys:
             ("layer", "column_score_mode", "max"),
             ("pool", "boost_strength", 0.0),
             ("pool", "duty_period", 1000),
+            ("pool", "delta_inc", 0.9),
+            ("pool", "delta_dec", 0.01),
         ],
     )
     def test_removed_keys_unknown(self, tmp_path, capsys, section, key, value):
@@ -415,6 +421,43 @@ class TestSequenceCommand:
         err = capsys.readouterr().err
         assert f"layer: {key} must be an integer, got {value}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "bounds, value, message",
+        [
+            # Python's json reads -Infinity and NaN; these crashed in the encoder
+            (
+                '"min_value": -Infinity, "max_value": 10',
+                "1",
+                "encoder.min_value must be finite, got -inf",
+            ),
+            ('"min_value": 0, "max_value": NaN', "1", "encoder.max_value must be finite, got nan"),
+            (
+                '"min_value": -1e308, "max_value": 1e308',
+                "1e308",
+                "encoder: max_value - min_value overflows, got [-1e+308, 1e+308]",
+            ),
+        ],
+    )
+    def test_scalar_bounds_the_encoder_cannot_take_exit_2(
+        self, tmp_path, capsys, bounds, value, message
+    ):
+        text = json.dumps(dict(BASE_CONFIG, encoder=SCALAR_ENCODER, sequences=SCALAR_SEQUENCES))
+        config = tmp_path / "config.json"
+        config.write_text(text.replace('"min_value": 0, "max_value": 10', bounds))
+        stream = tmp_path / "stream.txt"
+        stream.write_text(value + "\n")
+        assert main(["anomaly", "--config", str(config), str(stream)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_count_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        layer = dict(BASE_CONFIG["layer"], n_columns=10**400)
+        config = write_config(tmp_path, {"layer": layer})
+        assert main(["sequence", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "layer: " in err and "Traceback" not in err
 
     def test_rejected_encoder_value_exits_2(self, tmp_path, capsys):
         encoder = dict(SCALAR_ENCODER, min_value=5, max_value=5)

@@ -1,11 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicolumn import CategoryEncoder, DimensionError, ScalarEncoder, Sdr, overlap, union
+from minicolumn import (
+    CategoryEncoder,
+    DimensionError,
+    ScalarEncoder,
+    Sdr,
+    capacity,
+    overlap,
+    union,
+)
 
 
 def set_based_best_match(codes: dict, probe: Sdr):
@@ -152,6 +161,79 @@ class TestCategoryEncoder:
             CategoryEncoder(16, 0)
         with pytest.raises(ValueError):
             CategoryEncoder(16, 17)
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestParameterChecks:
+    """The encoders and ``capacity`` run the layers' shared parameter checks:
+    integers must be whole, no number may be a boolean or non-finite."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((256.5, 12), "universe_size must be an integer, got 256.5"),
+            ((256, 12.5), "active_bits must be an integer, got 12.5"),
+            ((True, True), "universe_size must not be a boolean, got True"),
+            ((256, True), "active_bits must not be a boolean, got True"),
+            ((INF, 12), "universe_size must be finite, got inf"),
+            ((256, NAN), "active_bits must be finite, got nan"),
+            ((10**400, 12), "universe_size must be finite"),
+        ],
+    )
+    def test_category_encoder_refuses(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CategoryEncoder(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 10, 256.5, 12), "universe_size must be an integer, got 256.5"),
+            ((0, 10, 256, 12.5), "active_bits must be an integer, got 12.5"),
+            ((0, 10, True, 12), "universe_size must not be a boolean, got True"),
+            ((False, 10, 256, 12), "min_value must not be a boolean, got False"),
+            ((-INF, 10, 256, 12), "min_value must be finite, got -inf"),
+            ((0, INF, 256, 12), "max_value must be finite, got inf"),
+            ((NAN, 10, 256, 12), "min_value must be finite, got nan"),
+            ((0, 10**400, 256, 12), "max_value must be finite"),
+            ((-1e308, 1e308, 256, 12), "max_value - min_value overflows, got [-1e+308, 1e+308]"),
+        ],
+    )
+    def test_scalar_encoder_refuses(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScalarEncoder(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10.5, 2, 1), "n_cols must be an integer, got 10.5"),
+            ((10, 2.5, 1), "k must be an integer, got 2.5"),
+            ((10, 2, 1.5), "cells must be an integer, got 1.5"),
+            ((True, 1, 1), "n_cols must not be a boolean, got True"),
+            ((10, 2, True), "cells must not be a boolean, got True"),
+            ((INF, 2, 1), "n_cols must be finite, got inf"),
+            ((10, NAN, 1), "k must be finite, got nan"),
+            ((10**400, 2, 1), "n_cols must be finite"),
+        ],
+    )
+    def test_capacity_refuses(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            capacity(*args)
+
+    def test_integral_floats_accepted_as_ints(self):
+        scalar = ScalarEncoder(0, 10, 256.0, 12.0)
+        code = scalar.encode(1.0)
+        assert code.universe_size == 256 and type(code.universe_size) is int
+        assert type(scalar.active_bits) is int
+        category = CategoryEncoder(256.0, 12.0)
+        assert (type(category.universe_size), type(category.active_bits)) == (int, int)
+        assert capacity(10.0, 2.0, 4.0) == capacity(10, 2, 4)
+
+    def test_widest_finite_span_accepted(self):
+        enc = ScalarEncoder(-1e307, 1e307, 256, 12)
+        assert enc.encode(1e308) == enc.encode(1e307)
+        assert enc.encode(-1e308).active == tuple(range(12))
 
 
 class TestScalarEncoder:

@@ -16,8 +16,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicolumn import Sdr, TmLayer
-from minicolumn.transition import P_BURST, P_PRED
+from minicolumn import Sdr, TmLayer, firing_time
+from minicolumn.transition import P_BURST, P_PRED, _firing_times
 
 import oracle_fire as oracle
 
@@ -137,6 +137,57 @@ def test_depolarisation_rates_are_the_fired_rates(scenario):
         assert event.rate == rates[event.unit]
 
 
+def reference_depolarisation_rates(layer, x_ff, prev_active):
+    """``TmLayer.depolarisation_rates`` as written before it shared ``_drive``
+    with ``_fire``: per-cell arrays built from a float copy of the overlaps."""
+    raw = layer.pattern.raw_overlaps(x_ff).astype(np.float64)
+    o_ff = np.repeat(layer.alpha * raw, layer.cells_per_column)
+    evals = layer._eval_segments(layer._cell_ids(prev_active))
+    at = evals.lookup(np.arange(layer.n_cells))
+    d_cells = np.where(
+        evals.predictive[at],
+        o_ff + layer.beta * evals.o_pred[at],
+        o_ff + layer.beta_sub * evals.o_sub[at],
+    )
+    return d_cells, layer.alpha_inh * raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_depolarisation_rates_match_the_replaced_code_and_fire(scenario):
+    layer, raw, prev_active = scenario
+    layer.pattern.raw_overlaps = lambda x_ff: raw
+    x_ff, prev = Sdr(layer.pattern.input_size), Sdr(layer.n_cells, prev_active)
+    d_cells, d_sheaths = layer.depolarisation_rates(x_ff, prev)
+    expected = reference_depolarisation_rates(layer, x_ff, prev)
+    for got, want in zip((d_cells, d_sheaths), expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # _fire's rates on the cells it fires, for every column active at once
+    evals = layer._eval_segments(prev_active)
+    cells, _, rates = layer._fire(np.arange(layer.n_columns), raw, d_sheaths, evals)[:3]
+    assert rates.tobytes() == d_cells[cells].tobytes()
+
+
+RATES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(RATES, max_size=12), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+)
+def test_firing_times_match_the_scalar_rule(rates, gamma):
+    """The one firing-time rule, gamma / rate and infinite at a rate not
+    above 0, on arrays and through ``firing_time`` against Python floats."""
+    expected = np.array([gamma / r if r > 0.0 else math.inf for r in rates], dtype=np.float64)
+    with np.errstate(over="ignore"):  # a subnormal rate overflows to inf, as in Python
+        times = _firing_times(gamma, np.array(rates, dtype=np.float64))
+    assert times.tobytes() == expected.tobytes()
+    assert np.array([firing_time(r, gamma) for r in rates]).tobytes() == expected.tobytes()
+
+
 def fixed_layer(**kw):
     return TmLayer(16, 2, 4, n_active=1, n_synapses=8, seed=0, **kw)
 
@@ -148,6 +199,18 @@ def test_tied_potentials_pick_the_lower_cell():
     out = check_step(layer, [0, 3], [0])
     assert out.predicted_cells.active == (5, 6, 7)
     assert out.winner_cells.active == (5,)
+
+
+def test_predicted_winner_is_the_largest_potential_when_beta_is_0():
+    # With beta 0 both predicted cells fire at the same rate alpha * raw;
+    # the winner is still the one with the larger o_pred, cell 6.
+    layer = fixed_layer(beta=0.0, activation_threshold=1)
+    layer.add_segment(5, [0], [0.9], spike_size=1.0)
+    layer.add_segment(6, [0], [0.9], spike_size=1.5)
+    out = check_step(layer, [0, 3], [0])
+    assert out.predicted_cells.active == (5, 6)
+    assert [event.rate for event in out.firing_sequence[:2]] == [3.0, 3.0]
+    assert out.winner_cells.active == (6,)
 
 
 def test_vertical_window_fires_only_the_subthreshold_cells():

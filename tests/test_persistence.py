@@ -234,6 +234,29 @@ class TestRoundTrip:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "encoder",
+        [CategoryEncoder(256, 12, rng_seed=1), ScalarEncoder(0.0, 10.0, 256, 12)],
+        ids=["category_encoder", "scalar_encoder"],
+    )
+    @pytest.mark.parametrize(
+        "key, value",
+        [("universe_size", 256.5), ("universe_size", True), ("active_bits", 12.5),
+         ("active_bits", True)],
+    )
+    def test_edited_encoder_width_rejected(self, tmp_path, encoder, key, value):
+        # a scalar encoder edited to width 256.5 loaded and encoded an
+        # Sdr(universe_size=256.5, ...)
+        path = tmp_path / "encoder.npz"
+        if isinstance(encoder, CategoryEncoder):
+            encoder.encode("A")
+        persistence.save(encoder, path)
+        members = mutations.read_members(path)
+        mutations.edit_header(lambda s: s["params"].update({key: value}))(members)
+        mutations.write_members(path, members)
+        with pytest.raises(SnapshotValidationError, match=f"{key} must"):
+            persistence.load(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad_version.json"
         doc = format2_doc(PatternLayer(16, 4, n_active=1, seed=0))

@@ -200,3 +200,18 @@ class TestStability:
 def test_rejected_parameter(name, value):
     with pytest.raises(ValueError, match=name):
         PoolingLayer(64, 16, n_active=2, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("persistence", False),
+        ("delta_inc_pred", True),
+        ("delta_dec_burst", True),
+        ("n_active", True),
+    ],
+)
+def test_boolean_parameter_rejected(name, value):
+    # persistence False read as 0.0, and a True rate as 1.0
+    with pytest.raises(ValueError, match=f"{name} must not be a boolean"):
+        PoolingLayer(64, 16, **dict({"n_active": 2}, **{name: value}))

@@ -599,6 +599,26 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
             small_layer(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "cells_per_column", "input_size", "n_active", "n_synapses", "min_overlap",
+            "potential_fraction", "connect_threshold", "delta_inc", "delta_dec", "alpha", "beta",
+            "beta_sub", "gamma_p", "dtau_vert", "predictive_threshold", "activation_threshold",
+            "spike_size", "sigma_inc", "sigma_dec", "sigma_punish", "initial_segment_permanence",
+        ],
+    )
+    def test_boolean_rejected(self, name):
+        # True once passed every check as 1, and False as 0 where 0 is allowed
+        for value in (True, np.True_):
+            with pytest.raises(ValueError, match=f"{name} must not be a boolean"):
+                small_layer(**{name: value})
+
+    def test_boolean_cell_count_rejected(self):
+        # this built a layer of one cell per column
+        with pytest.raises(ValueError, match="cells_per_column must not be a boolean, got True"):
+            TmLayer(64, 64, True)
+
     def test_integral_floats_accepted(self):
         layer = small_layer(cells_per_column=4.0, synapses_per_segment=8.0, n_columns=16.0)
         assert (layer.cells_per_column, layer.synapses_per_segment, layer.n_columns) == (4, 8, 16)
