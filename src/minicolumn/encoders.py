@@ -8,7 +8,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .sdr import DimensionError, Sdr, _check_finite, _check_integral
+from .sdr import DimensionError, Sdr, _check_finite, _check_integral, _check_width
 
 __all__ = ["CategoryEncoder", "ScalarEncoder"]
 
@@ -175,10 +175,7 @@ def _dense_probe(probe, universe_size: int) -> np.ndarray:
     """``probe``, an ``Sdr`` or a dense boolean array, as a dense boolean
     array of ``universe_size`` bits."""
     if isinstance(probe, Sdr):
-        if probe.universe_size != universe_size:
-            raise DimensionError(
-                f"probe width {probe.universe_size} != encoder width {universe_size}"
-            )
+        _check_width(probe, universe_size, "probe", "encoder width")
         return probe.dense()
     hits = np.asarray(probe)
     if hits.shape != (universe_size,):

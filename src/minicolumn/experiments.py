@@ -316,6 +316,15 @@ def _layer_record(t: int, output: LayerOutput, prev: LayerOutput | None) -> dict
     }
 
 
+def _step(model: SequenceModel, t: int, token, prev: LayerOutput | None, learn=True, **extra):
+    """Encode ``token`` and step the layer, returning the output and its
+    record: the ``_layer_record`` fields, then ``extra``, then the token."""
+    output = model.tm.step(model.encode(token), learn=learn)
+    record = _layer_record(t, output, prev)
+    record.update(extra, token=str(token))
+    return output, record
+
+
 def decode_prediction(model: SequenceModel, output: LayerOutput, values=None):
     """Read the layer's next-step guess back out as a known symbol.
 
@@ -361,11 +370,7 @@ def run_sequence(config: ExperimentConfig, model: SequenceModel | None = None):
             tm.reset()
             prev = None
             for token in spec.tokens:
-                output = tm.step(model.encode(token))
-                record = _layer_record(t, output, prev)
-                record["sequence"] = s
-                record["repeat"] = rep
-                record["token"] = str(token)
+                output, record = _step(model, t, token, prev, sequence=s, repeat=rep)
                 report.add(record)
                 prev = output
                 t += 1
@@ -404,13 +409,10 @@ def run_anomaly(config: ExperimentConfig, tokens: Sequence, model: SequenceModel
     """Feed a continuous token stream with learning on, scoring every step."""
     if model is None:
         model = build_model(config)
-    tm = model.tm
     report = RunReport()
     prev = None
     for t, token in enumerate(tokens):
-        output = tm.step(model.encode(token))
-        record = _layer_record(t, output, prev)
-        record["token"] = str(token)
+        output, record = _step(model, t, token, prev)
         report.add(record)
         prev = output
     report.finalize()
@@ -428,7 +430,7 @@ def run_pool(config: ExperimentConfig, model: SequenceModel | None = None):
         model = build_model(config, with_pool=True)
     if model.pool is None:
         raise ConfigError(["pooling runs need a model with a pool layer"])
-    tm, pool = model.tm, model.pool
+    pool = model.pool
     spec = config.sequences[0]
     report = RunReport()
 
@@ -439,10 +441,8 @@ def run_pool(config: ExperimentConfig, model: SequenceModel | None = None):
     for learn, cycles in ((True, spec.repeats), (False, config.eval_cycles)):
         for _ in range(cycles):
             for token in spec.tokens:
-                output = tm.step(model.encode(token), learn=learn)
+                output, record = _step(model, t, token, prev, learn)
                 pooled = pool.tp_step(output)
-                record = _layer_record(t, output, prev)
-                record["token"] = str(token)
                 record["pooled"] = pooled.ids.tolist()
                 if learn:
                     pool.tp_learn(output, pooled)

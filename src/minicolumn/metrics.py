@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .sdr import DimensionError, Sdr, overlap
+from .sdr import Sdr, _check_width, overlap
 from .transition import LayerOutput
 
 __all__ = ["RunReport", "prediction_accuracy", "sdr_overlap_curve"]
@@ -79,10 +79,6 @@ def sdr_overlap_curve(reference: Sdr, probes: Sequence[Sdr]) -> list[float]:
         raise ValueError("reference must have at least one active bit")
     curve = []
     for probe in probes:
-        if probe.universe_size != reference.universe_size:
-            raise DimensionError(
-                f"probe width {probe.universe_size} != reference width "
-                f"{reference.universe_size}"
-            )
+        _check_width(probe, reference.universe_size, "probe", "reference width")
         curve.append(overlap(reference, probe) / len(reference))
     return curve

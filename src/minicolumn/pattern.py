@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sdr import DimensionError, Sdr, _as_array, _check_finite, _check_integral, _check_unit
+from .sdr import (
+    DimensionError, Sdr, _as_array, _check_finite, _check_integral, _check_unit, _check_width,
+)
 
 __all__ = ["PatternLayer", "reconstruction_error"]
 
@@ -46,6 +48,8 @@ class PatternLayer:
         min_overlap: int = 1,
         seed=0,
     ):
+        # the sizes first: a size too large for a float cannot scale a fraction
+        _check_integral(input_size=input_size, n_columns=n_columns)
         _check_finite(potential_fraction=potential_fraction)
         if n_active is None:
             if not 0.0 < sparsity < 1.0:
@@ -211,16 +215,10 @@ class PatternLayer:
         self._permanences[w] = new
 
     def _check_input(self, x_ff: Sdr, name: str = "input") -> None:
-        if x_ff.universe_size != self.input_size:
-            raise DimensionError(
-                f"{name} width {x_ff.universe_size} != layer width {self.input_size}"
-            )
+        _check_width(x_ff, self.input_size, name, "layer width")
 
     def _check_winners(self, winners: Sdr) -> None:
-        if winners.universe_size != self.n_columns:
-            raise DimensionError(
-                f"winners width {winners.universe_size} != layer size {self.n_columns}"
-            )
+        _check_width(winners, self.n_columns, "winners", "layer size")
 
     def raw_overlaps(self, x_ff: Sdr) -> np.ndarray:
         """Overlap score of every neuron with the input: its connected

@@ -88,10 +88,11 @@ class Sdr:
 
     def __init__(self, universe_size: int, active: Iterable[int] = ()):
         try:
+            _check_integral(universe_size=universe_size)
             width = int(universe_size)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             width = 0
-        if isinstance(universe_size, (bool, np.bool_)) or width != universe_size or width <= 0:
+        if width <= 0:
             raise ValueError(f"universe_size must be a positive integer, got {universe_size!r}")
         ids = np.sort(_as_ids(active, width, "active indices"))
         repeated = ids[1:][ids[1:] == ids[:-1]]
@@ -160,6 +161,12 @@ class Sdr:
 
     def __reduce__(self):  # through the constructor, so a copy's ids are read-only too
         return Sdr, (self.universe_size, self.ids)
+
+
+def _check_width(value: Sdr, width: int, what: str, owner: str) -> None:
+    """Raise ``DimensionError``, naming both widths, unless ``value`` spans ``width`` bits."""
+    if value.universe_size != width:
+        raise DimensionError(f"{what} width {value.universe_size} != {owner} {width}")
 
 
 def _check_same_universe(a: Sdr, b: Sdr) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .pattern import _PATTERN_PARAMS, PatternLayer, _hebbian
 from .sdr import (
-    DimensionError, Sdr, _as_array, _as_ids, _check_finite, _check_integral, _check_unit,
+    Sdr, _as_array, _as_ids, _check_finite, _check_integral, _check_unit, _check_width,
     _refuse_booleans,
 )
 
@@ -671,10 +671,7 @@ class TmLayer:
         ``ValueError`` for ids that are not a flat set of integers in the layer.
         """
         if isinstance(active, Sdr):
-            if active.universe_size != self.n_cells:
-                raise DimensionError(
-                    f"activity width {active.universe_size} != layer cells {self.n_cells}"
-                )
+            _check_width(active, self.n_cells, "activity", "layer cells")
             return active.ids
         idx = _as_ids(active, self.n_cells, "active cells")
         return idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)

@@ -457,7 +457,7 @@ class TestSequenceCommand:
         config = write_config(tmp_path, {"layer": layer})
         assert main(["sequence", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "layer: " in err and "Traceback" not in err
+        assert "layer: n_columns must be finite" in err and "Traceback" not in err
 
     def test_rejected_encoder_value_exits_2(self, tmp_path, capsys):
         encoder = dict(SCALAR_ENCODER, min_value=5, max_value=5)

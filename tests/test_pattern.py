@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from minicolumn import DimensionError, PatternLayer, PoolingLayer, Sdr
+from minicolumn import DimensionError, PatternLayer, PoolingLayer, Sdr, TmLayer
 from minicolumn.pattern import reconstruction_error
 
 
@@ -197,6 +199,21 @@ class TestParameterChecks:
     def test_non_integral_size_rejected(self, cls):
         with pytest.raises(ValueError, match="n_columns must be an integer, got 16.2"):
             cls(64, 16.2, n_active=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            PatternLayer, PoolingLayer,
+            pytest.param(partial(TmLayer, cells_per_column=4), id="TmLayer"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "sizes, name", [((64, 10**400), "n_columns"), ((10**400, 64), "input_size")]
+    )
+    def test_size_too_large_for_a_float_rejected(self, cls, sizes, name):
+        # was an OverflowError from the sparsity and potential_fraction products
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(*sizes, seed=0)
 
     def test_integral_float_size_accepted(self):
         layer = PatternLayer(64.0, 16.0, n_active=2.0, n_synapses=8.0, seed=0)

@@ -27,6 +27,7 @@ from minicolumn.persistence import (
 
 import snapshot_mutations as mutations
 from test_proximal_kernel import layer_output
+from test_random_configs import configs
 
 
 FORMAT1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
@@ -430,14 +431,53 @@ def fixture_model():
 
 def step_all(model, tokens) -> list:
     """Step ``model`` (a ``SequenceModel``, its pool included) over ``tokens``
-    with learning on."""
-    outputs = []
+    with learning on. Returns each step's output and pooled SDR (None
+    without a pool)."""
+    steps = []
     for token in tokens:
         out = model.tm.step(model.encode(token))
-        outputs.append(out)
+        pooled = None
         if model.pool is not None:
-            model.pool.tp_learn(out, model.pool.tp_step(out))
-    return outputs
+            pooled = model.pool.tp_step(out)
+            model.pool.tp_learn(out, pooled)
+        steps.append((out, pooled))
+    return steps
+
+
+@st.composite
+def resume_configs(draw):
+    """A random config whose run draws from the rng (random blank winners),
+    meets the segment budget (1 to 3 per cell), and sometimes adds a pool,
+    sometimes at full potential."""
+    raw = draw(configs())
+    raw["layer"].update(blank_winner="random", segments_per_cell=draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        n_columns = draw(st.integers(4, 16))
+        raw["pool"] = {
+            "n_columns": n_columns,
+            "n_active": draw(st.integers(1, min(n_columns, 4))),
+            "potential_fraction": draw(st.sampled_from([0.5, 1.0])),
+            "persistence": draw(st.sampled_from([0.0, 0.9])),
+        }
+    return raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(resume_configs(), st.lists(st.integers(0, 3), min_size=2, max_size=24), st.data())
+def test_resumed_model_steps_like_the_uninterrupted_one(tmp_path_factory, raw, picks, data):
+    config = ExperimentConfig.from_dict(raw)
+    model = build_model(config, with_pool="pool" in raw)
+    symbols = config.sequences[0].tokens
+    tokens = [symbols[i % len(symbols)] for i in picks]
+    k = data.draw(st.integers(1, len(tokens) - 1), label="k")
+    step_all(model, tokens[:k])
+    path = tmp_path_factory.mktemp("resume") / "model"
+    persistence.save(model, path)
+    resumed = persistence.load(path)
+    assert step_all(resumed, tokens[k:]) == step_all(model, tokens[k:])
+    persistence.save(resumed, path.with_name("resumed"))
+    persistence.save(model, path.with_name("uninterrupted"))
+    assert path.with_name("resumed").read_bytes() == path.with_name("uninterrupted").read_bytes()
 
 
 class TestFormat3:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 from minicolumn import (
     CategoryEncoder,
     DimensionError,
+    PatternLayer,
+    PoolingLayer,
+    ScalarEncoder,
     Sdr,
     TmLayer,
     flip_noise,
     overlap,
+    sdr_overlap_curve,
     sparsity,
     union,
 )
@@ -75,7 +80,11 @@ class TestSdrType:
             Sdr(10, active)
 
     @pytest.mark.parametrize(
-        "universe_size", [10.5, True, np.True_, 0, -3, "10", None, float("nan"), float("inf")]
+        "universe_size",
+        [
+            10.5, True, np.True_, 0, -3, "10", None, float("nan"), float("inf"),
+            pytest.param(10**400, id="10**400"),
+        ],
     )
     def test_width_that_is_not_a_positive_integer_rejected(self, universe_size):
         with pytest.raises(ValueError, match="universe_size must be a positive integer"):
@@ -102,6 +111,73 @@ class TestSdrType:
 
 def _copy_by_pickle(value):
     return pickle.loads(pickle.dumps(value))
+
+
+def _l4(**wrong):
+    """A step of a 64-cell transition layer, with the fields ``wrong`` replaced."""
+    output = TmLayer(64, 16, 4, n_active=2, seed=0).step(Sdr(64, range(8)))
+    return dataclasses.replace(output, **wrong)
+
+
+def _category_encoder():
+    enc = CategoryEncoder(64, 4)
+    enc.encode("A")
+    return enc
+
+
+# Each consumer of an Sdr, given one of the wrong width, and the message it
+# raises: the name of the argument, both widths, and what the right one is.
+PATTERN, TM = PatternLayer(64, 32, n_active=2), TmLayer(64, 32, 4, n_active=2)
+POOL = PoolingLayer(64, 32, n_active=2)
+WIDTH_CHECKS = {
+    "raw_overlaps": (
+        lambda: PATTERN.raw_overlaps(Sdr(63)), "input width 63 != layer width 64"),
+    "compute_sdr": (
+        lambda: PATTERN.compute_sdr(Sdr(63)), "input width 63 != layer width 64"),
+    "learn input": (
+        lambda: PATTERN.learn(Sdr(63), Sdr(32)), "input width 63 != layer width 64"),
+    "learn winners": (
+        lambda: PATTERN.learn(Sdr(64), Sdr(31)), "winners width 31 != layer size 32"),
+    "reconstruct": (
+        lambda: PATTERN.reconstruct(Sdr(31)), "winners width 31 != layer size 32"),
+    "masked_reconstruct input": (
+        lambda: PATTERN.masked_reconstruct(Sdr(32), Sdr(63)), "input width 63 != layer width 64"),
+    "masked_reconstruct winners": (
+        lambda: PATTERN.masked_reconstruct(Sdr(31), Sdr(64)), "winners width 31 != layer size 32"),
+    "step": (lambda: TM.step(Sdr(63)), "input width 63 != layer width 64"),
+    "predictive_potential": (
+        lambda: TM.predictive_potential(0, Sdr(127)), "activity width 127 != layer cells 128"),
+    "depolarisation_rates": (
+        lambda: TM.depolarisation_rates(Sdr(64), Sdr(127)),
+        "activity width 127 != layer cells 128"),
+    "tp_step active": (
+        lambda: POOL.tp_step(_l4(active_cells=Sdr(63))),
+        "input width 63 != layer width 64"),
+    "tp_step predicted": (
+        lambda: POOL.tp_step(_l4(predicted_cells=Sdr(32))),
+        "predicted cells width 32 != layer width 64"),
+    "tp_learn winners": (
+        lambda: POOL.tp_learn(_l4(), Sdr(31)),
+        "winners width 31 != layer size 32"),
+    "tp_learn predicted": (
+        lambda: POOL.tp_learn(_l4(predicted_cells=Sdr(32)), Sdr(32)),
+        "predicted cells width 32 != layer width 64"),
+    "CategoryEncoder.best_match": (
+        lambda: _category_encoder().best_match(Sdr(63)), "probe width 63 != encoder width 64"),
+    "ScalarEncoder.best_match": (
+        lambda: ScalarEncoder(0, 10, 64, 4).best_match(Sdr(63), [1.0]),
+        "probe width 63 != encoder width 64"),
+    "sdr_overlap_curve": (
+        lambda: sdr_overlap_curve(Sdr(64, [1]), [Sdr(64, [1]), Sdr(63)]),
+        "probe width 63 != reference width 64"),
+}
+
+
+@pytest.mark.parametrize("call, message", WIDTH_CHECKS.values(), ids=WIDTH_CHECKS.keys())
+def test_width_mismatch_names_both_widths(call, message):
+    with pytest.raises(DimensionError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 class TestCopies:
