@@ -188,8 +188,9 @@ def _cmd_inspect(args) -> int:
         print(f"  cells with segments: {counts['cells_with_segments']}")
         print(f"  total segments: {counts['segments']}")
         print(f"  total distal synapses: {counts['synapses']}")
-    if hasattr(model, "symbol_table"):
-        print(f"  symbols: {sorted(map(str, model.symbol_table))}")
+    encoder = getattr(model, "encoder", model)
+    if hasattr(encoder, "symbol_table"):
+        print(f"  symbols: {sorted(map(str, encoder.symbol_table))}")
     return 0
 
 

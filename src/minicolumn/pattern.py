@@ -50,10 +50,12 @@ class PatternLayer:
     ):
         # the sizes first: a size too large for a float cannot scale a fraction
         _check_integral(input_size=input_size, n_columns=n_columns)
-        _check_finite(potential_fraction=potential_fraction)
+        _check_finite(potential_fraction=potential_fraction)  # refuses a boolean
+        if not 0.0 < sparsity < 1.0:
+            raise ValueError(f"sparsity must be in (0, 1), got {sparsity}")
+        if not 0.0 < potential_fraction <= 1.0:
+            raise ValueError(f"potential_fraction must be in (0, 1], got {potential_fraction}")
         if n_active is None:
-            if not 0.0 < sparsity < 1.0:
-                raise ValueError(f"sparsity must be in (0, 1), got {sparsity}")
             n_active = int(round(sparsity * n_columns))
         if n_synapses is None:
             n_synapses = max(1, int(round(potential_fraction * input_size)))
@@ -186,14 +188,9 @@ class PatternLayer:
         ``connect_threshold`` is assigned; ``_write_rows`` keeps it current.
         """
         if self._connected is None:
-            by_column = np.zeros((self.n_columns, self.input_size), dtype=bool)
-            connected = self._permanences >= self._connect_threshold
-            np.put_along_axis(by_column, self._sources, connected, axis=1)
-            # transposed in blocks of columns: a whole-matrix transposed copy
-            # reads with a stride of input_size bytes and is ~5x slower at 2048 x 2048
-            self._connected = np.empty((self.input_size, self.n_columns), dtype=bool)
-            for c in range(0, self.n_columns, 32):
-                self._connected[:, c : c + 32] = by_column[c : c + 32].T
+            self._connected = np.zeros((self.input_size, self.n_columns), dtype=bool)
+            columns = np.arange(self.n_columns)[:, None]
+            self._connected[self._sources, columns] = self._permanences >= self._connect_threshold
         return self._connected
 
     def _write_rows(self, w, sources, old, new) -> None:

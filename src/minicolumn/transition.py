@@ -199,9 +199,9 @@ class LayerOutput:
 class _Evals(NamedTuple):
     """Every distal segment scored against one activity set.
 
-    Per segment with at least one active source (``rows``, ascending): owner
-    cell, raw (permanence-blind) overlap, whether the connected overlap
-    reaches its activation threshold, and ``rank``, the index of its cell in
+    Per segment with at least one active source (``rows``, ascending): raw
+    (permanence-blind) overlap, whether the connected overlap reaches its
+    activation threshold, and ``rank``, the index of its owner cell in
     ``owners``. Per owner, the ascending cells owning such a segment: ``o_pred``
     sums the spikes of active segments, ``o_sub`` those of segments at or
     above half threshold, ``best`` is the largest raw overlap, and
@@ -211,9 +211,7 @@ class _Evals(NamedTuple):
     segment: ``o_pred``, ``o_sub`` and ``best`` 0, not predictive.
     """
 
-    on: np.ndarray  # dense activity, one slot longer than the cell count
     rows: np.ndarray
-    cells: np.ndarray
     raw: np.ndarray
     active: np.ndarray
     rank: np.ndarray
@@ -431,11 +429,12 @@ class TmLayer:
             raise ValueError(f"cannot allocate a layer of {n_cells} cells: 2**31 or more")
         # _firing_sequence orders the sheaths by overlap, which is their order
         # by rate only while the rate rises strictly with the overlap; _fire
-        # times a sheath as gamma_inh / rate, slowest at overlap 1.
-        with np.errstate(over="ignore"):
-            rates = self.alpha_inh * np.arange(pattern.n_synapses + 1)
-        rising = (rates[1:] > rates[:-1]).all() and np.isfinite(rates[-1])
-        if not (rising and math.isfinite(self.gamma_inh / self.alpha_inh)):
+        # times a sheath as gamma_inh / rate, slowest at overlap 1. For a
+        # positive alpha_inh, the rates alpha_inh * k for k up to n_synapses
+        # rise strictly once the top one is finite: consecutive products
+        # differ by alpha_inh, more than their rounding error for k < 2**52.
+        top = self.alpha_inh * pattern.n_synapses
+        if not (math.isfinite(top) and math.isfinite(self.gamma_inh / self.alpha_inh)):
             raise ValueError(
                 f"alpha_inh * overlap must be finite and rise strictly for overlaps 0 to "
                 f"n_synapses={pattern.n_synapses}, with gamma_inh / alpha_inh finite; got "
@@ -475,9 +474,8 @@ class TmLayer:
         # only the padding entry. Built once and shared, so read-only.
         none = np.zeros(0, dtype=np.int64)
         self._idle = _Evals(
-            np.zeros(n_cells + 1, dtype=bool), none, none, none, none.astype(bool), none,
-            np.array([n_cells]), np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64),
-            np.zeros(1, dtype=bool),
+            none, none, none.astype(bool), none, np.array([n_cells]), np.zeros(1), np.zeros(1),
+            np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool),
         )
         for array in self._idle:
             array.flags.writeable = False
@@ -676,23 +674,20 @@ class TmLayer:
         idx = _as_ids(active, self.n_cells, "active cells")
         return idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)
 
-    def _segment_overlaps(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense activity of the cells ``idx`` (its extra last slot, the padding
-        source, stays off), then the segments seeing an active source,
-        ascending, with their raw and connected overlaps.
+    def _segment_overlaps(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The segments seeing one of the active cells ``idx``, ascending,
+        with their raw and connected overlaps.
 
         Only the synapses on active cells are read, through the presynaptic
         index.
         """
-        on = np.zeros(self.n_cells + 1, dtype=bool)
-        on[idx] = True
         slots = self._hit_slots(idx)
         hit_rows = slots // self.synapses_per_segment
         connected = self._permanences.reshape(-1)[slots] >= self.pattern.connect_threshold
         raw = np.bincount(hit_rows, minlength=self._n_segments)
         rows = np.flatnonzero(raw)
         conn = np.bincount(hit_rows, connected, minlength=self._n_segments)[rows]
-        return on, rows, raw[rows], conn.astype(np.int64)
+        return rows, raw[rows], conn.astype(np.int64)
 
     def _eval_segments(self, active) -> _Evals:
         """Score every segment against one activity set: ``active``, distinct
@@ -705,9 +700,9 @@ class TmLayer:
         idx = np.asarray(active, dtype=np.int64)
         if not idx.size:
             return self._idle
-        on, rows, raw, conn = self._segment_overlaps(idx)
+        rows, raw, conn = self._segment_overlaps(idx)
         if not rows.size:  # no segment seen: only the padding entry
-            return self._idle._replace(on=on)
+            return self._idle
         cells, thresholds, spikes = self._owner[rows], self._thresholds[rows], self._spikes[rows]
         act = conn >= thresholds
         sub = (2 * conn >= thresholds) ^ act  # at or above half threshold, not active
@@ -724,7 +719,7 @@ class TmLayer:
         np.maximum.at(best, rank, raw)
         predictive = o_pred >= self.predictive_threshold
         predictive[-1] = False  # the padding entry, whatever the threshold
-        return _Evals(on, rows, cells, raw, act, rank, owners, o_pred, o_sub, best, predictive)
+        return _Evals(rows, raw, act, rank, owners, o_pred, o_sub, best, predictive)
 
     def predictive_potential(self, cell: int, prev_active: Sdr | Iterable[int]) -> float:
         """Summed spike sizes of this cell's active segments."""
@@ -860,9 +855,10 @@ class TmLayer:
 
     def _learn_distal(
         self, winners: np.ndarray, at: np.ndarray, evals: _Evals, inactive: np.ndarray,
-        prev_winners: Sdr,
+        prev_active: Sdr, prev_winners: Sdr,
     ) -> None:
-        """Punish, then reinforce, then grow.
+        """Punish, then reinforce, then grow; ``evals`` scored the segments
+        against ``prev_active``.
 
         Mispredicted cells (predictive, but their column is ``inactive``)
         fade their active segments' synapses on sources that fired. A winner
@@ -873,9 +869,11 @@ class TmLayer:
         no segment is touched twice and the batched row updates equal
         one-at-a-time ones.
         """
-        on = evals.on
+        on = np.zeros(self.n_cells + 1, dtype=bool)  # the padding source stays off
+        on[prev_active.ids] = True
         if self.sigma_punish > 0.0:
-            punish = evals.predictive[evals.rank] & inactive[evals.cells // self.cells_per_column]
+            owners = evals.owners[evals.rank]
+            punish = evals.predictive[evals.rank] & inactive[owners // self.cells_per_column]
             self._reinforce(evals.rows[evals.active & punish], on, -self.sigma_punish, 0.0)
 
         # The padding entry may be marked too; no scored segment ranks there.
@@ -933,7 +931,7 @@ class TmLayer:
 
         if learn:
             at = at[np.arange(columns.size), offsets]  # the winners' entries
-            self._learn_distal(winners, at, evals, inactive, self._prev_winners)
+            self._learn_distal(winners, at, evals, inactive, self._prev_active, self._prev_winners)
             self.pattern.learn(x_ff, active_columns)
 
         next_evals = self._eval_segments(active)

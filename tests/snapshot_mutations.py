@@ -173,6 +173,19 @@ CASES = [
         "input_size",
     ),
     (
+        # every part checks alone; the encoder no longer fits the layer's input
+        "encoder-wider-than-tm",
+        edit_header(lambda s: s["encoder"]["params"].update(universe_size=256)),
+        SnapshotValidationError,
+        "tm input_size 128 != encoder universe_size 256",
+    ),
+    (
+        "pool-wider-than-tm-cells",
+        edit_header(lambda s: s["pool"]["params"].update(input_size=256)),
+        SnapshotValidationError,
+        "pool input_size 256 != tm cell count 128",
+    ),
+    (
         "pattern-copy-delta-inc",
         edit_header(lambda s: s["tm"]["pattern"]["params"].update(delta_inc=0.9)),
         SnapshotValidationError,

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import minicolumn
 from minicolumn import PatternLayer, PoolingLayer, TmLayer, persistence
 from minicolumn.cli import main
-from minicolumn.experiments import ConfigError, ExperimentConfig, build_model, run_sequence
+from minicolumn.experiments import (
+    ConfigError, ExperimentConfig, build_model, run_pool, run_sequence,
+)
 
 import snapshot_mutations as mutations
 
@@ -73,6 +75,17 @@ class TestConfigValidation:
         assert "n_columns" in joined
         assert "sequences" in joined
         assert "typo_key" in joined
+
+    def test_config_that_is_not_an_object_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict([BASE_CONFIG])
+        assert err.value.errors == ["config must be a JSON object"]
+
+    def test_pooling_run_needs_a_pool_layer(self):
+        config = ExperimentConfig.from_dict(BASE_CONFIG)
+        with pytest.raises(ConfigError) as err:
+            run_pool(config, build_model(config))
+        assert err.value.errors == ["pooling runs need a model with a pool layer"]
 
     def test_empty_sequences_rejected(self):
         raw = dict(BASE_CONFIG, sequences=[])
@@ -138,6 +151,12 @@ class TestConfigValidation:
                 "sequences[0].tokens[1] must be a finite number, got None",
             ),
             ({"pool": [64]}, "pool section must be an object"),
+            ({"encoder": [1]}, "encoder section is required and must be an object"),
+            ({"layer": "x"}, "layer section is required and must be an object"),
+            (
+                {"sequences": [{"tokens": ["A", "B"], "rate": 1}]},
+                "unknown sequences[0] key 'rate'",
+            ),
             (
                 {"encoder": {"type": "category", "universe_size": True, "active_bits": True}},
                 "encoder.universe_size must be an integer\nencoder.active_bits must be an integer",
@@ -637,6 +656,7 @@ class TestInspectCommand:
         assert counts["segments"] > 0
         assert f"total segments: {counts['segments']}" in out
         assert f"total distal synapses: {counts['synapses']}" in out
+        assert "  symbols: ['A', 'B', 'C']\n" in out
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert main(["inspect", "--snapshot", str(tmp_path / "none.json")]) == 2
@@ -664,6 +684,7 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "SequenceModel" in out
         assert "column_score_mode" not in out and "boost_strength" not in out
+        assert out.endswith("  symbols: ['A', 'B', 'C', 'D', 'X', 'Y']\n")
 
 
 def set_boost(state):

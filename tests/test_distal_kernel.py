@@ -93,7 +93,7 @@ def assert_scores_match(layer, segments, active):
     expected = oracle.eval_segments(segments, frozenset(active))
     assert layer.segments == oracle_view(segments)
 
-    row_cells = ev.cells.tolist()
+    row_cells = ev.owners[ev.rank].tolist()
     for cell in range(N_CELLS):
         want = expected.get(cell)
         # "has an eval" means some segment sees at least one active source
@@ -117,14 +117,16 @@ def assert_scores_match(layer, segments, active):
         assert cell_rows.index(best_rows[0]) == segs.index(want.best_segment)
 
 
-def learn_distal(layer, winners, evals, columns, prev_winners):
-    """``layer._learn_distal`` given winner cells, active columns and
-    previous winners as lists."""
+def learn_distal(layer, winners, prev_active, columns, prev_winners):
+    """``layer._learn_distal`` given winner cells, previous activity, active
+    columns and previous winners as lists."""
     winners = np.array(winners, dtype=np.int64)
     inactive = np.ones(N_COLUMNS, dtype=bool)
     inactive[columns] = False
+    evals = layer._eval_segments(sorted(prev_active))
     layer._learn_distal(
-        winners, evals.lookup(winners), evals, inactive, Sdr(N_CELLS, prev_winners)
+        winners, evals.lookup(winners), evals, inactive, Sdr(N_CELLS, prev_active),
+        Sdr(N_CELLS, prev_winners),
     )
 
 
@@ -157,7 +159,7 @@ def test_awkward_shape_matches_oracle():
         np.random.default_rng(5), layer,
     )
     layer._rng = np.random.default_rng(5)
-    learn_distal(layer, winners, layer._eval_segments([]), [0, 1, 2], prev_winners)
+    learn_distal(layer, winners, [], [0, 1, 2], prev_winners)
     assert layer._n_segments == 72
     for cell in winners:
         grown = [s for s in segments[cell] if s.permanences == [layer.initial_segment_permanence] * 5]
@@ -185,7 +187,7 @@ def test_learning_matches_oracle(model, prev_active, prev_winners, data):
     )
 
     layer._rng = np.random.default_rng(seed)
-    learn_distal(layer, winners, layer._eval_segments(prev_active), columns, prev_winners)
+    learn_distal(layer, winners, prev_active, columns, prev_winners)
 
     assert layer.segments == oracle_view(segments)
     assert layer._rng.bit_generator.state == rng.bit_generator.state

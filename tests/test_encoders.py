@@ -180,6 +180,7 @@ class TestParameterChecks:
             ((INF, 12), "universe_size must be finite, got inf"),
             ((256, NAN), "active_bits must be finite, got nan"),
             ((10**400, 12), "universe_size must be finite"),
+            ((0, 1), "universe_size must be positive, got 0"),
         ],
     )
     def test_category_encoder_refuses(self, args, message):

@@ -74,6 +74,10 @@ class TestOverlapCurve:
         with pytest.raises(DimensionError):
             sdr_overlap_curve(Sdr(64, [1]), [Sdr(32, [1])])
 
+    def test_empty_reference_rejected(self):
+        with pytest.raises(ValueError, match="reference must have at least one active bit"):
+            sdr_overlap_curve(Sdr(64), [Sdr(64, [1])])
+
 
 class TestRunReport:
     def test_summary_aggregates(self):

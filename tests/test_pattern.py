@@ -215,6 +215,30 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             cls(*sizes, seed=0)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            # a fraction is refused even where a count given beside it wins
+            (dict(n_active=2, sparsity=7), r"sparsity must be in \(0, 1\), got 7"),
+            (dict(n_active=2, sparsity=-1), r"sparsity must be in \(0, 1\), got -1"),
+            (dict(n_active=2, sparsity=float("nan")), r"sparsity must be in \(0, 1\), got nan"),
+            (dict(sparsity=1.5), r"sparsity must be in \(0, 1\), got 1.5"),
+            (dict(potential_fraction=-5), r"potential_fraction must be in \(0, 1\], got -5"),
+            (dict(potential_fraction=0.0), r"potential_fraction must be in \(0, 1\], got 0.0"),
+            (
+                dict(n_synapses=8, potential_fraction=0.0),
+                r"potential_fraction must be in \(0, 1\], got 0.0",
+            ),
+            (dict(input_size=0), "input_size and n_columns must be positive"),
+            (dict(input_size=16, n_synapses=17), r"n_synapses must be in \[1, 16\], got 17"),
+            (dict(delta_inc=-1), "delta_inc must be >= 0"),
+        ],
+    )
+    def test_rejected(self, kw, message):
+        params = dict(input_size=64, n_columns=32, seed=0) | kw
+        with pytest.raises(ValueError, match=message):
+            PatternLayer(**params)
+
     def test_integral_float_size_accepted(self):
         layer = PatternLayer(64.0, 16.0, n_active=2.0, n_synapses=8.0, seed=0)
         sizes = (layer.input_size, layer.n_columns, layer.n_active, layer.n_synapses)

@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,24 @@ class TestValidation:
         with pytest.raises(SnapshotError, match="nope.json"):
             persistence.load(tmp_path / "nope.json")
 
+    def test_file_neither_zip_nor_text_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(SnapshotFormatError, match="neither a zip nor JSON text"):
+            persistence.load(path)
+
+    def test_reference_to_a_member_that_is_not_npy_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        persistence.save(fixture_model(), path)
+        members = mutations.read_members(path)
+        notes = {"$array": "notes"}
+        mutations.edit_header(lambda s: s["tm"]["pattern"].update(sources=notes))(members)
+        mutations.write_members(path, members)
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("notes", b"not an array")
+        with pytest.raises(SnapshotFormatError, match="member 'notes' is not an .npy array"):
+            persistence.load(path)
+
 
 class TestCrashSafeSave:
     def saved(self, tmp_path):
@@ -417,6 +436,11 @@ class TestCrashSafeSave:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
         assert isinstance(persistence.load(path), TmLayer)
+
+    def test_object_of_no_snapshot_kind_rejected(self, tmp_path):
+        with pytest.raises(SnapshotError, match="cannot snapshot object of type object"):
+            persistence.save(object(), tmp_path / "model")
+        assert not any(tmp_path.iterdir())
 
     def test_unwritable_directory_reports_path(self, tmp_path):
         target = tmp_path / "missing" / "model.json"

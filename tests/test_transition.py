@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from minicolumn import (
     CategoryEncoder,
     DimensionError,
     FiringSequence,
+    PatternLayer,
     Sdr,
     TmLayer,
     capacity,
@@ -40,7 +42,7 @@ def segment_overlaps(sources, permanences, active, **kw):
     """(raw, connected) overlap of one segment, scored by the layer's kernel."""
     layer = small_layer(synapses_per_segment=16)
     layer.add_segment(0, sources, permanences, **kw)
-    _, rows, raw, conn = layer._segment_overlaps(layer._cell_ids(active))
+    rows, raw, conn = layer._segment_overlaps(layer._cell_ids(active))
     return (int(raw[0]), int(conn[0])) if rows.size else (0, 0)
 
 
@@ -65,6 +67,11 @@ class TestDistalSegment:
     def test_rejects_duplicate_sources(self):
         with pytest.raises(ValueError):
             small_layer().add_segment(0, [1, 1], [0.5, 0.5])
+
+    def test_rejects_sources_that_are_not_a_sequence(self):
+        message = "segment sources: object of type 'int' has no len()"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_layer().add_segment(0, 5, [0.5])
 
 
 class TestPredictivePotential:
@@ -316,7 +323,8 @@ class TestDistalLearning:
     def test_reinforce_active_synapse(self):
         layer = small_layer(sigma_inc=0.1, sigma_dec=0.05)
         row = layer.add_segment(0, [1, 2], [0.4, 0.4], activation_threshold=1)
-        on = layer._eval_segments([1]).on
+        on = np.zeros(layer.n_cells + 1, dtype=bool)  # source 1 active, the padding off
+        on[1] = True
         layer._reinforce(np.array([row]), on, layer.sigma_inc, layer.sigma_dec)
         (seg,) = layer.segments[0]
         assert seg.permanences[0] == pytest.approx(0.44)
@@ -581,6 +589,21 @@ class TestParameterChecks:
             small_layer(**{name: value})
 
     @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(cells_per_column=0), "cells_per_column must be >= 1"),
+            (dict(beta=-1), "beta and beta_sub must be >= 0"),
+            (dict(blank_winner="x"), "blank_winner must be 'random' or 'lowest', got 'x'"),
+            (dict(segments_per_cell=0), "segment budgets must be >= 1"),
+            (dict(sigma_inc=-0.1), "sigma_inc must be >= 0"),
+            (dict(activation_threshold=0), "activation_threshold must be >= 1"),
+        ],
+    )
+    def test_rejected_with_message(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_layer(**kw)
+
+    @pytest.mark.parametrize(
         "name, value",
         [
             ("cells_per_column", 4.5),
@@ -654,6 +677,33 @@ class TestParameterChecks:
         # a normal alpha near the smallest passes every rule, and so does alpha_inh
         assert small_layer(alpha=2.3e-308, gamma_p=2.0, alpha_inh=2e-308).alpha_inh == 2e-308
 
+    def test_sheath_rate_check_matches_the_rule_on_every_overlap(self):
+        # The layer tests the top rate alone; the rule is that every rate
+        # alpha_inh * k for k = 0..n_synapses is finite and above the last.
+        top = np.finfo(np.float64).max
+        tiny = np.finfo(np.float64).smallest_subnormal
+        rng = np.random.default_rng(0)
+        sizes = [1, 2, 3, 31, 32, 1000, 65535, 65536, 2**17]
+        alphas = [tiny, 2 * tiny, 7 * tiny, 1e-320, 1e-310, 2e-308, 1.5, 1e308, top]
+        alphas += (10.0 ** rng.uniform(-323, 308.2, 500)).tolist()
+        alphas += [math.nextafter(top / n, d) for n in sizes for d in (0.0, math.inf)]
+        alphas += [top / n for n in sizes]
+        layer = small_layer()
+        for n in sizes:
+            pattern = PatternLayer(n, 1, n_active=1, n_synapses=n)
+            for alpha_inh in alphas:
+                with np.errstate(all="ignore"):  # inf * 0 too
+                    rates = alpha_inh * np.arange(n + 1)
+                    slowest = layer.gamma_inh / np.float64(alpha_inh)
+                rule = (rates[1:] > rates[:-1]).all() and np.isfinite([rates[-1], slowest]).all()
+                layer.alpha_inh = float(alpha_inh)  # as the layer stores it
+                try:
+                    layer._attach(pattern, rng)
+                except ValueError as exc:
+                    assert not rule and "alpha_inh * overlap must be finite" in str(exc)
+                else:
+                    assert rule, (alpha_inh, n)
+
     def test_alpha_whose_drive_or_firing_time_overflows_rejected_without_a_warning(self):
         # A subnormal alpha passes the rule on alpha_inh, but a bursting
         # cell's firing time gamma_p / alpha overflows; alpha * 32 overflows
@@ -717,17 +767,14 @@ class TestNoActivityEvaluation:
         n = layer.n_cells
         empty = np.zeros(0, dtype=np.int64)
         expected = (
-            np.zeros(n + 1, dtype=bool), empty, empty, empty, empty.astype(bool), empty,
-            np.array([n]), np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64),
-            np.zeros(1, dtype=bool),
+            empty, empty, empty.astype(bool), empty, np.array([n]), np.zeros(1), np.zeros(1),
+            np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool),
         )
         for got, want in zip(idle, expected, strict=True):
             assert not got.flags.writeable
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        # activity that reaches no segment: its own dense activity, the rest shared
-        quiet = layer._eval_segments(np.array([40, 41]))
-        assert quiet.on.flags.writeable and np.flatnonzero(quiet.on).tolist() == [40, 41]
-        assert all(got is want for got, want in zip(quiet[1:], idle[1:]))
+        # activity that reaches no segment scores the same: the shared evaluation itself
+        assert layer._eval_segments(np.array([40, 41])) is layer._idle
 
     def test_reset_and_load_read_it_only_for_no_activity(self):
         layer = small_layer()
