@@ -69,9 +69,12 @@ class FiringSequence(Sequence):
     of the same arrays. Two records are equal when their arrays hold the same
     bits, and equal records hash equal. A record never equals a tuple;
     ``tuple(record)`` gives the events as one, and ``repr`` is that tuple's.
+
+    A step's record orders itself on the first read of anything but its
+    length, so a caller that never reads the sequence never sorts it.
     """
 
-    __slots__ = ("units", "kinds", "rates")
+    __slots__ = ("_units", "_kinds", "_rates", "_pieces")
     KINDS = (P_PRED, I_PRED, I_FF, P_BURST, I_SPREAD)
 
     def __new__(cls, units, kinds, rates):
@@ -84,22 +87,43 @@ class FiringSequence(Sequence):
             raise ValueError("units, kinds and rates must have equal length")
         return _record(units, codes.astype(np.uint8), rates)
 
+    units = property(lambda self: self._arrays()[0])
+    kinds = property(lambda self: self._arrays()[1])
+    rates = property(lambda self: self._arrays()[2])
+
     def __len__(self) -> int:
-        return len(self.units)
+        if self._pieces is not None:  # the fired cells (active), one sheath per column (raw)
+            return self._pieces[0].size + self._pieces[5].size
+        return len(self._units)
 
     def __getitem__(self, index):
+        units, kinds, rates = self._arrays()
         if isinstance(index, slice):
-            return _record(*(a[index] for a in self._arrays()))
-        kind = self.KINDS[self.kinds.item(index)]
-        return tuple.__new__(FiringEvent, (self.units.item(index), kind, self.rates.item(index)))
+            return _record(units[index], kinds[index], rates[index])
+        kind = self.KINDS[kinds.item(index)]
+        return tuple.__new__(FiringEvent, (units.item(index), kind, rates.item(index)))
 
     def __iter__(self):
-        kinds = map(self.KINDS.__getitem__, self.kinds.tolist())
-        fields = zip(self.units.tolist(), kinds, self.rates.tolist())
+        units, kinds, rates = self._arrays()
+        fields = zip(units.tolist(), map(self.KINDS.__getitem__, kinds.tolist()), rates.tolist())
         return map(tuple.__new__, repeat(FiringEvent), fields)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.units, self.kinds, self.rates
+        if self._pieces is not None:
+            (active, is_pred, rates, columns, predicted,
+             raw, n_synapses, sheath, inactive) = self._pieces
+            kinds = np.concatenate(
+                (np.where(is_pred, _P_PRED, _P_BURST), np.where(predicted, _I_PRED, _I_FF))
+            )
+            ordered = _firing_sequence(
+                np.concatenate((active, columns)),
+                kinds.astype(np.uint8),
+                np.concatenate((rates, sheath[columns])),
+                raw, n_synapses, sheath, inactive,
+            )
+            for name in self.__slots__:  # ``_pieces`` last: it becomes None
+                object.__setattr__(self, name, getattr(ordered, name))
+        return self._units, self._kinds, self._rates
 
     def _key(self) -> tuple[bytes, bytes, bytes]:
         return tuple(a.tobytes() for a in self._arrays())
@@ -131,6 +155,14 @@ def _record(units, kinds, rates) -> FiringSequence:
     for name, array in zip(FiringSequence.__slots__, (units, kinds, rates)):
         array.flags.writeable = False
         object.__setattr__(record, name, array)
+    object.__setattr__(record, "_pieces", None)
+    return record
+
+
+def _unordered(*pieces) -> FiringSequence:
+    """A step's record over its unsorted pieces, ordered on the first read."""
+    record = object.__new__(FiringSequence)
+    object.__setattr__(record, "_pieces", pieces)
     return record
 
 
@@ -913,17 +945,9 @@ class TmLayer:
         # Inactive columns' sheaths spread.
         inactive = np.ones(self.n_columns, dtype=bool)
         inactive[columns] = False
-        kinds = np.concatenate(
-            (np.where(is_pred, _P_PRED, _P_BURST), np.where(predicted_columns, _I_PRED, _I_FF))
-        )
-        firing_sequence = _firing_sequence(
-            np.concatenate((active, columns)),
-            kinds.astype(np.uint8),
-            np.concatenate((rates, sheath[columns])),
-            raw,
-            self.pattern.n_synapses,
-            sheath,
-            inactive,
+        firing_sequence = _unordered(
+            active, is_pred, rates, columns, predicted_columns, raw, self.pattern.n_synapses,
+            sheath, inactive,
         )
 
         hits = int(np.count_nonzero(predicted_columns))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minicolumn import FiringSequence, Sdr, TmLayer
+from minicolumn import FiringSequence, Sdr, TmLayer, persistence, transition
 from minicolumn.transition import (
     _I_FF,
     _I_PRED,
@@ -245,3 +245,88 @@ def test_firing_sequence_is_one_lexsort_of_every_event(pieces):
     )
     assert [a.dtype for a in record._arrays()] == [np.int64, np.uint8, np.float64]
     assert record._key() == tuple(a.tobytes() for a in expected)
+
+
+# Every way of reading a record but ``len``. Each must order it exactly once.
+READS = {
+    "units": lambda record: record.units,
+    "kinds": lambda record: record.kinds,
+    "rates": lambda record: record.rates,
+    "index": lambda record: record[-1],
+    "slice": lambda record: record[1:3],
+    "iteration": lambda record: next(iter(record)),
+    "==": lambda record: record == FiringSequence([], [], []),
+    "hash": hash,
+    "repr": repr,
+    "pickle": pickle.dumps,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("read", READS)
+def test_a_step_orders_its_sequence_only_on_the_first_read(monkeypatch, read):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _firing_sequence(*args)
+
+    monkeypatch.setattr(transition, "_firing_sequence", counted)
+    layer = TmLayer(64, 16, 4, n_active=4, seed=5)
+    rng = np.random.default_rng(5)
+    out = layer.step(Sdr(64, rng.choice(64, 12, replace=False)))
+    record = out.firing_sequence
+    assert len(record) == out.active_cells.ids.size + layer.n_columns
+    assert not calls
+    READS[read](record)
+    assert len(calls) == 1
+    READS[read](record)
+    assert tuple(record) and len(record) == len(tuple(record))
+    assert len(calls) == 1
+
+
+def _check_first_read(record, read_twin, check: int) -> None:
+    """Read the unread ``record`` first in one of four ways, each against
+    ``read_twin``, the same step's record from a twin that read it at once."""
+    if check == 0:
+        assert pickle.loads(pickle.dumps(record)) == read_twin
+    elif check == 1:
+        assert copy.deepcopy(record) == read_twin
+    elif check == 2:
+        assert record == read_twin
+    else:
+        assert hash(record) == hash(read_twin)
+
+
+def test_unread_sequences_keep_their_step_through_learning_resets_and_resume(tmp_path):
+    """Outputs kept unread through later learning steps, resets, a grown
+    segment and a save and load read the same as a twin's, read at once."""
+    rng = np.random.default_rng(8)
+    tokens = [Sdr(96, rng.choice(96, 14, replace=False)) for _ in range(5)]
+    params = dict(n_active=6, activation_threshold=3, min_match_threshold=2, seed=8)
+    lazy, eager = (TmLayer(96, 24, 4, **params) for _ in range(2))
+    unread, lengths, keys, twins = [], [], [], []
+    for t in range(60):
+        if t == 30:
+            for name, layer in (("lazy", lazy), ("eager", eager)):
+                persistence.save(layer, tmp_path / f"{name}.npz")
+            lazy, eager = (persistence.load(tmp_path / f"{n}.npz") for n in ("lazy", "eager"))
+        if t in (17, 44):
+            lazy.reset()
+            eager.reset()
+        if t == 23:
+            for layer in (lazy, eager):
+                layer.add_segment(3, [5, 9, 40, 41], [0.9] * 4, activation_threshold=2)
+        # A cycle of five inputs, broken every 11th step so that some columns burst.
+        x = tokens[t % len(tokens)] if t % 11 else tokens[(t * 7) % len(tokens)]
+        out, twin = lazy.step(x), eager.step(x)
+        keys.append(twin.firing_sequence._key())
+        twins.append(twin.firing_sequence)
+        unread.append(out.firing_sequence)
+        lengths.append(len(out.firing_sequence))
+    kinds = np.concatenate([record.kinds for record in twins])
+    assert {_P_PRED, _P_BURST, _I_PRED, _I_FF, _I_SPREAD} <= set(kinds.tolist())
+    for t, record in enumerate(unread):
+        _check_first_read(record, twins[t], t % 4)
+        assert record._key() == keys[t]
+        assert len(record) == lengths[t]
