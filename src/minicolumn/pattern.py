@@ -67,7 +67,8 @@ class PatternLayer:
         self._rng = np.random.default_rng(seed)
         sources = np.empty((self.n_columns, self.n_synapses), dtype=np.int32)
         for row in sources:
-            row[:] = np.sort(self._rng.choice(self.input_size, size=self.n_synapses, replace=False))
+            row[:] = self._rng.choice(self.input_size, size=self.n_synapses, replace=False)
+        sources.sort(axis=1)
         self.sources = sources
         # Roughly half the synapses start connected. Drawn in range, so
         # stored without the setter's checks and copy.
@@ -109,8 +110,8 @@ class PatternLayer:
         sampled input bits.
 
         Learning never changes it. To change it, assign a new array: the
-        setter validates and copies it and drops the connection matrix that
-        ``raw_overlaps`` keeps. A full-potential layer, which samples every
+        setter validates and copies it and drops the connection matrices
+        (``_connections``). A full-potential layer, which samples every
         input bit in ascending rows, stores one ``arange`` row broadcast over
         its columns.
         """
@@ -143,14 +144,14 @@ class PatternLayer:
             value.flags.writeable = False
         self._full_potential = full_potential
         self._sources = value
-        self._connected = None
+        self._connected = self._by_column = None
 
     @property
     def permanences(self) -> np.ndarray:
         """Read-only view of the (n_columns, n_synapses) float64 permanences.
 
         Learning updates them. To change them, assign a new array: the
-        setter validates and copies it and drops the connection matrix.
+        setter validates and copies it and drops the connection matrices.
         """
         view = self._permanences.view()
         view.flags.writeable = False
@@ -167,7 +168,7 @@ class PatternLayer:
         if not ((value >= 0.0) & (value <= 1.0)).all():
             raise ValueError("permanences outside [0, 1]")
         self._permanences = np.array(value, order="C")
-        self._connected = None
+        self._connected = self._by_column = None
 
     @property
     def connect_threshold(self) -> float:
@@ -178,19 +179,24 @@ class PatternLayer:
     def connect_threshold(self, value) -> None:
         _check_unit(connect_threshold=value)
         self._connect_threshold = float(value)
-        self._connected = None
+        self._connected = self._by_column = None
 
     def _connections(self) -> np.ndarray:
         """Bool (input_size, n_columns) matrix, true at ``[i, c]`` when
         column ``c`` has a connected synapse on input bit ``i``.
 
-        Built on first use after ``sources``, ``permanences`` or
-        ``connect_threshold`` is assigned; ``_write_rows`` keeps it current.
+        Its C-ordered transpose ``_by_column``, one row per column, is built
+        with it: ``raw_overlaps`` sums input bits' rows of this one, and
+        ``reconstruct`` winners' rows of that one. Both are built on first
+        use after ``sources``, ``permanences`` or ``connect_threshold`` is
+        assigned; ``_write_rows`` keeps both current.
         """
         if self._connected is None:
-            self._connected = np.zeros((self.input_size, self.n_columns), dtype=bool)
+            by_column = np.zeros((self.n_columns, self.input_size), dtype=bool)
             columns = np.arange(self.n_columns)[:, None]
-            self._connected[self._sources, columns] = self._permanences >= self._connect_threshold
+            by_column[columns, self._sources] = self._permanences >= self._connect_threshold
+            self._by_column = by_column
+            self._connected = np.ascontiguousarray(by_column.T)
         return self._connected
 
     def _write_rows(self, w, sources, old, new) -> None:
@@ -198,17 +204,19 @@ class PatternLayer:
         whose sources and current permanences are ``sources`` and ``old``.
         ``sources`` is None for a full-potential layer, whose slots are bits.
 
-        Flips the connection-matrix entries of the synapses that crossed
-        ``connect_threshold``, so the matrix stays equal to a rebuilt one.
+        Flips the entries of both connection matrices at the synapses that
+        crossed ``connect_threshold``, so each stays equal to a rebuilt one.
         """
         if self._connected is not None:
             now = new >= self._connect_threshold
-            flips = np.flatnonzero(now != (old >= self._connect_threshold))
+            flips = (now != (old >= self._connect_threshold)).ravel().nonzero()[0]
             if flips.size:
                 columns = w.take(flips // self.n_synapses)
                 bits = flips % self.n_synapses if sources is None else sources.take(flips)
+                now = now.take(flips)
                 # flat entries, in intp: input_size * n_columns may pass 2**31
-                self._connected.put(bits * np.intp(self.n_columns) + columns, now.take(flips))
+                self._connected.put(bits * np.intp(self.n_columns) + columns, now)
+                self._by_column.put(columns * np.intp(self.input_size) + bits, now)
         self._permanences[w] = new
 
     def _check_input(self, x_ff: Sdr, name: str = "input") -> None:
@@ -221,22 +229,25 @@ class PatternLayer:
         """Overlap score of every neuron with the input: its connected
         synapses that see an on-bit."""
         self._check_input(x_ff)
-        rows = self._connections()[x_ff.ids]
+        rows = self._connections().take(x_ff.ids, axis=0)
         # at most n_synapses per column, so this type cannot overflow
-        return rows.sum(axis=0, dtype=np.min_scalar_type(self.n_synapses)).astype(np.intp)
+        counts = np.add.reduce(rows, axis=0, dtype=np.min_scalar_type(self.n_synapses))
+        return counts.astype(np.intp)
 
     def _select(self, scores: np.ndarray, raw: np.ndarray) -> Sdr:
         """Top ``n_active`` by score among neurons passing the stimulus floor.
 
         Equal scores break to the lower neuron index.
         """
-        eligible = np.flatnonzero(raw >= self.min_overlap)
+        eligible = (raw >= self.min_overlap).nonzero()[0]
         k = self.n_active
         if eligible.size > k:
             s = scores[eligible]
-            kth = np.partition(s, s.size - k)[s.size - k]  # the k-th largest score
+            part = s.copy()
+            part.partition(s.size - k)
+            kth = part[s.size - k]  # the k-th largest score
             keep = s > kth
-            keep[np.flatnonzero(s == kth)[: k - np.count_nonzero(keep)]] = True
+            keep[(s == kth).nonzero()[0][: k - np.add.reduce(keep)]] = True
             eligible = eligible[keep]
         return Sdr._from_sorted(self.n_columns, eligible)
 
@@ -277,7 +288,7 @@ class PatternLayer:
             return
         if self._full_potential:
             sources = None
-            bits = np.flatnonzero(on | (dec != rest))
+            bits = (on | (dec != rest)).nonzero()[0]
             # [winner, hot bit] slots of the gathered block
             hot = np.arange(0, w.size * self.n_synapses, self.n_synapses)[:, None] + bits
         else:
@@ -285,7 +296,7 @@ class PatternLayer:
             sources = self._sources.take(w, axis=0)
             # Gathered while ``sources`` is still in cache. Its values lie in
             # range, so "clip" only skips the bounds check.
-            hot = np.flatnonzero((on | (dec != rest)).take(sources, mode="clip"))
+            hot = (on | (dec != rest)).take(sources, mode="clip").ravel().nonzero()[0]
             bits = sources.take(hot)
         old = self._permanences.take(w, axis=0)
         new = old * (1.0 - rest)
@@ -295,11 +306,15 @@ class PatternLayer:
         self._write_rows(w, sources, old, new)
 
     def reconstruct(self, winners: Sdr) -> np.ndarray:
-        """Summed back-projection of the winners' connected synapses."""
+        """Summed back-projection of the winners' connected synapses: per
+        input bit, the winners with a connected synapse on it."""
         self._check_winners(winners)
         w = winners.ids
-        connected = self._permanences.take(w, axis=0) >= self._connect_threshold
-        return np.bincount(self._sources.take(w, axis=0)[connected], minlength=self.input_size)
+        self._connections()  # builds both matrices when they are missing
+        # a winner adds at most 1 to a bit, so this type cannot overflow
+        rows = self._by_column.take(w, axis=0)
+        counts = np.add.reduce(rows, axis=0, dtype=np.min_scalar_type(w.size))
+        return counts.astype(np.intp)
 
     def masked_reconstruct(self, winners: Sdr, x_ff: Sdr) -> np.ndarray:
         """Back-projection restricted to the input's on-bits."""

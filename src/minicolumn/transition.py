@@ -191,7 +191,9 @@ def _firing_sequence(units, kinds, rates, raw, n_synapses, sheath, inactive) -> 
 def _firing_times(gamma: float, rates: np.ndarray) -> np.ndarray:
     """Each of ``rates``' time to reach the firing threshold ``gamma``:
     gamma / rate, infinite where nothing depolarises (a rate not above 0)."""
-    return np.divide(gamma, rates, out=np.full(np.shape(rates), np.inf), where=rates > 0)
+    out = np.empty(rates.shape)
+    out.fill(np.inf)
+    return np.divide(gamma, rates, out=out, where=rates > 0)
 
 
 def firing_time(rate: float, gamma: float = 1.0) -> float:
@@ -256,7 +258,7 @@ class _Evals(NamedTuple):
     def lookup(self, cells):
         """Index into the per-owner arrays of each of ``cells``: its own
         entry, or the last one when it owns no scored segment."""
-        at = np.searchsorted(self.owners, cells)
+        at = self.owners.searchsorted(cells)
         return np.where(self.owners[at] == cells, at, len(self.owners) - 1)
 
 
@@ -677,19 +679,21 @@ class TmLayer:
             # packs a source over its slot, so the packed keys have no ties
             # and sort into the stable order.
             keys = self._sources[indexed : self._n_segments].reshape(-1)
-            new = np.sort((keys << 32) | np.arange(keys.size)) & 0xFFFFFFFF
+            new = (keys << 32) | np.arange(keys.size)
+            new.sort()
+            new &= 0xFFFFFFFF
             ends = keys[new] + 1
             order = np.insert(order, ptr[ends], indexed * self.synapses_per_segment + new)
             # ptr[c] moves up by the number of new slots whose source is below
             # c, their cumulative bincount: read off the sorted sources, as a
             # cumsum over every cell costs more than the rest of the merge.
             below = np.diff(ends, prepend=0, append=ptr.size)
-            ptr = ptr + np.repeat(np.arange(ends.size + 1), below)
+            ptr = ptr + np.arange(ends.size + 1).repeat(below)
             self._index = order, ptr, self._n_segments
         stops = ptr[cells + 1]
         lengths = stops - ptr[cells]
         # the runs of ``cells`` in the index, end to end
-        offsets = np.repeat(stops - np.cumsum(lengths), lengths)
+        offsets = (stops - lengths.cumsum()).repeat(lengths)
         return order[offsets + np.arange(offsets.size)]
 
     # -- distal evaluation --------------------------------------------------
@@ -717,7 +721,7 @@ class TmLayer:
         hit_rows = slots // self.synapses_per_segment
         connected = self._permanences.reshape(-1)[slots] >= self.pattern.connect_threshold
         raw = np.bincount(hit_rows, minlength=self._n_segments)
-        rows = np.flatnonzero(raw)
+        rows = raw.nonzero()[0]
         conn = np.bincount(hit_rows, connected, minlength=self._n_segments)[rows]
         return rows, raw[rows], conn.astype(np.int64)
 
@@ -739,11 +743,13 @@ class TmLayer:
         act = conn >= thresholds
         sub = (2 * conn >= thresholds) ^ act  # at or above half threshold, not active
         # The distinct owners ascending, then the padding entry.
-        ordered = np.sort(cells)
-        keep = np.ones(cells.size + 1, dtype=bool)
+        ordered = cells.copy()
+        ordered.sort()
+        keep = np.empty(cells.size + 1, dtype=bool)
+        keep[0] = keep[-1] = True
         np.not_equal(ordered[1:], ordered[:-1], out=keep[1:-1])
         owners = np.concatenate((ordered, [self.n_cells]))[keep]
-        rank = np.searchsorted(owners, cells)
+        rank = owners.searchsorted(cells)
         # Summed in row order; the 0.0 of another kind of segment changes no sum.
         o_pred = np.bincount(rank, spikes * act, owners.size)
         o_sub = np.bincount(rank, spikes * sub, owners.size)
@@ -816,11 +822,11 @@ class TmLayer:
         """
         cells, at, o_pred, o_ff, rates = self._drive(columns, raw, evals)
         fired = pred = evals.predictive[at]
-        predicted_columns = pred.any(axis=1)
-        winners = np.argmax(np.where(pred, o_pred, -np.inf), axis=1)
+        predicted_columns = np.logical_or.reduce(pred, axis=1)
+        winners = np.where(pred, o_pred, -np.inf).argmax(axis=1)
         # Most steps of a trained layer burst no column; the block below
         # gives the same result for them, but with a dozen more numpy calls.
-        if not predicted_columns.all():
+        if not np.logical_and.reduce(predicted_columns):
             bursting = ~predicted_columns
             sub = self.beta_sub * evals.o_sub[at]
             d = o_ff + sub
@@ -830,24 +836,24 @@ class TmLayer:
             # must represent it even when the vertical window is narrower
             # than the sheath margin.
             rows = np.arange(len(columns))
-            fire[rows, np.argmax(sub, axis=1)] |= ~fire.any(axis=1)
+            fire[rows, sub.argmax(axis=1)] |= ~np.logical_or.reduce(fire, axis=1)
             fired = pred | (fire & bursting[:, None])
             rates = np.where(pred, rates, d)
 
             best = evals.best[at]
-            matched = np.argmax(best, axis=1)
+            matched = best.argmax(axis=1)
             winners = np.where(bursting, matched, winners)
             blank = bursting & (best[rows, matched] < self._match_floor)
-            if blank.any():
+            if np.logical_or.reduce(blank):
                 counts = self._segment_counts[cells[blank]]
                 if self.blank_winner == "lowest":
-                    winners[blank] = np.argmin(counts, axis=1)
+                    winners[blank] = counts.argmin(axis=1)
                 else:
                     # One draw for every row gives the values and the rng
                     # state of one scalar draw per row, in row order.
-                    pool = counts == counts.min(axis=1, keepdims=True)
-                    k = self._rng.integers(np.count_nonzero(pool, axis=1))
-                    winners[blank] = np.argmax(np.cumsum(pool, axis=1) > k[:, None], axis=1)
+                    pool = counts == np.minimum.reduce(counts, axis=1, keepdims=True)
+                    k = self._rng.integers(np.add.reduce(pool, axis=1, dtype=np.intp))
+                    winners[blank] = (pool.cumsum(axis=1) > k[:, None]).argmax(axis=1)
         return cells[fired], pred[fired], rates[fired], predicted_columns, winners, at
 
     def _reinforce(self, rows: np.ndarray, on: np.ndarray, inc, dec) -> None:
@@ -864,12 +870,13 @@ class TmLayer:
         if not candidates.size:
             return
         k = min(self.synapses_per_segment, candidates.size)
-        sources = np.sort(candidates[self._rng.choice(candidates.size, size=k, replace=False)])
+        sources = candidates[self._rng.choice(candidates.size, size=k, replace=False)]
+        sources.sort()
         if self._segment_counts[cell] >= self.segments_per_cell:
-            rows = np.flatnonzero(self._owner[: self._n_segments] == cell)
+            rows = (self._owner[: self._n_segments] == cell).nonzero()[0]
             # Totals summed left to right over each row, as cumsum does;
             # padding adds 0.0. argmin takes the first of tied totals.
-            row = rows[np.argmin(np.cumsum(self._permanences[rows], axis=1)[:, -1])]
+            row = rows[self._permanences[rows].cumsum(axis=1)[:, -1].argmin()]
             if row < self._index[2]:  # an indexed row: the next read rebuilds the index
                 self._drop_index()
         else:
@@ -915,9 +922,10 @@ class TmLayer:
         quiet = evals.o_pred[at] == 0.0  # winners without an active segment
         best = evals.best[at]
         matching = quiet & (best >= self._match_floor)
-        if matching.any():
+        if np.logical_or.reduce(matching):
             # Matching winners own distinct entries; a raw overlap is never -1.
-            target = np.full(evals.owners.size, -1)
+            target = np.empty(evals.owners.size, dtype=np.int64)
+            target.fill(-1)
             target[at[matching]] = best[matching]
             hit = evals.raw == target[evals.rank]
             lowest = np.unique(evals.rank[hit], return_index=True)[1]
@@ -942,15 +950,13 @@ class TmLayer:
         predicted, burst = active[is_pred], active[~is_pred]
         winners = columns * self.cells_per_column + offsets
 
-        # Inactive columns' sheaths spread.
-        inactive = np.ones(self.n_columns, dtype=bool)
-        inactive[columns] = False
+        inactive = ~active_columns.dense()  # these columns' sheaths spread
         firing_sequence = _unordered(
             active, is_pred, rates, columns, predicted_columns, raw, self.pattern.n_synapses,
             sheath, inactive,
         )
 
-        hits = int(np.count_nonzero(predicted_columns))
+        hits = int(np.add.reduce(predicted_columns))
         anomaly = 1.0 - hits / columns.size if columns.size else 0.0
 
         if learn:

@@ -3,13 +3,15 @@ matrix against the dense formula and the CSR inverse index it replaced
 (``oracle_proximal``).
 
 ``PatternLayer`` keeps a bool ``[input_size, n_columns]`` matrix of connected
-synapses, updated by learning and dropped when ``sources``, ``permanences`` or
-``connect_threshold`` is assigned. The tests interleave every way the layer's
-state can change (``learn``, ``tp_learn``, permanence and threshold
-assignment, in-place permanence writes, which must raise, ``sources``
-assignment, a ``to_state`` / ``from_state`` round trip) and after each one
-compare the matrix with one rebuilt from the public state, and the overlap
-with the dense formula. Shapes include one synapse per neuron and
+synapses and its C-ordered ``[n_columns, input_size]`` transpose, which
+``reconstruct`` reads, both updated by learning and dropped when ``sources``,
+``permanences`` or ``connect_threshold`` is assigned. The tests interleave
+every way the layer's state can change (``learn``, ``tp_learn``, permanence
+and threshold assignment, in-place permanence writes, which must raise,
+``sources`` assignment, a ``to_state`` / ``from_state`` round trip) and after
+each one compare both matrices with one rebuilt from the public state, the
+overlap with the dense formula and the back-projection with a count over the
+winners' connected synapses. Shapes include one synapse per neuron and
 ``n_synapses == input_size``; thresholds include 0 and 1; inputs include the
 empty and the full input.
 
@@ -38,6 +40,7 @@ from minicolumn.pattern import _hebbian
 from minicolumn.transition import LayerOutput
 
 import oracle_proximal
+from minicolumn import persistence
 
 # thresholds and permanences: the edges, the default threshold, anything between
 UNIT = st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0))
@@ -58,8 +61,12 @@ def rebuilt_connections(layer):
 
 def assert_connections_current(layer):
     got = layer._connections()
+    expected = rebuilt_connections(layer)
     assert got.dtype == bool and got.shape == (layer.input_size, layer.n_columns)
-    assert np.array_equal(got, rebuilt_connections(layer))
+    assert np.array_equal(got, expected)
+    by_column = layer._by_column
+    assert by_column.dtype == bool and by_column.flags.c_contiguous
+    assert np.array_equal(by_column, expected.T)
 
 
 def oracle_reconstruct(layer, winners):
@@ -236,6 +243,49 @@ def test_overlap_count_wider_than_16_bits():
     layer.permanences = np.ones((1, n))
     assert layer.raw_overlaps(Sdr(n, range(n))).tolist() == [n]
     assert layer.raw_overlaps(Sdr(n, range(n - 1))).tolist() == [n - 1]
+
+
+@pytest.mark.parametrize(
+    "change", ["learn", "tp_learn", "sources", "permanences", "connect_threshold", "save_load"]
+)
+def test_reconstruct_matches_oracle_after_each_change(change, tmp_path):
+    """``reconstruct`` counts through the by-column matrix. Learning keeps it
+    current; assigning ``sources``, ``permanences`` or ``connect_threshold``
+    drops it, and so does a save and load, so there ``reconstruct`` is the
+    first read and builds it. After each change the counts equal the
+    oracle's, for no winner, one, some and every column."""
+    rng = np.random.default_rng(3)
+    if change == "tp_learn":
+        layer = PoolingLayer(64, 16, n_active=4, potential_fraction=1.0, seed=3)
+        assert layer._full_potential
+    else:
+        layer = PatternLayer(64, 16, n_active=4, n_synapses=24, seed=3)
+    layer.raw_overlaps(Sdr(64))  # build both matrices, so learning maintains them
+    winner_sets = [Sdr(16), Sdr(16, [5]), Sdr(16, rng.choice(16, 6, replace=False)), Sdr(16, range(16))]
+    for step in range(6):
+        x = Sdr(64, rng.choice(64, 12, replace=False))
+        if change == "learn":
+            layer.learn(x, layer.compute_sdr(x))
+        elif change == "tp_learn":
+            out = layer_output(x, Sdr(64, x.ids[::2]))
+            layer.tp_learn(out, layer.tp_step(out))
+        elif change == "sources":
+            layer.sources = random_sources(layer, step)
+        elif change == "permanences":
+            layer.permanences = rng.uniform(0.0, 1.0, (16, 24))
+        elif change == "connect_threshold":
+            layer.connect_threshold = rng.uniform(0.1, 0.3)
+        else:
+            layer.learn(x, layer.compute_sdr(x))
+            persistence.save(layer, tmp_path / "layer.npz")
+            layer = persistence.load(tmp_path / "layer.npz")
+        dropped = change not in ("learn", "tp_learn")
+        assert (layer._connected is None and layer._by_column is None) == dropped
+        for winners in winner_sets:
+            got = layer.reconstruct(winners)
+            assert got.dtype == np.intp
+            assert got.tolist() == oracle_reconstruct(layer, winners).tolist()
+        assert_connections_current(layer)
 
 
 class TestPermanencesSetter:
