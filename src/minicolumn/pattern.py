@@ -229,10 +229,9 @@ class PatternLayer:
         """Overlap score of every neuron with the input: its connected
         synapses that see an on-bit."""
         self._check_input(x_ff)
-        rows = self._connections().take(x_ff.ids, axis=0)
-        # at most n_synapses per column, so this type cannot overflow
-        counts = np.add.reduce(rows, axis=0, dtype=np.min_scalar_type(self.n_synapses))
-        return counts.astype(np.intp)
+        ids = x_ff.ids
+        # a column counts each on-bit through at most one of its synapses
+        return _column_counts(self._connections(), ids, min(ids.size, self.n_synapses))
 
     def _select(self, scores: np.ndarray, raw: np.ndarray) -> Sdr:
         """Top ``n_active`` by score among neurons passing the stimulus floor.
@@ -311,10 +310,7 @@ class PatternLayer:
         self._check_winners(winners)
         w = winners.ids
         self._connections()  # builds both matrices when they are missing
-        # a winner adds at most 1 to a bit, so this type cannot overflow
-        rows = self._by_column.take(w, axis=0)
-        counts = np.add.reduce(rows, axis=0, dtype=np.min_scalar_type(w.size))
-        return counts.astype(np.intp)
+        return _column_counts(self._by_column, w, w.size)
 
     def masked_reconstruct(self, winners: Sdr, x_ff: Sdr) -> np.ndarray:
         """Back-projection restricted to the input's on-bits."""
@@ -345,6 +341,15 @@ class PatternLayer:
         layer._configure(**state["params"])
         layer._restore_state(state)
         return layer
+
+
+def _column_counts(matrix: np.ndarray, rows: np.ndarray, most: int) -> np.ndarray:
+    """Per column of the bool ``matrix``, its true entries in ``rows``, as
+    intp; no count exceeds ``most``. The bools are summed as their bytes, 0
+    and 1, in the smallest type that holds ``most``, so up to 255 numpy adds
+    them without a cast."""
+    block = matrix.take(rows, axis=0).view(np.uint8)
+    return np.add.reduce(block, axis=0, dtype=np.min_scalar_type(most)).astype(np.intp)
 
 
 def _hebbian(p: np.ndarray, on: np.ndarray, inc, dec) -> np.ndarray:
