@@ -213,10 +213,10 @@ class PatternLayer:
             if flips.size:
                 columns = w.take(flips // self.n_synapses)
                 bits = flips % self.n_synapses if sources is None else sources.take(flips)
-                now = now.take(flips)
+                flipped = now.take(flips)
                 # flat entries, in intp: input_size * n_columns may pass 2**31
-                self._connected.put(bits * np.intp(self.n_columns) + columns, now)
-                self._by_column.put(columns * np.intp(self.input_size) + bits, now)
+                self._connected.put(bits * np.intp(self.n_columns) + columns, flipped)
+                self._by_column.put(columns * np.intp(self.input_size) + bits, flipped)
         self._permanences[w] = new
 
     def _check_input(self, x_ff: Sdr, name: str = "input") -> None:

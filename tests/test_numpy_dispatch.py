@@ -51,13 +51,14 @@ def wrapper_frames(call) -> list[tuple[str, str, str]]:
     seen = []
 
     def profile(frame, event, arg):
-        if event != "call" or os.path.basename(frame.f_code.co_filename) not in WRAPPERS:
+        code = frame.f_code
+        if event != "call" or os.path.basename(code.co_filename) not in WRAPPERS:
             return
         caller = frame.f_back
         while caller is not None and caller.f_code is not _draw.__code__:
             caller = caller.f_back
         if caller is None:
-            seen.append((frame.f_code.co_filename, frame.f_code.co_name, frame.f_back.f_code.co_name))
+            seen.append((code.co_filename, code.co_name, frame.f_back.f_code.co_name))
 
     sys.setprofile(profile)
     try:

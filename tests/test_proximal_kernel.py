@@ -35,12 +35,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicolumn import PatternLayer, PoolingLayer, Sdr, TmLayer
+from minicolumn import PatternLayer, PoolingLayer, Sdr, TmLayer, persistence
 from minicolumn.pattern import _hebbian
 from minicolumn.transition import LayerOutput
 
 import oracle_proximal
-from minicolumn import persistence
 
 # thresholds and permanences: the edges, the default threshold, anything between
 UNIT = st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0))
@@ -261,7 +260,8 @@ def test_reconstruct_matches_oracle_after_each_change(change, tmp_path):
     else:
         layer = PatternLayer(64, 16, n_active=4, n_synapses=24, seed=3)
     layer.raw_overlaps(Sdr(64))  # build both matrices, so learning maintains them
-    winner_sets = [Sdr(16), Sdr(16, [5]), Sdr(16, rng.choice(16, 6, replace=False)), Sdr(16, range(16))]
+    some = rng.choice(16, 6, replace=False)
+    winner_sets = [Sdr(16), Sdr(16, [5]), Sdr(16, some), Sdr(16, range(16))]
     for step in range(6):
         x = Sdr(64, rng.choice(64, 12, replace=False))
         if change == "learn":
