@@ -320,16 +320,29 @@ class PatternLayer:
         return out
 
     def to_state(self) -> dict:
+        """The layer's parameters, arrays and rng state. A full-potential
+        layer's ``sources`` is its one ``arange(input_size)`` row, of shape
+        ``(1, input_size)``; any other layer's is the whole matrix."""
         return {
             "params": {name: getattr(self, name) for name in _PATTERN_PARAMS},
-            "sources": self.sources,
+            "sources": self.sources[:1] if self._full_potential else self.sources,
             "permanences": self._permanences.copy(),
             "rng": self._rng.bit_generator.state,
         }
 
     def _restore_state(self, state: dict) -> None:
         self.permanences = state["permanences"]
-        self.sources = state["sources"]
+        sources = _as_array("sources", state["sources"])
+        shape = (self.n_columns, self.n_synapses)
+        if self.n_synapses == self.input_size and sources.shape == (1, self.input_size) != shape:
+            # a full-potential layer's one row, as to_state writes it
+            if not np.array_equal(sources[0], np.arange(self.input_size)):
+                raise ValueError(
+                    f"a one-row sources must be arange({self.input_size}), every input bit "
+                    "in order"
+                )
+            sources = np.broadcast_to(sources, shape)
+        self.sources = sources
         self._rng = np.random.default_rng(0)
         self._rng.bit_generator.state = state["rng"]
 

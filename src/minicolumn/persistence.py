@@ -1,15 +1,23 @@
 """Versioned save/load of encoders, layers and model bundles.
 
-A format-3 snapshot is one uncompressed zip written by ``np.savez``. Its
+A format-4 snapshot is one uncompressed zip written by ``np.savez``. Its
 ``header`` member holds ``format_version``, ``kind`` and the model's state
 tree as UTF-8 JSON; every array in the tree is a ``.npy`` member of its own,
-in the dtype the model holds, named by its path in the tree (say
-``state.tm.pattern.permanences``), and the header refers to it as
-``{"$array": name}``. Arrays keep their bits and JSON floats are written with
-Python's shortest round-trip representation, so permanences and rng state
-survive a save/load cycle bit-exactly and a resumed run reproduces an
-uninterrupted one. Format-1 and format-2 snapshots, which were JSON
-documents, still load; format 1 through ``_upgrade_v1``.
+named by its path in the tree (say ``state.tm.pattern.permanences``), and the
+header refers to it as ``{"$array": name}``. A transition layer's distal
+segments are six such members under ``state.tm.distal``: ``cells``,
+``lengths`` and ``sources`` (int32), ``permanences`` (float64),
+``activation_threshold`` (int64) and ``spike_size`` (float64), in the order
+of ``TmLayer.to_state``'s ``segments`` list. A full-potential layer's
+``sources`` is its one ``arange(input_size)`` row; every other array keeps
+the dtype the model holds. Arrays keep their bits and JSON floats are
+written with Python's shortest round-trip representation, so permanences
+and rng state survive a save/load cycle bit-exactly and a resumed run
+reproduces an uninterrupted one.
+
+Older snapshots still load: format 3, the same zip with the distal segments
+as the JSON ``segments`` list in the header, and formats 1 and 2, which were
+JSON documents; format 1 through ``_upgrade_v1``.
 """
 
 from __future__ import annotations
@@ -18,9 +26,12 @@ import json
 import os
 import tokenize
 import zipfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
+
+from .transition import _DISTAL_FIELDS
 
 __all__ = [
     "FORMAT_VERSION",
@@ -31,7 +42,7 @@ __all__ = [
     "load",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class SnapshotError(Exception):
@@ -100,10 +111,51 @@ def _upgrade_v1(kind: str, state: dict) -> None:
         del state["active_duty"], state["overlap_duty"]
 
 
-# Format 3 is a zip written by ``np.savez``; formats 1 and 2 are JSON text.
+# Formats 3 and 4 are zips written by ``np.savez``; formats 1 and 2 are JSON text.
 _ZIP_MAGIC = b"PK\x03\x04"
+_ZIP_VERSIONS = (3, FORMAT_VERSION)
 _HEADER = "header"
 _REF = "$array"  # {"$array": member} stands for an array leaf in the header
+# Why a zip or one of its members cannot be read. ValueError covers an object
+# array, which is refused, never unpickled. zipfile raises NotImplementedError
+# for an unknown compression method and RuntimeError for an encrypted member.
+# A damaged .npy header can fail in numpy's tokenizer, or declare a shape too
+# large to allocate.
+_READ_ERRORS = (
+    zipfile.BadZipFile, OSError, EOFError, ValueError, NotImplementedError, RuntimeError,
+    tokenize.TokenError, MemoryError,
+)
+
+
+def _distal_arrays(segments) -> dict:
+    """The ``segments`` list of a transition layer's state as the flat
+    arrays of its ``distal`` entry, named by ``_DISTAL_FIELDS``."""
+    segs = [seg for _, cell_segs in segments for seg in cell_segs]
+    lengths = np.array([len(seg["sources"]) for seg in segs], dtype=np.int32)
+    total = int(lengths.sum())
+    sources = chain.from_iterable(seg["sources"] for seg in segs)
+    permanences = chain.from_iterable(seg["permanences"] for seg in segs)
+    arrays = (
+        np.array([cell for cell, cell_segs in segments for _ in cell_segs], dtype=np.int32),
+        lengths,
+        np.fromiter(sources, dtype=np.int32, count=total),
+        np.fromiter(permanences, dtype=np.float64, count=total),
+        np.array([seg["activation_threshold"] for seg in segs], dtype=np.int64),
+        np.array([seg["spike_size"] for seg in segs], dtype=np.float64),
+    )
+    return dict(zip(_DISTAL_FIELDS, arrays))
+
+
+def _as_format4(kind: str, state: dict) -> dict:
+    """``state`` as format 4 writes it: a transition layer's ``segments``
+    list, in a ``tm_layer`` or a ``sequence_model``, becomes its ``distal``
+    arrays."""
+    if kind == "sequence_model":
+        return dict(state, tm=_as_format4("tm_layer", state["tm"]))
+    if kind == "tm_layer":
+        state = dict(state)
+        state["distal"] = _distal_arrays(state.pop("segments"))
+    return state
 
 
 def _detach_arrays(value, arrays: dict, name: str):
@@ -117,34 +169,19 @@ def _detach_arrays(value, arrays: dict, name: str):
     return value
 
 
-def _array_hook(members):
-    """A ``json.loads`` object hook that replaces each reference by its member."""
-
-    def hook(obj: dict):
-        if obj.keys() != {_REF}:
-            return obj
-        name = obj[_REF]
-        if not isinstance(name, str) or name not in members:
-            raise SnapshotFormatError(f"reference to missing array member {name!r}")
-        if not isinstance(members[name], np.ndarray):
-            raise SnapshotFormatError(f"member {name!r} is not an .npy array")
-        return members[name]
-
-    return hook
-
-
 def save(model, path: str | Path) -> None:
-    """Write a self-describing format-3 snapshot of the model to ``path``.
+    """Write a self-describing format-4 snapshot of the model to ``path``.
 
     The snapshot is written to a temporary file next to ``path`` and moved
     over it only once complete, so a failed save leaves any previous
     snapshot at ``path`` as it was.
     """
     arrays: dict[str, np.ndarray] = {}
+    kind = _kind_of(model)
     header = {
         "format_version": FORMAT_VERSION,
-        "kind": _kind_of(model),
-        "state": _detach_arrays(model.to_state(), arrays, "state"),
+        "kind": kind,
+        "state": _detach_arrays(_as_format4(kind, model.to_state()), arrays, "state"),
     }
     encoded = np.frombuffer(json.dumps(header, separators=(",", ":")).encode(), np.uint8)
     path = Path(path)
@@ -163,38 +200,59 @@ def save(model, path: str | Path) -> None:
 
 
 def _read_zip(fh) -> dict:
-    """The format-3 document in ``fh``, with its arrays in place."""
+    """The format-3 or format-4 document in ``fh``, with its arrays in place.
+
+    The header is parsed first, and each member it references is read once,
+    as the parse reaches it. A member that nothing references is refused.
+    """
     try:
         with np.load(fh, allow_pickle=False) as npz:
             if _HEADER not in npz.files:
                 raise SnapshotFormatError(f"no {_HEADER!r} member")
-            members = {name: npz[name] for name in npz.files}
-    # ValueError covers an object array, which is refused, never unpickled.
-    # zipfile raises NotImplementedError for an unknown compression method and
-    # RuntimeError for an encrypted member. A damaged .npy header can fail in
-    # numpy's tokenizer, or declare a shape too large to allocate.
-    except (
-        zipfile.BadZipFile, OSError, EOFError, ValueError, NotImplementedError, RuntimeError,
-        tokenize.TokenError, MemoryError,
-    ) as exc:
+            header = npz[_HEADER]
+            if not (isinstance(header, np.ndarray) and header.dtype == np.uint8 and header.ndim == 1):
+                raise SnapshotFormatError(f"{_HEADER!r} member is not a uint8 vector")
+            members: dict[str, np.ndarray] = {}
+
+            def resolve(obj: dict):
+                """A ``json.loads`` object hook that replaces each reference by its member."""
+                if obj.keys() != {_REF}:
+                    return obj
+                name = obj[_REF]
+                if not isinstance(name, str) or name not in npz.files:
+                    raise SnapshotFormatError(f"reference to missing array member {name!r}")
+                if name not in members:
+                    try:
+                        members[name] = npz[name]
+                    except _READ_ERRORS as exc:
+                        raise SnapshotFormatError(f"unreadable member {name!r}: {exc}") from exc
+                if not isinstance(members[name], np.ndarray):
+                    raise SnapshotFormatError(f"member {name!r} is not an .npy array")
+                return members[name]
+
+            try:
+                document = json.loads(header.tobytes().decode(), object_hook=resolve)
+            except ValueError as exc:
+                raise SnapshotFormatError(f"{_HEADER!r} member is not UTF-8 JSON: {exc}") from exc
+            if not isinstance(document, dict):
+                raise SnapshotFormatError(f"{_HEADER!r} member is not a JSON object")
+            unreferenced = [name for name in npz.files if name != _HEADER and name not in members]
+            if unreferenced:
+                raise SnapshotFormatError(
+                    f"member {unreferenced[0]!r} is not referenced by the {_HEADER!r}"
+                )
+    except _READ_ERRORS as exc:
         raise SnapshotFormatError(f"unreadable zip: {exc}") from exc
-    header = members[_HEADER]
-    if not (isinstance(header, np.ndarray) and header.dtype == np.uint8 and header.ndim == 1):
-        raise SnapshotFormatError(f"{_HEADER!r} member is not a uint8 vector")
-    try:
-        document = json.loads(header.tobytes().decode(), object_hook=_array_hook(members))
-    except ValueError as exc:
-        raise SnapshotFormatError(f"{_HEADER!r} member is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SnapshotFormatError(f"{_HEADER!r} member is not a JSON object")
     return document
 
 
 def load(path: str | Path):
     """Rebuild a model from a snapshot; subsequent outputs are bit-identical.
 
-    The format is told by the file's first bytes: a zip is format 3, anything
-    else is read as a format-1 or format-2 JSON document.
+    The container is told by the file's first bytes: a zip is format 3 or 4,
+    anything else is read as a format-1 or format-2 JSON document. A
+    ``format_version`` that is not an integer of its container's formats is
+    refused.
     """
     path = Path(path)
     try:
@@ -202,7 +260,7 @@ def load(path: str | Path):
             is_zip = fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
             fh.seek(0)
             if is_zip:
-                document, versions = _read_zip(fh), (FORMAT_VERSION,)
+                document, versions = _read_zip(fh), _ZIP_VERSIONS
             else:
                 document, versions = json.loads(fh.read()), (1, 2)
     except SnapshotFormatError as exc:
@@ -219,10 +277,11 @@ def load(path: str | Path):
     if not isinstance(document, dict) or "format_version" not in document:
         raise SnapshotFormatError(f"snapshot {path}: missing format_version")
     version = document["format_version"]
-    if version not in versions:
+    # type, not isinstance: True == 1 and 4.0 == 4, but neither names a format
+    if type(version) is not int or version not in versions:
         raise SnapshotFormatError(
             f"snapshot {path}: unknown format_version {version!r} for a "
-            f"{'zip' if is_zip else 'JSON'} snapshot (format 3 is a zip, formats 1 "
+            f"{'zip' if is_zip else 'JSON'} snapshot (formats 3 and 4 are zips, formats 1 "
             "and 2 are JSON)"
         )
     registry = _registry()

@@ -304,14 +304,14 @@ def _flat(name: str, values, dtype) -> np.ndarray:
     return array.astype(dtype)
 
 
-def _ragged(name: str, rows, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated ``rows`` as by ``_flat``, and the length of each row."""
+def _ragged(name: str, rows) -> tuple[list, np.ndarray]:
+    """The concatenated ``rows``, and the length of each row."""
     try:
         lengths = np.fromiter(map(len, rows), dtype=np.intp)
         values = list(chain.from_iterable(rows))
     except TypeError as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    return _flat(name, values, dtype), lengths
+    return values, lengths
 
 
 def _resized(a: np.ndarray, rows: int, fill) -> np.ndarray:
@@ -328,6 +328,13 @@ _DISTAL_PARAMS = (
     "activation_threshold", "min_match_threshold", "spike_size", "sigma_inc",
     "sigma_dec", "sigma_punish", "initial_segment_permanence", "blank_winner",
 )
+
+
+# The distal store as flat arrays, in ``_load_segments``'s argument order: per
+# segment its owner cell and synapse count, per synapse its source and
+# permanence (segment after segment), then per segment its threshold and spike.
+# ``from_state`` reads a state's ``distal`` by these names.
+_DISTAL_FIELDS = ("cells", "lengths", "sources", "permanences", "activation_threshold", "spike_size")
 
 
 def _read_dtau_vert(params: dict) -> dict:
@@ -595,23 +602,48 @@ class TmLayer:
     def _add_segments(self, cells, sources, permanences, thresholds, spikes) -> None:
         """Append one segment per entry of ``cells``, in order: ``sources[i]``
         and ``permanences[i]`` are sequences, ``thresholds[i]`` and
-        ``spikes[i]`` numbers.
+        ``spikes[i]`` numbers. Flattened, they go to ``_load_segments``.
+        """
+        sources, lengths = _ragged("segment sources", sources)
+        permanences, perm_lengths = _ragged("segment permanences", permanences)
+        if not np.array_equal(lengths, perm_lengths):
+            raise ValueError("segment sources and permanences must have equal length")
+        self._load_segments(cells, lengths, sources, permanences, thresholds, spikes)
+
+    def _load_segments(self, cells, lengths, sources, permanences, thresholds, spikes) -> None:
+        """Append one segment per entry of ``cells``, in order, from flat
+        arrays: segment i has ``lengths[i]`` synapses, the next ones of
+        ``sources`` and ``permanences``, and its own ``thresholds[i]`` and
+        ``spikes[i]``.
 
         Every segment is checked before any is stored. Raises ``ValueError``,
         naming the field, for anything the layer could not hold or score.
         """
         n_cells, width = self.n_cells, self.synapses_per_segment
         cells = _flat("segment cells", cells, np.int64)
-        flat_sources, lengths = _ragged("segment sources", sources, np.int64)
-        flat_perms, perm_lengths = _ragged("segment permanences", permanences, np.float64)
+        lengths = _flat("segment lengths", lengths, np.int64)
+        flat_sources = _flat("segment sources", sources, np.int64)
+        flat_perms = _flat("segment permanences", permanences, np.float64)
         thresholds = _flat("activation_threshold", thresholds, np.int64)
         spikes = _flat("spike_size", spikes, np.float64)
+        if not cells.size == lengths.size == thresholds.size == spikes.size:
+            raise ValueError(
+                "segment cells, lengths, activation_threshold and spike_size must have equal "
+                f"counts, got {cells.size}, {lengths.size}, {thresholds.size} and {spikes.size}"
+            )
         if cells.size and not (cells.min() >= 0 and cells.max() < n_cells):
             raise ValueError(f"segment cells must lie in [0, {n_cells})")
-        if not np.array_equal(lengths, perm_lengths):
-            raise ValueError("segment sources and permanences must have equal length")
+        if lengths.size and lengths.min() < 0:
+            raise ValueError("segment lengths must be >= 0")
         if lengths.size and lengths.max() > width:
             raise ValueError(f"more than synapses_per_segment={width} segment sources")
+        if flat_sources.size != flat_perms.size:
+            raise ValueError("segment sources and permanences must have equal length")
+        if lengths.sum() != flat_sources.size:
+            raise ValueError(
+                f"segment lengths sum to {lengths.sum()}, not to the {flat_sources.size} "
+                "segment sources"
+            )
         if flat_sources.size and not (flat_sources.min() >= 0 and flat_sources.max() < n_cells):
             raise ValueError(f"segment sources must lie in [0, {n_cells})")
         if not ((flat_perms >= 0.0) & (flat_perms <= 1.0)).all():
@@ -1028,15 +1060,23 @@ class TmLayer:
         rng = np.random.default_rng(0)
         rng.bit_generator.state = state["rng"]
         layer._attach(PatternLayer.from_state(dict(state["pattern"], params=pattern_params)), rng)
-        cells, sources, permanences, thresholds, spikes = [], [], [], [], []
-        for cell, segs in state["segments"]:
-            for seg in segs:
-                cells.append(cell)
-                sources.append(seg["sources"])
-                permanences.append(seg["permanences"])
-                thresholds.append(seg["activation_threshold"])
-                spikes.append(seg["spike_size"])
-        layer._add_segments(cells, sources, permanences, thresholds, spikes)
+        if ("segments" in state) == ("distal" in state):
+            raise ValueError("a transition layer state holds either segments or distal")
+        if "distal" in state:
+            distal = state["distal"]
+            if distal.keys() != set(_DISTAL_FIELDS):
+                raise ValueError(f"distal must hold exactly {', '.join(_DISTAL_FIELDS)}")
+            layer._load_segments(*(distal[name] for name in _DISTAL_FIELDS))
+        else:
+            cells, sources, permanences, thresholds, spikes = [], [], [], [], []
+            for cell, segs in state["segments"]:
+                for seg in segs:
+                    cells.append(cell)
+                    sources.append(seg["sources"])
+                    permanences.append(seg["permanences"])
+                    thresholds.append(seg["activation_threshold"])
+                    spikes.append(seg["spike_size"])
+            layer._add_segments(cells, sources, permanences, thresholds, spikes)
         layer._prev_active = Sdr(layer.n_cells, state["prev_active"])
         layer._prev_winners = Sdr(layer.n_cells, state["prev_winners"])
         # A stored copy of derived state must agree with what it derives from.

@@ -1,19 +1,40 @@
-"""Hostile edits of a format-3 snapshot, shared by the persistence and CLI tests.
+"""Hostile edits of zip snapshots, shared by the persistence and CLI tests.
 
-Each case rewrites a saved ``sequence_model`` snapshot (the format-1 fixture
-saved as format 3) and names the error ``persistence.load`` must raise and
-a word its message must contain.
+Each case rewrites a saved ``sequence_model`` snapshot and names the error
+``persistence.load`` must raise and a word its message must contain. The
+cases of ``CASES`` rewrite ``fixtures/format3_model.npz``, the format-1
+fixture saved as format 3, whose header holds the distal segments as a JSON
+list. Those of ``FORMAT4_CASES`` rewrite a fresh format-4 save of
+``format4_model()``, whose distal segments are array members.
 """
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
+from minicolumn import PoolingLayer, persistence
 from minicolumn.persistence import SnapshotFormatError, SnapshotValidationError
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FORMAT1_FIXTURE = FIXTURES / "format1_model.json"
+FORMAT3_FIXTURE = FIXTURES / "format3_model.npz"
 
 SOURCES = "state.tm.pattern.sources"
 PERMANENCES = "state.tm.pattern.permanences"
+POOL_SOURCES = "state.pool.sources"
+DISTAL = "state.tm.distal."
+
+
+def format4_model():
+    """The format-1 fixture's model with a full-potential pool in place of
+    its own, so that its snapshot holds a one-row ``sources``."""
+    model = persistence.load(FORMAT1_FIXTURE)
+    pool = model.pool
+    model.pool = PoolingLayer(pool.input_size, pool.n_columns, n_active=pool.n_active,
+                              potential_fraction=1.0, seed=5)
+    return model
 
 
 def read_members(path) -> dict:
@@ -199,6 +220,12 @@ CASES = [
     ),
     ("object-member", object_member, SnapshotFormatError, "allow_pickle"),
     (
+        "unreferenced-member",
+        lambda m: m.update(notes=np.zeros(3)),
+        SnapshotFormatError,
+        "member 'notes' is not referenced",
+    ),
+    (
         "header-not-object",
         lambda m: m.update(header=np.frombuffer(b"[1, 2]", np.uint8)),
         SnapshotFormatError,
@@ -270,9 +297,72 @@ CASES = [
 IDS = [case[0] for case in CASES]
 
 
+def edit_distal(name, edit):
+    return edit_array(DISTAL + name, edit)
+
+
+def drop_distal_field(members) -> None:
+    doc = header(members)
+    del doc["state"]["tm"]["distal"]["spike_size"]
+    set_header(members, doc)
+
+
+# As CASES, for a format-4 snapshot of format4_model(): one case per check of
+# the distal members and of a one-row sources.
+FORMAT4_CASES = [
+    (
+        # the first segment loses a synapse that the sources still hold
+        "distal-lengths-sum",
+        edit_distal("lengths", lambda a: assigned(a, 0, a[0] - 1)),
+        SnapshotValidationError,
+        "segment lengths sum to",
+    ),
+    (
+        "distal-length-negative",
+        edit_distal("lengths", lambda a: assigned(a, 0, -1)),
+        SnapshotValidationError,
+        "segment lengths must be >= 0",
+    ),
+    (
+        "distal-counts-differ",
+        edit_distal("spike_size", lambda a: a[:-1]),
+        SnapshotValidationError,
+        "must have equal counts",
+    ),
+    (
+        "distal-lengths-float",
+        edit_distal("lengths", lambda a: a.astype(np.float64)),
+        SnapshotValidationError,
+        "segment lengths must be integers",
+    ),
+    (
+        "one-row-sources-not-arange",
+        edit_array(POOL_SOURCES, lambda a: a[:, ::-1]),
+        SnapshotValidationError,
+        "one-row sources must be arange(128)",
+    ),
+    (
+        # the transition layer's pattern samples 16 of its 128 input bits
+        "one-row-sources-sampled-layer",
+        edit_array(SOURCES, lambda a: np.arange(128, dtype=np.int32)[None]),
+        SnapshotValidationError,
+        "sources must have shape (32, 16)",
+    ),
+    (
+        "distal-field-dropped",
+        drop_distal_field,
+        SnapshotFormatError,
+        "member 'state.tm.distal.spike_size' is not referenced",
+    ),
+]
+FORMAT4_IDS = [case[0] for case in FORMAT4_CASES]
+
+
 def apply(path, case_id) -> None:
-    """Rewrite the format-3 snapshot at ``path`` as case ``case_id`` says."""
-    _, change, _, _ = CASES[IDS.index(case_id)]
+    """Rewrite the zip snapshot at ``path`` as case ``case_id``, of
+    ``CASES`` or ``FORMAT4_CASES``, says."""
+    cases = CASES + FORMAT4_CASES
+    _, change, _, _ = cases[[case[0] for case in cases].index(case_id)]
     if change is None:  # the only case that breaks the zip itself
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])

@@ -716,7 +716,19 @@ def test_unreadable_format1_snapshot_exits_2(tmp_path, capsys, mutate):
 @pytest.mark.parametrize("case_id", mutations.IDS)
 def test_hostile_format3_snapshot_exits_2(tmp_path, capsys, case_id):
     snap = tmp_path / "model.json"
-    persistence.save(persistence.load(FORMAT1_FIXTURE), snap)
+    snap.write_bytes(mutations.FORMAT3_FIXTURE.read_bytes())
+    mutations.apply(snap, case_id)
+    config = write_config(tmp_path)
+    assert main(["inspect", "--snapshot", str(snap)]) == 2
+    assert main(["sequence", "--config", str(config), "--resume", str(snap)]) == 2
+    err = capsys.readouterr().err
+    assert "model.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case_id", mutations.FORMAT4_IDS)
+def test_hostile_format4_snapshot_exits_2(tmp_path, capsys, case_id):
+    snap = tmp_path / "model.json"
+    persistence.save(mutations.format4_model(), snap)
     mutations.apply(snap, case_id)
     config = write_config(tmp_path)
     assert main(["inspect", "--snapshot", str(snap)]) == 2

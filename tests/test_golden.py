@@ -5,14 +5,15 @@ step, ``firing_sequence`` and ``anomaly`` included, and then the bytes of the
 final ``persistence.save`` snapshot. The outputs digests below were recorded
 with the object-graph distal segment store that preceded the flat-array one;
 any change to an output bit, a float's last digit or a value's type shows
-here. The snapshot digests were recorded again for format 3; each format-3
-snapshot loads to the same state as the format-2 snapshot it replaced, and
+here. The snapshot digests were recorded again for format 4; each format-4
+snapshot loads to the same state as the format-3 snapshot it replaced, and
 both resume to the same outputs.
 
 ``fixtures/format1_model.json`` is a format-1 snapshot written by that same
 earlier code. It must load, save and load back to the same state without
 the fields format 2 removed, and step on exactly as the model it was taken
-from did.
+from did. ``fixtures/format3_model.npz`` is the same model saved as format 3,
+and must do the same.
 """
 
 import dataclasses
@@ -34,32 +35,33 @@ from minicolumn.experiments import (
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
+FORMAT3_FIXTURE = FIXTURE.with_name("format3_model.npz")
 
 # (outputs digest, final snapshot digest) per run.
 GOLDEN = {
     "sequence": (
         "e158cd8491ce8ad8a05333f8f091c2322bcac1a151f315a47607386273bb8c45",
-        "88b5138f5069441933dd88bc61a5eb523a2a61b4035b31947a511f99b18248f4",
+        "bd03ba5a0f358e8764dc5945023ec504e90ae56830752ff1ef80ee1aca76862e",
     ),
     "pool": (
         "81748c80a5940750f0c59e91443735228ec23cec90a9d40e89b77a689b87bef3",
-        "dac94ba94cf02ba8a67b62144cc33591a204b6de144cf6149ba81fb828a91404",
+        "b4c684776cb6d216d5691405828c940e1d5152b73f832f62612edc4cf64471f5",
     ),
     "pool_full": (
         "6263633cf6a34a83b42fab0623bef0a3ce0df9b1b2b23b13a38c79ff8beacf46",
-        "10a276e6f8e8100c6b8c0ffbba11f0f6b0c1ca0e5728335cbfd9436508affe9a",
+        "3d2763d2e6501e2128db7ca0276af72460653605a647a26b6aa49ddc63db6293",
     ),
     "paper": (
         "16397f39f1b384c420f9762b873d9562e4e67d6ad27015e7f8e05622e45301d6",
-        "c4d4de0f50b0fdbee34c8aca673dfd340ab60f8eb2e6db209167136a906d2311",
+        "d3cfbb15bc33dd46af3107577f1c3e80fb4a6abb27e042cae4906038783ce2b3",
     ),
     "scalar": (
         "85b3610292ddd01b13f3712ae5b0119974f28daac36d46348b58cbffdfdb0aed",
-        "fa0be5323bc73ee0700dcd9d94bcf7c7787bf3b5ef98c365f61e9784bd5d6d94",
+        "1e57b17718ae5d1456cc0ba88041c5c38a82f5d11e9cc46d0fec45e83a37111f",
     ),
     "fixture_resume": (
         "1be1a010320f8d09882d5506339ea2ab8d01d91daf952ae6341ee947b2ddf255",
-        "6a596801ef724f5de741278e85d1a150f351c31cde9dbe08aa38696ca429cff6",
+        "23eee012933e402b062faad368e88e2914987d501570fe3948fa6b4490c923f8",
     ),
 }
 
@@ -236,8 +238,8 @@ def plain(value):
     return value
 
 
-def fixture_resume(tmp_path):
-    model = persistence.load(FIXTURE)
+def fixture_resume(tmp_path, fixture=FIXTURE):
+    model = persistence.load(fixture)
     resaved = tmp_path / "resaved.json"
     persistence.save(model, resaved)
     assert plain(persistence.load(resaved).to_state()) == format2_of_fixture()
@@ -254,6 +256,12 @@ def fixture_resume(tmp_path):
 
 def test_format1_fixture_loads_and_resumes_bit_exactly(tmp_path):
     assert fixture_resume(tmp_path) == GOLDEN["fixture_resume"]
+
+
+def test_format3_fixture_loads_and_resumes_bit_exactly(tmp_path):
+    # the format-1 fixture saved as format 3: the same model, so the same
+    # state, outputs and format-4 snapshot
+    assert fixture_resume(tmp_path, FORMAT3_FIXTURE) == GOLDEN["fixture_resume"]
 
 
 def make_fixture(path) -> None:

@@ -375,6 +375,25 @@ class TestValidation:
         with pytest.raises(SnapshotFormatError, match="column_score_mode 'sum'"):
             persistence.load(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, 4.0])
+    def test_version_not_an_int_rejected_in_json(self, tmp_path, version):
+        doc = json.loads(FORMAT1_FIXTURE.read_text())
+        doc["format_version"] = version
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotFormatError, match=f"format_version {version!r}"):
+            persistence.load(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, 3.0, 4.0])
+    def test_version_not_an_int_rejected_in_zip(self, tmp_path, version):
+        path = tmp_path / "model.npz"
+        persistence.save(fixture_model(), path)
+        members = mutations.read_members(path)
+        mutations.set_header(members, dict(mutations.header(members), format_version=version))
+        mutations.write_members(path, members)
+        with pytest.raises(SnapshotFormatError, match=f"format_version {version!r}"):
+            persistence.load(path)
+
     @pytest.mark.parametrize("layer", ["tm", "pool"])
     def test_format_version_3_rejected(self, tmp_path, layer):
         doc = dict(format1_layer_doc(layer), format_version=3)
@@ -527,12 +546,66 @@ class TestFormat3:
             "header": np.uint8,
             "state.tm.pattern.sources": np.int32,
             "state.tm.pattern.permanences": np.float64,
+            "state.tm.distal.cells": np.int32,
+            "state.tm.distal.lengths": np.int32,
+            "state.tm.distal.sources": np.int32,
+            "state.tm.distal.permanences": np.float64,
+            "state.tm.distal.activation_threshold": np.int64,
+            "state.tm.distal.spike_size": np.float64,
             "state.pool.sources": np.int32,
             "state.pool.permanences": np.float64,
         }
         document = mutations.header(members)
-        assert (document["format_version"], document["kind"]) == (3, "sequence_model")
+        assert (document["format_version"], document["kind"]) == (4, "sequence_model")
         assert document["state"]["pool"]["permanences"] == {"$array": "state.pool.permanences"}
+
+    def test_no_segment_field_reaches_the_header(self, tmp_path):
+        layer = trained_tm()
+        path = tmp_path / "m"
+        persistence.save(layer, path)
+        members = mutations.read_members(path)
+        state = mutations.header(members)["state"]
+        assert "segments" not in state
+        assert state["distal"] == {
+            name: {"$array": f"state.distal.{name}"}
+            for name in ("cells", "lengths", "sources", "permanences", "activation_threshold",
+                         "spike_size")
+        }
+        # the members hold the documented list, segment after segment
+        segments = layer.to_state()["segments"]
+        segs = [seg for _, cell_segs in segments for seg in cell_segs]
+        assert segs
+        assert members["state.distal.cells"].tolist() == [
+            cell for cell, cell_segs in segments for _ in cell_segs
+        ]
+        assert members["state.distal.lengths"].tolist() == [len(seg["sources"]) for seg in segs]
+        assert members["state.distal.sources"].tolist() == [
+            source for seg in segs for source in seg["sources"]
+        ]
+        assert members["state.distal.permanences"].tolist() == [
+            p for seg in segs for p in seg["permanences"]
+        ]
+        # and to_state() keeps that list, in its documented shape
+        assert persistence.load(path).to_state()["segments"] == segments
+        for cell, cell_segs in segments:
+            assert type(cell) is int
+            for seg in cell_segs:
+                assert set(seg) == {"sources", "permanences", "activation_threshold", "spike_size"}
+                assert all(type(s) is int for s in seg["sources"])
+                assert all(type(p) is float for p in seg["permanences"])
+                assert type(seg["activation_threshold"]) is int
+                assert type(seg["spike_size"]) is float
+
+    @pytest.mark.parametrize("potential_fraction, rows", [(1.0, 1), (0.5, 16)])
+    def test_full_potential_sources_are_one_row(self, tmp_path, potential_fraction, rows):
+        pool = PoolingLayer(64, 16, n_active=3, potential_fraction=potential_fraction, seed=2)
+        path = tmp_path / "m"
+        persistence.save(pool, path)
+        sources = mutations.read_members(path)["state.sources"]
+        assert sources.shape == (rows, pool.n_synapses)
+        loaded = persistence.load(path)
+        assert np.array_equal(loaded.sources, pool.sources)
+        assert loaded._full_potential == pool._full_potential
 
     def test_loaded_model_learns_like_the_original(self, tmp_path):
         path = tmp_path / "m"
@@ -617,7 +690,20 @@ def _refuse_unpickling(*args, **kwargs):
 def test_hostile_format3_snapshot_rejected(tmp_path, monkeypatch, case):
     case_id, _, error, fragment = case
     path = tmp_path / "model.npz"
-    persistence.save(fixture_model(), path)
+    path.write_bytes(mutations.FORMAT3_FIXTURE.read_bytes())
+    mutations.apply(path, case_id)
+    monkeypatch.setattr(pickle, "load", _refuse_unpickling)
+    monkeypatch.setattr(pickle, "loads", _refuse_unpickling)
+    with pytest.raises(error, match=re.escape(fragment)):
+        persistence.load(path)
+
+
+@pytest.mark.parametrize("case", mutations.FORMAT4_CASES, ids=mutations.FORMAT4_IDS)
+def test_hostile_format4_snapshot_rejected(tmp_path, monkeypatch, case):
+    case_id, _, error, fragment = case
+    path = tmp_path / "model.npz"
+    persistence.save(mutations.format4_model(), path)
+    assert isinstance(persistence.load(path), SequenceModel)
     mutations.apply(path, case_id)
     monkeypatch.setattr(pickle, "load", _refuse_unpickling)
     monkeypatch.setattr(pickle, "loads", _refuse_unpickling)
