@@ -20,7 +20,7 @@ from .transition import (
     representation_views,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CategoryEncoder",

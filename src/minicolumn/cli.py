@@ -175,14 +175,10 @@ def _cmd_inspect(args) -> int:
     model = persistence.load(args.snapshot)
     kind = type(model).__name__
     print(f"kind: {kind}")
-    state = model.to_state()
-    params = state.get("params")
-    if params is None and "tm" in state:
-        params = state["tm"]["params"]
-    if params:
-        for key in sorted(params):
-            print(f"  {key}: {params[key]}")
     tm = getattr(model, "tm", model)
+    params = tm.params() if isinstance(tm, TmLayer) else model.to_state()["params"]
+    for key in sorted(params):
+        print(f"  {key}: {params[key]}")
     if isinstance(tm, TmLayer):
         counts = tm.distal_counts()
         print(f"  cells with segments: {counts['cells_with_segments']}")

@@ -15,9 +15,9 @@ written with Python's shortest round-trip representation, so permanences
 and rng state survive a save/load cycle bit-exactly and a resumed run
 reproduces an uninterrupted one.
 
-Older snapshots still load: format 3, the same zip with the distal segments
-as the JSON ``segments`` list in the header, and formats 1 and 2, which were
-JSON documents; format 1 through ``_upgrade_v1``.
+Format 3, the same zip with the distal segments as the JSON ``segments``
+list in the header, still loads. Formats 1 and 2 were JSON documents; they
+are refused, and minicolumn 0.1.0 still reads them and saves them as format 4.
 """
 
 from __future__ import annotations
@@ -81,39 +81,9 @@ def _kind_of(model) -> str:
     raise SnapshotError(f"cannot snapshot object of type {type(model).__name__}")
 
 
-def _upgrade_v1(kind: str, state: dict) -> None:
-    """Turn a format-1 ``state`` of ``kind`` into format 2, in place.
-
-    Format 2 drops the pattern layers' homeostasis (``boost_strength``,
-    ``duty_period``, ``boost``, ``active_duty``, ``overlap_duty``), which no
-    step ever updated, and the transition layer's ``column_score_mode``. A
-    state in which they would change an output is refused: a ``boost`` entry
-    other than 1.0, or any ``column_score_mode`` but ``"max"``.
-    """
-    if kind == "sequence_model":
-        _upgrade_v1("tm_layer", state["tm"])
-        if "pool" in state:
-            _upgrade_v1("pooling_layer", state["pool"])
-    elif kind == "tm_layer":
-        params = state["params"]
-        mode = params.pop("column_score_mode")
-        if mode != "max":
-            raise SnapshotFormatError(
-                f"column_score_mode {mode!r} is no longer supported; columns score "
-                "their best cell ('max')"
-            )
-        del params["boost_strength"], params["duty_period"]
-        _upgrade_v1("pattern_layer", state["pattern"])
-    elif kind in ("pattern_layer", "pooling_layer"):
-        del state["params"]["boost_strength"], state["params"]["duty_period"]
-        if any(value != 1.0 for value in state.pop("boost")):
-            raise SnapshotFormatError("boost other than 1.0 is no longer supported")
-        del state["active_duty"], state["overlap_duty"]
-
-
-# Formats 3 and 4 are zips written by ``np.savez``; formats 1 and 2 are JSON text.
+# Formats 3 and 4 are zips written by ``np.savez``.
 _ZIP_MAGIC = b"PK\x03\x04"
-_ZIP_VERSIONS = (3, FORMAT_VERSION)
+_VERSIONS = (3, FORMAT_VERSION)
 _HEADER = "header"
 _REF = "$array"  # {"$array": member} stands for an array leaf in the header
 # Why a zip or one of its members cannot be read. ValueError covers an object
@@ -247,53 +217,41 @@ def _read_zip(fh) -> dict:
 
 
 def load(path: str | Path):
-    """Rebuild a model from a snapshot; subsequent outputs are bit-identical.
+    """Rebuild a model from a format-3 or format-4 snapshot; subsequent
+    outputs are bit-identical.
 
-    The container is told by the file's first bytes: a zip is format 3 or 4,
-    anything else is read as a format-1 or format-2 JSON document. A
-    ``format_version`` that is not an integer of its container's formats is
-    refused.
+    The container is told by the file's first bytes, never by its suffix: a
+    file that is not a zip is refused, as is a ``format_version`` that is not
+    the integer 3 or 4.
     """
     path = Path(path)
     try:
         with path.open("rb") as fh:
-            is_zip = fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
+            if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+                raise SnapshotFormatError(
+                    "not a zip snapshot; JSON snapshots (formats 1 and 2) are read by "
+                    "minicolumn 0.1.0, which saves them as format 4"
+                )
             fh.seek(0)
-            if is_zip:
-                document, versions = _read_zip(fh), _ZIP_VERSIONS
-            else:
-                document, versions = json.loads(fh.read()), (1, 2)
+            document = _read_zip(fh)
     except SnapshotFormatError as exc:
         raise SnapshotFormatError(f"snapshot {path}: {exc}") from exc
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SnapshotFormatError(
-            f"snapshot {path}: parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
-    except UnicodeDecodeError as exc:
-        raise SnapshotFormatError(f"snapshot {path}: neither a zip nor JSON text: {exc}") from exc
-    if not isinstance(document, dict) or "format_version" not in document:
+    if "format_version" not in document:
         raise SnapshotFormatError(f"snapshot {path}: missing format_version")
     version = document["format_version"]
     # type, not isinstance: True == 1 and 4.0 == 4, but neither names a format
-    if type(version) is not int or version not in versions:
+    if type(version) is not int or version not in _VERSIONS:
         raise SnapshotFormatError(
-            f"snapshot {path}: unknown format_version {version!r} for a "
-            f"{'zip' if is_zip else 'JSON'} snapshot (formats 3 and 4 are zips, formats 1 "
-            "and 2 are JSON)"
+            f"snapshot {path}: unknown format_version {version!r} (formats 3 and 4 load)"
         )
     registry = _registry()
     kind = document.get("kind")
     if not isinstance(kind, str) or kind not in registry:
         raise SnapshotFormatError(f"snapshot {path}: unknown kind {kind!r}")
     try:
-        if version == 1:
-            _upgrade_v1(kind, document["state"])
         return registry[kind].from_state(document["state"])
-    except SnapshotFormatError as exc:
-        raise SnapshotFormatError(f"snapshot {path}: format 1: {exc}") from exc
     # OverflowError: an integer too large for its array or rng state field;
     # MemoryError: parameters declaring a layer too large to allocate.
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:

@@ -432,6 +432,8 @@ class TmLayer:
             raise ValueError(f"blank_winner must be 'random' or 'lowest', got {blank_winner!r}")
         if synapses_per_segment < 1 or segments_per_cell < 1:
             raise ValueError("segment budgets must be >= 1")
+        if activation_threshold >= 2**63:  # a grown segment holds it as int64
+            raise ValueError(f"activation_threshold must be < 2**63, got {activation_threshold}")
         _check_spike(activation_threshold, spike_size)
         _check_sub_drive(gamma_p, beta_sub, spike_size)
         if sigma_inc < 0:
@@ -1022,7 +1024,9 @@ class TmLayer:
 
     # -- persistence ----------------------------------------------------------
 
-    def to_state(self) -> dict:
+    def params(self) -> dict:
+        """The layer's parameters as ``to_state`` writes them, without
+        walking its segments."""
         pattern = self.pattern
         params = {name: getattr(pattern, name) for name in _PATTERN_PARAMS[:2]}
         params["cells_per_column"] = self.cells_per_column
@@ -1030,8 +1034,11 @@ class TmLayer:
         params.update((name, getattr(self, name)) for name in _DISTAL_PARAMS)
         if not math.isfinite(self.dtau_vert):
             params["dtau_vert"] = "inf"
+        return params
+
+    def to_state(self) -> dict:
         return {
-            "params": params,
+            "params": self.params(),
             "pattern": self.pattern.to_state(),
             "segments": [
                 [cell, [seg._asdict() for seg in segs]]

@@ -2,10 +2,10 @@
 
 Each case rewrites a saved ``sequence_model`` snapshot and names the error
 ``persistence.load`` must raise and a word its message must contain. The
-cases of ``CASES`` rewrite ``fixtures/format3_model.npz``, the format-1
-fixture saved as format 3, whose header holds the distal segments as a JSON
-list. Those of ``FORMAT4_CASES`` rewrite a fresh format-4 save of
-``format4_model()``, whose distal segments are array members.
+cases of ``CASES`` rewrite ``fixtures/format3_model.npz``, whose header holds
+the distal segments as a JSON list. Those of ``FORMAT4_CASES`` rewrite a
+fresh format-4 save of ``format4_model()``, whose distal segments are array
+members.
 """
 
 import json
@@ -18,7 +18,6 @@ from minicolumn import PoolingLayer, persistence
 from minicolumn.persistence import SnapshotFormatError, SnapshotValidationError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-FORMAT1_FIXTURE = FIXTURES / "format1_model.json"
 FORMAT3_FIXTURE = FIXTURES / "format3_model.npz"
 
 SOURCES = "state.tm.pattern.sources"
@@ -28,9 +27,9 @@ DISTAL = "state.tm.distal."
 
 
 def format4_model():
-    """The format-1 fixture's model with a full-potential pool in place of
+    """The format-3 fixture's model with a full-potential pool in place of
     its own, so that its snapshot holds a one-row ``sources``."""
-    model = persistence.load(FORMAT1_FIXTURE)
+    model = persistence.load(FORMAT3_FIXTURE)
     pool = model.pool
     model.pool = PoolingLayer(pool.input_size, pool.n_columns, n_active=pool.n_active,
                               potential_fraction=1.0, seed=5)

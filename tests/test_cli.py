@@ -19,8 +19,7 @@ from minicolumn.experiments import (
 )
 
 import snapshot_mutations as mutations
-
-FORMAT1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
+from test_persistence import NOT_A_ZIP, NOT_ZIPS
 
 
 BASE_CONFIG = {
@@ -668,7 +667,7 @@ class TestInspectCommand:
         os.close(read_end)
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "minicolumn.cli", "inspect", "--snapshot", str(FORMAT1_FIXTURE)],
+                [sys.executable, "-m", "minicolumn.cli", "inspect", "--snapshot", str(mutations.FORMAT3_FIXTURE)],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env=dict(os.environ, PYTHONPATH=str(Path(minicolumn.__file__).parent.parent)),
@@ -679,38 +678,20 @@ class TestInspectCommand:
         assert done.returncode == 141
         assert done.stderr == b""
 
-    def test_inspect_format1_fixture(self, capsys):
-        assert main(["inspect", "--snapshot", str(FORMAT1_FIXTURE)]) == 0
-        out = capsys.readouterr().out
-        assert "SequenceModel" in out
-        assert "column_score_mode" not in out and "boost_strength" not in out
-        assert out.endswith("  symbols: ['A', 'B', 'C', 'D', 'X', 'Y']\n")
-
-
-def set_boost(state):
-    state["boost"][0] = 1.5
-
 
 @pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda doc: set_boost(doc["state"]["tm"]["pattern"]),
-        lambda doc: set_boost(doc["state"]["pool"]),
-        lambda doc: doc["state"]["tm"]["params"].update(column_score_mode="sum"),
-        lambda doc: doc.update(format_version=3),
-    ],
-    ids=["tm-boost", "pool-boost", "column-score-sum", "format-3"],
+    "contents", [case[1] for case in NOT_ZIPS], ids=[case[0] for case in NOT_ZIPS]
 )
-def test_unreadable_format1_snapshot_exits_2(tmp_path, capsys, mutate):
-    doc = json.loads(FORMAT1_FIXTURE.read_text())
-    mutate(doc)
+def test_file_that_is_not_a_zip_exits_2(tmp_path, capsys, contents):
     snap = tmp_path / "model.json"
-    snap.write_text(json.dumps(doc))
+    snap.write_bytes(contents())
     config = write_config(tmp_path)
+    pool_config = write_config(tmp_path, {"pool": {"n_columns": 16, "n_active": 2}}, name="pool.json")
     assert main(["inspect", "--snapshot", str(snap)]) == 2
     assert main(["sequence", "--config", str(config), "--resume", str(snap)]) == 2
+    assert main(["pool", "--config", str(pool_config), "--resume", str(snap)]) == 2
     err = capsys.readouterr().err
-    assert "model.json" in err and "Traceback" not in err
+    assert err == f"snapshot {snap}: {NOT_A_ZIP}\n" * 3
 
 
 @pytest.mark.parametrize("case_id", mutations.IDS)

@@ -27,25 +27,10 @@ from minicolumn.persistence import (
 )
 
 import snapshot_mutations as mutations
-from test_proximal_kernel import layer_output
 from test_random_configs import configs
 
 
 FORMAT1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "format1_model.json"
-
-
-def format1_layer_doc(layer: str) -> dict:
-    """The fixture's transition or pooling layer as a standalone format-1
-    snapshot, as format 1 saved such a layer on its own."""
-    state = json.loads(FORMAT1_FIXTURE.read_text())["state"][layer]
-    kind = {"tm": "tm_layer", "pool": "pooling_layer"}[layer]
-    return {"format_version": 1, "kind": kind, "state": state}
-
-
-def format1_pattern(doc: dict) -> dict:
-    """The pattern-layer state inside a standalone layer snapshot."""
-    state = doc["state"]
-    return state["pattern"] if doc["kind"] == "tm_layer" else state
 
 
 def plain(value):
@@ -63,6 +48,16 @@ def format2_doc(model) -> dict:
     return {"format_version": 2, "kind": kind, "state": plain(model.to_state())}
 
 
+def edited_snapshot(tmp_path, model, change) -> Path:
+    """A zip snapshot of ``model`` whose members ``change`` rewrote."""
+    path = tmp_path / "model.npz"
+    persistence.save(model, path)
+    members = mutations.read_members(path)
+    change(members)
+    mutations.write_members(path, members)
+    return path
+
+
 def rand_sdr(rng, universe, k):
     return Sdr(universe, rng.choice(universe, k, replace=False))
 
@@ -73,6 +68,20 @@ def trained_tm(seed=4, steps=25):
     for _ in range(steps):
         layer.step(rand_sdr(rng, 128, 16))
     return layer
+
+
+# What load says, after "snapshot <path>: ", of every file that is not a zip.
+NOT_A_ZIP = (
+    "not a zip snapshot; JSON snapshots (formats 1 and 2) are read by minicolumn 0.1.0, "
+    "which saves them as format 4"
+)
+# (id, contents) of such files: both JSON formats, an empty file and bytes that are not text
+NOT_ZIPS = [
+    ("format-1-fixture", FORMAT1_FIXTURE.read_bytes),
+    ("format-2", lambda: json.dumps(format2_doc(trained_tm())).encode()),
+    ("empty", lambda: b""),
+    ("not-text", lambda: b"\xff\xfe\x00"),
+]
 
 
 class TestRoundTrip:
@@ -260,30 +269,26 @@ class TestValidation:
             persistence.load(path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "bad_version.json"
-        doc = format2_doc(PatternLayer(16, 4, n_active=1, seed=0))
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
+        path = edited_snapshot(
+            tmp_path, PatternLayer(16, 4, n_active=1, seed=0),
+            lambda m: mutations.set_header(m, dict(mutations.header(m), format_version=99)),
+        )
         with pytest.raises(SnapshotFormatError):
             persistence.load(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "bad_kind.json"
-        path.write_text(json.dumps({"format_version": 1, "kind": "nope", "state": {}}))
+        path = tmp_path / "bad_kind.npz"
+        members = {}
+        mutations.set_header(members, {"format_version": 4, "kind": "nope", "state": {}})
+        mutations.write_members(path, members)
         with pytest.raises(SnapshotFormatError):
             persistence.load(path)
 
-    def test_parse_error_reports_location(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text('{"format_version": 1,\n  "kind": ???}')
-        with pytest.raises(SnapshotError, match="line 2"):
-            persistence.load(path)
-
     def test_out_of_range_permanence_rejected(self, tmp_path):
-        path = tmp_path / "bad_perm.json"
-        doc = format2_doc(PatternLayer(16, 4, n_active=1, seed=0))
-        doc["state"]["permanences"][0][0] = 1.7
-        path.write_text(json.dumps(doc))
+        path = edited_snapshot(
+            tmp_path, PatternLayer(16, 4, n_active=1, seed=0),
+            mutations.edit_array("state.permanences", lambda a: mutations.assigned(a, (0, 0), 1.7)),
+        )
         with pytest.raises(SnapshotValidationError):
             persistence.load(path)
 
@@ -292,27 +297,37 @@ class TestValidation:
         [("cells_per_column", 4.5), ("synapses_per_segment", 32.9), ("activation_threshold", 7.5)],
     )
     def test_non_integral_count_rejected(self, tmp_path, name, value):
-        path = tmp_path / "fraction.json"
-        doc = format2_doc(trained_tm())
-        doc["state"]["params"][name] = value
-        path.write_text(json.dumps(doc))
+        path = edited_snapshot(
+            tmp_path, trained_tm(), mutations.edit_header(lambda s: s["params"].update({name: value}))
+        )
         with pytest.raises(SnapshotValidationError, match=f"{name} must be an integer"):
             persistence.load(path)
 
     def test_layer_too_large_to_allocate_rejected(self, tmp_path):
-        path = tmp_path / "huge.json"
-        doc = format2_doc(trained_tm())
-        doc["state"]["params"]["cells_per_column"] = 2**45
-        path.write_text(json.dumps(doc))
+        path = edited_snapshot(
+            tmp_path, trained_tm(),
+            mutations.edit_header(lambda s: s["params"].update(cells_per_column=2**45)),
+        )
         with pytest.raises(SnapshotValidationError, match="allocate"):
             persistence.load(path)
 
+    @pytest.mark.parametrize("value", [2**63, 1e300])
+    def test_threshold_beyond_int64_rejected(self, tmp_path, value):
+        # such a layer loaded, and the first segment it grew could not hold it
+        path = edited_snapshot(
+            tmp_path, trained_tm(),
+            mutations.edit_header(lambda s: s["params"].update(activation_threshold=value)),
+        )
+        with pytest.raises(SnapshotValidationError, match=r"activation_threshold must be < 2\*\*63"):
+            persistence.load(path)
+
     def test_bad_segment_permanence_rejected(self, tmp_path):
-        path = tmp_path / "bad_segment.json"
-        doc = format2_doc(trained_tm())
-        assert doc["state"]["segments"], "trained layer should have segments"
-        doc["state"]["segments"][0][1][0]["permanences"][0] = -0.5
-        path.write_text(json.dumps(doc))
+        layer = trained_tm()
+        assert layer.distal_counts()["segments"], "trained layer should have segments"
+        path = edited_snapshot(
+            tmp_path, layer,
+            mutations.edit_array("state.distal.permanences", lambda a: mutations.assigned(a, 0, -0.5)),
+        )
         with pytest.raises(SnapshotValidationError):
             persistence.load(path)
 
@@ -332,56 +347,21 @@ class TestValidation:
             ("permanences", lambda rows: [[None] + rows[0][1:]] + rows[1:]),
         ],
     )
-    def test_mutated_format1_pattern_state_rejected(self, tmp_path, layer, field, mutate):
-        doc = json.loads(FORMAT1_FIXTURE.read_text())
-        state = doc["state"][layer]
-        if layer == "tm":
-            state = state["pattern"]
-        state[field] = mutate(state[field])
-        path = tmp_path / "mutated.json"
-        path.write_text(json.dumps(doc))
+    def test_mutated_pattern_state_rejected(self, tmp_path, layer, field, mutate):
+        # The member moves into the header as nested lists, so rows can be ragged.
+        prefix = "state.tm.pattern." if layer == "tm" else "state.pool."
+
+        def inline(members):
+            rows = mutate(members.pop(prefix + field).tolist())
+
+            def edit(state):
+                state = state["tm"]["pattern"] if layer == "tm" else state["pool"]
+                state[field] = rows
+
+            mutations.edit_header(edit)(members)
+
+        path = edited_snapshot(tmp_path, fixture_model(), inline)
         with pytest.raises(SnapshotValidationError, match=field):
-            persistence.load(path)
-
-    @pytest.mark.parametrize("layer", ["tm", "pool"])
-    def test_format1_layer_snapshot_upgrades(self, tmp_path, layer):
-        doc = format1_layer_doc(layer)
-        path = tmp_path / "format1.json"
-        path.write_text(json.dumps(doc))
-        persistence.save(persistence.load(path), path)
-        state = doc["state"]
-        pattern = format1_pattern(doc)
-        if layer == "tm":
-            del state["params"]["column_score_mode"]
-            del state["params"]["boost_strength"], state["params"]["duty_period"]
-        del pattern["params"]["boost_strength"], pattern["params"]["duty_period"]
-        del pattern["boost"], pattern["active_duty"], pattern["overlap_duty"]
-        assert plain(persistence.load(path).to_state()) == state
-
-    @pytest.mark.parametrize("layer", ["tm", "pool"])
-    def test_format1_boost_other_than_one_rejected(self, tmp_path, layer):
-        doc = format1_layer_doc(layer)
-        format1_pattern(doc)["boost"][3] = 1.5
-        path = tmp_path / "boosted.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotFormatError, match="boost"):
-            persistence.load(path)
-
-    def test_format1_summed_column_scores_rejected(self, tmp_path):
-        doc = format1_layer_doc("tm")
-        doc["state"]["params"]["column_score_mode"] = "sum"
-        path = tmp_path / "summed.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotFormatError, match="column_score_mode 'sum'"):
-            persistence.load(path)
-
-    @pytest.mark.parametrize("version", [True, 1.0, 4.0])
-    def test_version_not_an_int_rejected_in_json(self, tmp_path, version):
-        doc = json.loads(FORMAT1_FIXTURE.read_text())
-        doc["format_version"] = version
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotFormatError, match=f"format_version {version!r}"):
             persistence.load(path)
 
     @pytest.mark.parametrize("version", [True, 1.0, 3.0, 4.0])
@@ -394,23 +374,19 @@ class TestValidation:
         with pytest.raises(SnapshotFormatError, match=f"format_version {version!r}"):
             persistence.load(path)
 
-    @pytest.mark.parametrize("layer", ["tm", "pool"])
-    def test_format_version_3_rejected(self, tmp_path, layer):
-        doc = dict(format1_layer_doc(layer), format_version=3)
-        path = tmp_path / "future.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotFormatError, match="format_version 3"):
-            persistence.load(path)
-
     def test_missing_file_surfaces_path(self, tmp_path):
         with pytest.raises(SnapshotError, match="nope.json"):
             persistence.load(tmp_path / "nope.json")
 
-    def test_file_neither_zip_nor_text_rejected(self, tmp_path):
-        path = tmp_path / "model.bin"
-        path.write_bytes(b"\xff\xfe\x00")
-        with pytest.raises(SnapshotFormatError, match="neither a zip nor JSON text"):
+    @pytest.mark.parametrize(
+        "contents", [case[1] for case in NOT_ZIPS], ids=[case[0] for case in NOT_ZIPS]
+    )
+    def test_file_that_is_not_a_zip_refused(self, tmp_path, contents):
+        path = tmp_path / "model.json"
+        path.write_bytes(contents())
+        with pytest.raises(SnapshotFormatError) as refused:
             persistence.load(path)
+        assert str(refused.value) == f"snapshot {path}: {NOT_A_ZIP}"
 
     def test_reference_to_a_member_that_is_not_npy_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
@@ -468,8 +444,8 @@ class TestCrashSafeSave:
 
 
 def fixture_model():
-    """The format-1 fixture's encoder + transition + pool model."""
-    return persistence.load(FORMAT1_FIXTURE)
+    """The format-3 fixture's encoder + transition + pool model."""
+    return persistence.load(mutations.FORMAT3_FIXTURE)
 
 
 def step_all(model, tokens) -> list:
@@ -644,15 +620,6 @@ class TestFormat3:
         x = Sdr(2048, range(0, 2048, 50))
         assert loaded.step(x) == layer.step(x)
 
-    def test_format2_snapshot_loads_and_saves_as_format3(self, tmp_path):
-        layer = trained_tm()
-        doc = format2_doc(layer)
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps(doc))
-        persistence.save(persistence.load(path), path)
-        assert path.read_bytes()[:4] == b"PK\x03\x04"
-        assert plain(persistence.load(path).to_state()) == doc["state"]
-
 
 class _Tripwire(np.random.Generator):
     """A generator that fails on the draws a layer constructor makes."""
@@ -765,16 +732,21 @@ def test_mutated_members_load_into_a_working_model_or_raise(tmp_path_factory, da
     step_all(model, "ABCDXBCYA")
 
 
-_FORMAT2 = {}
+_HEADER = {}
 
 
-def format2_base(kind: str) -> dict:
-    """The format-2 document of a trained transition layer or a pooling
-    layer, built once; each call returns a fresh copy."""
-    if not _FORMAT2:
-        _FORMAT2["tm_layer"] = format2_doc(trained_tm())
-        _FORMAT2["pooling_layer"] = format2_doc(PoolingLayer(64, 16, n_active=3, seed=2))
-    return json.loads(json.dumps(_FORMAT2[kind]))
+def format3_members(tmp_path_factory) -> dict:
+    """Members of the format-3 fixture, read once; each call returns a fresh
+    dict. The first call checks that its header, written back unmutated,
+    loads into a working model."""
+    if not _HEADER:
+        members = mutations.read_members(mutations.FORMAT3_FIXTURE)
+        mutations.set_header(members, mutations.header(members))
+        path = tmp_path_factory.mktemp("header") / "model"
+        mutations.write_members(path, members)
+        step_all(persistence.load(path), "ABCDXBCYA")
+        _HEADER.update(members)
+    return dict(_HEADER)
 
 
 # Numbers are either small, or beyond int64 so that converting them fails
@@ -794,28 +766,21 @@ JSON_VALUES = (
 )
 
 
-def step_layer(model, rng) -> None:
-    """Step a loaded transition or pooling layer a few times, learning on."""
-    if isinstance(model, TmLayer):
-        for _ in range(4):
-            model.step(rand_sdr(rng, model.pattern.input_size, 16))
-        return
-    cells = model.input_size
-    for _ in range(4):
-        active = rand_sdr(rng, cells, min(cells, 12))
-        out = layer_output(active, Sdr(cells, active.active[::2]))
-        model.tp_learn(out, model.tp_step(out))
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_mutated_format2_document_loads_into_a_working_model_or_raises(tmp_path_factory, data):
-    kind = data.draw(st.sampled_from(["tm_layer", "pooling_layer"]), label="kind")
-    doc = format2_base(kind)
-    # One field, chosen one level at a time: a member of the document, then
-    # at each level either the container reached so far or one of its items.
-    parent, key = doc, data.draw(st.sampled_from(sorted(doc)), label="key")
-    while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+def test_mutated_format3_header_loads_into_a_working_model_or_raises(tmp_path_factory, data):
+    members = format3_members(tmp_path_factory)
+    # The header's state holds the params, the distal segments, prev_* and
+    # the rng states; the arrays stay members. The explicit tests above cover
+    # its format_version and kind.
+    doc = mutations.header(members)
+    # One field, chosen one level at a time: a part of the state, then at
+    # each level either the container reached so far (one time in four) or
+    # one of its items.
+    parent, key = doc["state"], data.draw(st.sampled_from(sorted(doc["state"])), label="key")
+    while (
+        isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.integers(0, 3)) > 0
+    ):
         node = parent[key]
         parent, key = node, data.draw(
             st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))),
@@ -829,10 +794,11 @@ def test_mutated_format2_document_loads_into_a_working_model_or_raises(tmp_path_
         parent[key] = data.draw(st.sampled_from([value + 1, value - 1, -value, 2 * value]))
     else:
         parent[key] = data.draw(JSON_VALUES, label="value")
-    path = tmp_path_factory.mktemp("format2") / "model.json"
-    path.write_text(json.dumps(doc))
+    mutations.set_header(members, doc)
+    path = tmp_path_factory.mktemp("format3") / "model"
+    mutations.write_members(path, members)
     try:
         model = persistence.load(path)
     except (SnapshotFormatError, SnapshotValidationError):
         return
-    step_layer(model, np.random.default_rng(0))
+    step_all(model, "ABCDXBCYA")
