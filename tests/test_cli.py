@@ -678,6 +678,35 @@ class TestInspectCommand:
         assert done.returncode == 141
         assert done.stderr == b""
 
+    def test_inspect_format3_fixture(self, capsys):
+        assert main(["inspect", "--snapshot", str(mutations.FORMAT3_FIXTURE)]) == 0
+        out = capsys.readouterr().out
+        assert "SequenceModel" in out
+        assert "column_score_mode" not in out and "boost_strength" not in out
+        assert out.endswith("  symbols: ['A', 'B', 'C', 'D', 'X', 'Y']\n")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        mutations.edit_header(lambda s: s["tm"]["pattern"]["params"].update(boost_strength=1.0)),
+        mutations.edit_header(lambda s: s["pool"]["params"].update(boost_strength=1.0)),
+        mutations.edit_header(lambda s: s["tm"]["params"].update(column_score_mode="sum")),
+        lambda m: mutations.set_header(m, dict(mutations.header(m), format_version=5)),
+    ],
+    ids=["tm-boost", "pool-boost", "column-score-sum", "format-5"],
+)
+def test_unreadable_zip_snapshot_exits_2(tmp_path, capsys, mutate):
+    snap = tmp_path / "model.npz"
+    members = mutations.read_members(mutations.FORMAT3_FIXTURE)
+    mutate(members)
+    mutations.write_members(snap, members)
+    config = write_config(tmp_path)
+    assert main(["inspect", "--snapshot", str(snap)]) == 2
+    assert main(["sequence", "--config", str(config), "--resume", str(snap)]) == 2
+    err = capsys.readouterr().err
+    assert "model.npz" in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize(
     "contents", [case[1] for case in NOT_ZIPS], ids=[case[0] for case in NOT_ZIPS]

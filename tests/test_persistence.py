@@ -374,6 +374,51 @@ class TestValidation:
         with pytest.raises(SnapshotFormatError, match=f"format_version {version!r}"):
             persistence.load(path)
 
+    @pytest.mark.parametrize("layer", ["tm", "pool"])
+    def test_format_version_5_rejected(self, tmp_path, layer):
+        path = edited_snapshot(
+            tmp_path, getattr(fixture_model(), layer),
+            lambda m: mutations.set_header(m, dict(mutations.header(m), format_version=5)),
+        )
+        with pytest.raises(SnapshotFormatError, match="format_version 5"):
+            persistence.load(path)
+
+    @pytest.mark.parametrize("layer", ["tm", "pool"])
+    def test_boost_strength_rejected(self, tmp_path, layer):
+        # format 2 removed boosting; a header that still sets it is refused
+        def boost(state):
+            state = state["pattern"] if layer == "tm" else state
+            state["params"]["boost_strength"] = 1.0
+
+        path = edited_snapshot(tmp_path, getattr(fixture_model(), layer), mutations.edit_header(boost))
+        with pytest.raises(SnapshotValidationError, match="boost_strength"):
+            persistence.load(path)
+
+    def test_column_score_mode_rejected(self, tmp_path):
+        path = edited_snapshot(
+            tmp_path, fixture_model().tm,
+            mutations.edit_header(lambda s: s["params"].update(column_score_mode="sum")),
+        )
+        with pytest.raises(SnapshotValidationError, match="column_score_mode"):
+            persistence.load(path)
+
+    def test_header_parse_error_reports_location(self, tmp_path):
+        path = edited_snapshot(
+            tmp_path, PatternLayer(16, 4, n_active=1, seed=0),
+            lambda m: m.update(header=np.frombuffer(b'{"format_version": 4,\n  "kind": ???}', np.uint8)),
+        )
+        with pytest.raises(SnapshotFormatError, match="line 2"):
+            persistence.load(path)
+
+    @pytest.mark.parametrize("layer", ["tm", "pool"])
+    def test_fixture_layer_saved_alone_round_trips(self, tmp_path, layer):
+        model = getattr(fixture_model(), layer)
+        state = plain(model.to_state())
+        path = tmp_path / "layer.npz"
+        persistence.save(model, path)
+        persistence.save(persistence.load(path), path)
+        assert plain(persistence.load(path).to_state()) == state
+
     def test_missing_file_surfaces_path(self, tmp_path):
         with pytest.raises(SnapshotError, match="nope.json"):
             persistence.load(tmp_path / "nope.json")
