@@ -8,7 +8,10 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .sdr import DimensionError, Sdr, _check_finite, _check_integral, _check_width
+from .sdr import (
+    DimensionError, Sdr, _check_finite, _check_integral, _check_keys, _check_width,
+    _rng_from_state,
+)
 
 __all__ = ["CategoryEncoder", "ScalarEncoder"]
 
@@ -79,6 +82,7 @@ class CategoryEncoder:
 
     @classmethod
     def from_state(cls, state: dict) -> "CategoryEncoder":
+        _check_keys("category encoder state", state, ("params", "symbol_table", "rng"))
         enc = cls(**state["params"])
         for symbol, active in state["symbol_table"]:
             code = Sdr(enc.universe_size, active)
@@ -88,7 +92,7 @@ class CategoryEncoder:
                     f"not active_bits={enc.active_bits}"
                 )
             enc._table[symbol] = code
-        enc._rng.bit_generator.state = state["rng"]
+        enc._rng = _rng_from_state(state["rng"])
         return enc
 
 
@@ -157,6 +161,7 @@ class ScalarEncoder:
 
     @classmethod
     def from_state(cls, state: dict) -> "ScalarEncoder":
+        _check_keys("scalar encoder state", state, ("params",))
         return cls(**state["params"])
 
 

@@ -16,7 +16,7 @@ from .encoders import CategoryEncoder, ScalarEncoder
 from .metrics import RunReport, prediction_accuracy
 from .pattern import PatternLayer
 from .pooling import PoolingLayer, stability
-from .sdr import Sdr, flip_noise
+from .sdr import Sdr, _check_keys, flip_noise
 from .transition import LayerOutput, TmLayer, _columns_of, _read_dtau_vert
 
 __all__ = [
@@ -250,6 +250,10 @@ class SequenceModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "SequenceModel":
+        _check_keys(
+            "sequence model state", state,
+            ("encoder_kind", "encoder", "tm") + (("pool",) if "pool" in state else ()),
+        )
         kind = state["encoder_kind"]
         if not (isinstance(kind, str) and kind in _ENCODERS):
             raise ValueError(f"encoder_kind must be one of {sorted(_ENCODERS)}, got {kind!r}")

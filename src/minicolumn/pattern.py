@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .sdr import (
-    DimensionError, Sdr, _as_array, _check_finite, _check_integral, _check_unit, _check_width,
+    DimensionError, Sdr, _as_array, _check_finite, _check_integral, _check_keys, _check_unit,
+    _check_width, _rng_from_state,
 )
 
 __all__ = ["PatternLayer", "reconstruction_error"]
@@ -21,6 +22,22 @@ _PATTERN_PARAMS = (
     "input_size", "n_columns", "n_active", "n_synapses", "connect_threshold", "delta_inc",
     "delta_dec", "min_overlap",
 )
+# The keys of a pattern layer's state, as ``to_state`` writes them.
+_PATTERN_STATE = ("params", "sources", "permanences", "rng")
+
+
+class _SnapshotArray(np.ndarray):
+    """An array ``persistence.load`` read from a snapshot member and handed to
+    one layer alone, which may hold it in place of a copy (``_own``)."""
+
+
+def _own(value, array: np.ndarray, dtype) -> np.ndarray:
+    """``array``, the checked ``np.asarray`` of ``value``, as a C-ordered
+    ``dtype`` array that no one else holds. A ``_SnapshotArray`` already so
+    is kept; anything else is copied."""
+    if isinstance(value, _SnapshotArray) and array.dtype == dtype and array.flags.c_contiguous:
+        return array
+    return np.array(array, dtype=dtype, order="C")
 
 
 class PatternLayer:
@@ -69,7 +86,9 @@ class PatternLayer:
         for row in sources:
             row[:] = self._rng.choice(self.input_size, size=self.n_synapses, replace=False)
         sources.sort(axis=1)
-        self.sources = sources
+        # Sorted, distinct and in range as drawn, so stored without the
+        # setter's checks and copy; a full-potential layer drew every bit.
+        self._store_sources(None if self.n_synapses == self.input_size else sources)
         # Roughly half the synapses start connected. Drawn in range, so
         # stored without the setter's checks and copy.
         low = max(0.0, self.connect_threshold - 0.1)
@@ -111,9 +130,10 @@ class PatternLayer:
 
         Learning never changes it. To change it, assign a new array: the
         setter validates and copies it and drops the connection matrices
-        (``_connections``). A full-potential layer, which samples every
-        input bit in ascending rows, stores one ``arange`` row broadcast over
-        its columns.
+        (``_connections``). The constructor holds the matrix it drew, and
+        ``persistence.load`` hands over the one it read, without a copy. A
+        full-potential layer, which samples every input bit in ascending
+        rows, stores one ``arange`` row broadcast over its columns.
         """
         view = self._sources.view()
         view.flags.writeable = False
@@ -121,29 +141,35 @@ class PatternLayer:
 
     @sources.setter
     def sources(self, value) -> None:
-        value = _as_array("sources", value)
-        if not np.issubdtype(value.dtype, np.integer):
-            raise ValueError(f"sources must be integers, got dtype {value.dtype}")
+        array = _as_array("sources", value)
+        if not np.issubdtype(array.dtype, np.integer):
+            raise ValueError(f"sources must be integers, got dtype {array.dtype}")
         shape = (self.n_columns, self.n_synapses)
-        if value.shape != shape:
-            raise ValueError(f"sources must have shape {shape}, got {value.shape}")
-        if value.min() < 0 or value.max() >= self.input_size:
+        if array.shape != shape:
+            raise ValueError(f"sources must have shape {shape}, got {array.shape}")
+        if array.min() < 0 or array.max() >= self.input_size:
             raise ValueError(f"sources must lie in [0, {self.input_size})")
-        ascending = bool((value[:, 1:] > value[:, :-1]).all())
+        ascending = bool((array[:, 1:] > array[:, :-1]).all())
         if not ascending:
-            rows = np.sort(value, axis=1)
+            rows = np.sort(array, axis=1)
             if (rows[:, 1:] == rows[:, :-1]).any():
                 raise ValueError("sources must be distinct within each row")
         full_potential = ascending and self.n_synapses == self.input_size
-        if full_potential:
+        self._store_sources(None if full_potential else _own(value, array, np.int32))
+
+    def _store_sources(self, sources: np.ndarray | None) -> None:
+        """Hold ``sources``, a checked C-ordered int32 matrix that no one else
+        holds, read-only; None stands for a full-potential layer's."""
+        self._full_potential = sources is None
+        if sources is None:
             # Ascending rows of every input bit are all arange(input_size), so
             # a synapse's slot is its bit: one read-only row, broadcast, holds them.
-            value = np.broadcast_to(np.arange(self.input_size, dtype=np.int32), shape)
+            sources = np.broadcast_to(
+                np.arange(self.input_size, dtype=np.int32), (self.n_columns, self.n_synapses)
+            )
         else:
-            value = np.array(value, dtype=np.int32)
-            value.flags.writeable = False
-        self._full_potential = full_potential
-        self._sources = value
+            sources.flags.writeable = False
+        self._sources = sources
         self._connected = self._by_column = None
 
     @property
@@ -159,15 +185,15 @@ class PatternLayer:
 
     @permanences.setter
     def permanences(self, value) -> None:
-        value = _as_array("permanences", value)
-        if value.dtype != np.float64:
-            raise ValueError(f"permanences must be float64, got dtype {value.dtype}")
+        array = _as_array("permanences", value)
+        if array.dtype != np.float64:
+            raise ValueError(f"permanences must be float64, got dtype {array.dtype}")
         shape = (self.n_columns, self.n_synapses)
-        if value.shape != shape:
-            raise ValueError(f"permanences must have shape {shape}, got {value.shape}")
-        if not ((value >= 0.0) & (value <= 1.0)).all():
+        if array.shape != shape:
+            raise ValueError(f"permanences must have shape {shape}, got {array.shape}")
+        if not ((array >= 0.0) & (array <= 1.0)).all():
             raise ValueError("permanences outside [0, 1]")
-        self._permanences = np.array(value, order="C")
+        self._permanences = _own(value, array, np.float64)
         self._connected = self._by_column = None
 
     @property
@@ -331,23 +357,30 @@ class PatternLayer:
         }
 
     def _restore_state(self, state: dict) -> None:
+        """Take the arrays and rng state of ``state`` through the setters,
+        which copy every array but those ``persistence.load`` read (``_own``)."""
         self.permanences = state["permanences"]
-        sources = _as_array("sources", state["sources"])
+        sources = state["sources"]
+        array = _as_array("sources", sources)
         shape = (self.n_columns, self.n_synapses)
-        if self.n_synapses == self.input_size and sources.shape == (1, self.input_size) != shape:
+        if self.n_synapses == self.input_size and array.shape == (1, self.input_size) != shape:
             # a full-potential layer's one row, as to_state writes it
-            if not np.array_equal(sources[0], np.arange(self.input_size)):
+            if not np.array_equal(array[0], np.arange(self.input_size)):
                 raise ValueError(
                     f"a one-row sources must be arange({self.input_size}), every input bit "
                     "in order"
                 )
-            sources = np.broadcast_to(sources, shape)
+            sources = np.broadcast_to(array, shape)
         self.sources = sources
-        self._rng = np.random.default_rng(0)
-        self._rng.bit_generator.state = state["rng"]
+        self._rng = _rng_from_state(state["rng"])
 
     @classmethod
     def from_state(cls, state: dict) -> "PatternLayer":
+        """The layer ``state`` describes; its keys must be exactly those
+        ``to_state`` writes. Its arrays are copied, so the layer shares none
+        with the caller; only the arrays ``persistence.load`` read from a
+        snapshot are held uncopied."""
+        _check_keys("pattern layer state", state, _PATTERN_STATE)
         # Not through __init__: its random sources and permanences would
         # only be overwritten.
         layer = cls.__new__(cls)

@@ -15,6 +15,13 @@ written with Python's shortest round-trip representation, so permanences
 and rng state survive a save/load cycle bit-exactly and a resumed run
 reproduces an uninterrupted one.
 
+Loading reads each referenced member once and hands it to the one place
+that references it: a header that references a member twice is refused. A
+layer keeps a proximal ``sources`` or ``permanences`` member that is
+C-ordered and of its dtype as its own array, and copies any other; a state
+dict that a caller passes to ``from_state`` is always copied. A key that
+the part's ``to_state`` does not write is refused at every level.
+
 Format 3, the same zip with the distal segments as the JSON ``segments``
 list in the header, still loads. Formats 1 and 2 were JSON documents; they
 are refused, and minicolumn 0.1.0 still reads them and saves them as format 4.
@@ -31,6 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .pattern import _SnapshotArray
+from .sdr import _check_keys
 from .transition import _DISTAL_FIELDS
 
 __all__ = [
@@ -173,7 +182,9 @@ def _read_zip(fh) -> dict:
     """The format-3 or format-4 document in ``fh``, with its arrays in place.
 
     The header is parsed first, and each member it references is read once,
-    as the parse reaches it. A member that nothing references is refused.
+    as the parse reaches it, into a ``_SnapshotArray`` that a layer may hold
+    in place of a copy. A member that nothing references, or that the header
+    references twice, is refused: no two places get one array.
     """
     try:
         with np.load(fh, allow_pickle=False) as npz:
@@ -182,7 +193,7 @@ def _read_zip(fh) -> dict:
             header = npz[_HEADER]
             if not (isinstance(header, np.ndarray) and header.dtype == np.uint8 and header.ndim == 1):
                 raise SnapshotFormatError(f"{_HEADER!r} member is not a uint8 vector")
-            members: dict[str, np.ndarray] = {}
+            referenced: set[str] = set()
 
             def resolve(obj: dict):
                 """A ``json.loads`` object hook that replaces each reference by its member."""
@@ -191,14 +202,16 @@ def _read_zip(fh) -> dict:
                 name = obj[_REF]
                 if not isinstance(name, str) or name not in npz.files:
                     raise SnapshotFormatError(f"reference to missing array member {name!r}")
-                if name not in members:
-                    try:
-                        members[name] = npz[name]
-                    except _READ_ERRORS as exc:
-                        raise SnapshotFormatError(f"unreadable member {name!r}: {exc}") from exc
-                if not isinstance(members[name], np.ndarray):
+                if name in referenced:
+                    raise SnapshotFormatError(f"member {name!r} is referenced twice")
+                referenced.add(name)
+                try:
+                    array = npz[name]
+                except _READ_ERRORS as exc:
+                    raise SnapshotFormatError(f"unreadable member {name!r}: {exc}") from exc
+                if not isinstance(array, np.ndarray):
                     raise SnapshotFormatError(f"member {name!r} is not an .npy array")
-                return members[name]
+                return array.view(_SnapshotArray)
 
             try:
                 document = json.loads(header.tobytes().decode(), object_hook=resolve)
@@ -206,7 +219,7 @@ def _read_zip(fh) -> dict:
                 raise SnapshotFormatError(f"{_HEADER!r} member is not UTF-8 JSON: {exc}") from exc
             if not isinstance(document, dict):
                 raise SnapshotFormatError(f"{_HEADER!r} member is not a JSON object")
-            unreferenced = [name for name in npz.files if name != _HEADER and name not in members]
+            unreferenced = [name for name in npz.files if name != _HEADER and name not in referenced]
             if unreferenced:
                 raise SnapshotFormatError(
                     f"member {unreferenced[0]!r} is not referenced by the {_HEADER!r}"
@@ -251,6 +264,7 @@ def load(path: str | Path):
     if not isinstance(kind, str) or kind not in registry:
         raise SnapshotFormatError(f"snapshot {path}: unknown kind {kind!r}")
     try:
+        _check_keys("snapshot", document, ("format_version", "kind", "state"))
         return registry[kind].from_state(document["state"])
     # OverflowError: an integer too large for its array or rng state field;
     # MemoryError: parameters declaring a layer too large to allocate.

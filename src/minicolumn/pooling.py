@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .pattern import PatternLayer
-from .sdr import Sdr, _check_finite, _check_unit, overlap
+from .pattern import _PATTERN_STATE, PatternLayer
+from .sdr import Sdr, _check_finite, _check_keys, _check_unit, overlap
 from .transition import LayerOutput
 
 __all__ = ["PoolingLayer", "stability"]
@@ -101,6 +101,11 @@ class PoolingLayer(PatternLayer):
         bursting rate and those whose source stayed silent, unpredicted,
         decay at it. That bursting decay is the resting rate: only synapses
         onto active or predicted sources read their own rates.
+
+        ``delta_dec_pred`` decays a synapse onto a predicted cell only while
+        that cell is silent. ``TmLayer.step`` reports predicted cells only
+        among the active ones, so no runner reads it; only a ``LayerOutput``
+        built by hand can.
         """
         self._check_layer_output(l4)
         predicted = l4.predicted_cells.dense()
@@ -120,6 +125,7 @@ class PoolingLayer(PatternLayer):
 
     @classmethod
     def from_state(cls, state: dict) -> "PoolingLayer":
+        _check_keys("pooling layer state", state, _PATTERN_STATE + ("active_prev",))
         params = dict(state["params"])
         pool = cls.__new__(cls)  # no random draws, as in PatternLayer.from_state
         pool._configure_pooling(*(params.pop(name) for name in _POOLING_PARAMS))

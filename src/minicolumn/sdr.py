@@ -23,8 +23,9 @@ class DimensionError(ValueError):
 
 def _as_ids(active, universe_size: int, what: str) -> np.ndarray:
     """``active``, an array or iterable of ids, as a flat int64 array in the
-    order given (an int64 array itself). Raises ``ValueError``, its message
-    led by ``what``, unless every id is an integer in ``[0, universe_size)``."""
+    order given (a plain int64 array itself, any subclass as a plain array).
+    Raises ``ValueError``, its message led by ``what``, unless every id is an
+    integer in ``[0, universe_size)``."""
     idx = active if isinstance(active, np.ndarray) else np.array(list(active))
     if idx.ndim != 1:
         raise ValueError(f"{what} must be a flat list of ids, got shape {idx.shape}")
@@ -34,7 +35,7 @@ def _as_ids(active, universe_size: int, what: str) -> np.ndarray:
         low, high = idx.min(), idx.max()
         if not (low >= 0 and high < universe_size):
             raise ValueError(f"{what} must lie in [0, {universe_size}), got [{low}, {high}]")
-    return idx.astype(np.int64, copy=False)
+    return np.asarray(idx, dtype=np.int64)
 
 
 def _refuse_booleans(params: dict):
@@ -67,6 +68,32 @@ def _check_unit(**params) -> None:
     for name, value in _refuse_booleans(params):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def _check_keys(what: str, state, keys) -> None:
+    """Raise ``ValueError`` unless ``state`` is a dict whose keys are exactly
+    ``keys``, the ones its ``to_state`` writes. The message names the first
+    stray key, or else the first missing one."""
+    if not isinstance(state, dict):
+        raise ValueError(f"{what} must be a dict, got {type(state).__name__}")
+    stray = [key for key in state if key not in keys]
+    if stray:
+        raise ValueError(f"{what} has unknown key {stray[0]!r}")
+    missing = [key for key in keys if key not in state]
+    if missing:
+        raise ValueError(f"{what} lacks key {missing[0]!r}")
+
+
+def _rng_from_state(state) -> np.random.Generator:
+    """A generator restored from ``state``, a ``bit_generator.state`` as
+    ``to_state`` writes it, once its keys and its inner ``state``'s are a
+    fresh generator's."""
+    rng = np.random.default_rng(0)
+    fresh = rng.bit_generator.state
+    _check_keys("rng", state, fresh)
+    _check_keys("rng state", state["state"], fresh["state"])
+    rng.bit_generator.state = state
+    return rng
 
 
 def _as_array(name: str, value) -> np.ndarray:

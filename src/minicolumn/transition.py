@@ -22,8 +22,8 @@ import numpy as np
 
 from .pattern import _PATTERN_PARAMS, PatternLayer, _hebbian
 from .sdr import (
-    Sdr, _as_array, _as_ids, _check_finite, _check_integral, _check_unit, _check_width,
-    _refuse_booleans,
+    Sdr, _as_array, _as_ids, _check_finite, _check_integral, _check_keys, _check_unit,
+    _check_width, _refuse_booleans, _rng_from_state,
 )
 
 __all__ = [
@@ -335,6 +335,8 @@ _DISTAL_PARAMS = (
 # permanence (segment after segment), then per segment its threshold and spike.
 # ``from_state`` reads a state's ``distal`` by these names.
 _DISTAL_FIELDS = ("cells", "lengths", "sources", "permanences", "activation_threshold", "spike_size")
+# The keys of a transition layer's state besides its ``segments`` or ``distal``.
+_TM_STATE = ("params", "pattern", "prev_active", "prev_winners", "prev_predictive", "rng")
 
 
 def _read_dtau_vert(params: dict) -> dict:
@@ -1052,32 +1054,36 @@ class TmLayer:
 
     @classmethod
     def from_state(cls, state: dict) -> "TmLayer":
+        if ("segments" in state) == ("distal" in state):
+            raise ValueError("a transition layer state holds either segments or distal")
+        _check_keys(
+            "transition layer state", state,
+            _TM_STATE + (("distal",) if "distal" in state else ("segments",)),
+        )
         params = _read_dtau_vert(state["params"])
         pattern_params = {name: params.pop(name) for name in _PATTERN_PARAMS}
         # The pattern state repeats its parameters; a copy must agree with these.
-        for name, value in state["pattern"].get("params", {}).items():
-            if pattern_params.get(name) != value:
+        _check_keys("pattern params", state["pattern"]["params"], _PATTERN_PARAMS)
+        for name, value in state["pattern"]["params"].items():
+            if pattern_params[name] != value:
                 raise ValueError(
                     f"pattern params {name}={value!r} disagree with params "
-                    f"{name}={pattern_params.get(name)!r}"
+                    f"{name}={pattern_params[name]!r}"
                 )
         # Not through __init__: every array and both rngs come from the state.
         layer = cls.__new__(cls)
         layer._configure(**params)
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = state["rng"]
+        rng = _rng_from_state(state["rng"])
         layer._attach(PatternLayer.from_state(dict(state["pattern"], params=pattern_params)), rng)
-        if ("segments" in state) == ("distal" in state):
-            raise ValueError("a transition layer state holds either segments or distal")
         if "distal" in state:
             distal = state["distal"]
-            if distal.keys() != set(_DISTAL_FIELDS):
-                raise ValueError(f"distal must hold exactly {', '.join(_DISTAL_FIELDS)}")
+            _check_keys("distal", distal, _DISTAL_FIELDS)
             layer._load_segments(*(distal[name] for name in _DISTAL_FIELDS))
         else:
             cells, sources, permanences, thresholds, spikes = [], [], [], [], []
             for cell, segs in state["segments"]:
                 for seg in segs:
+                    _check_keys("segment", seg, DistalSegment._fields)
                     cells.append(cell)
                     sources.append(seg["sources"])
                     permanences.append(seg["permanences"])

@@ -111,6 +111,13 @@ def object_member(members) -> None:
     members[SOURCES] = np.array(members[SOURCES].tolist(), dtype=object)
 
 
+def scalar_encoder(state) -> None:
+    """Swap in a scalar encoder of the transition layer's width, and give its
+    state a key that ``ScalarEncoder.to_state`` never writes."""
+    params = {"min_value": 0, "max_value": 10, "universe_size": 128, "active_bits": 8}
+    state.update(encoder_kind="scalar", encoder={"params": params, "notes": "x"})
+
+
 # (id, change to the members or None, error, message fragment)
 CASES = [
     ("truncated-zip", None, SnapshotFormatError, "zip"),
@@ -292,6 +299,81 @@ CASES = [
         SnapshotValidationError,
         "prev_predictive",
     ),
+    # A key that no to_state writes, one case per level of the document.
+    (
+        "stray-key-document",
+        lambda m: set_header(m, dict(header(m), notes="x")),
+        SnapshotValidationError,
+        "snapshot has unknown key 'notes'",
+    ),
+    (
+        "stray-key-model",
+        edit_header(lambda s: s.update(notes="x")),
+        SnapshotValidationError,
+        "sequence model state has unknown key 'notes'",
+    ),
+    (
+        "stray-key-category-encoder",
+        edit_header(lambda s: s["encoder"].update(notes="x")),
+        SnapshotValidationError,
+        "category encoder state has unknown key 'notes'",
+    ),
+    (
+        "stray-key-scalar-encoder",
+        edit_header(scalar_encoder),
+        SnapshotValidationError,
+        "scalar encoder state has unknown key 'notes'",
+    ),
+    (
+        "stray-key-tm",
+        edit_header(lambda s: s["tm"].update(notes="x")),
+        SnapshotValidationError,
+        "transition layer state has unknown key 'notes'",
+    ),
+    (
+        "stray-key-pattern",
+        edit_header(lambda s: s["tm"]["pattern"].update(boost=[1.0] * 32)),
+        SnapshotValidationError,
+        "pattern layer state has unknown key 'boost'",
+    ),
+    (
+        # a None value once passed the comparison with the layer's params
+        "stray-key-pattern-params-copy",
+        edit_header(lambda s: s["tm"]["pattern"]["params"].update(notes=None)),
+        SnapshotValidationError,
+        "pattern params has unknown key 'notes'",
+    ),
+    (
+        "stray-key-pool",
+        edit_header(lambda s: s["pool"].update(notes="x")),
+        SnapshotValidationError,
+        "pooling layer state has unknown key 'notes'",
+    ),
+    (
+        "stray-key-segment",
+        edit_header(lambda s: first_segment(s).update(notes="x")),
+        SnapshotValidationError,
+        "segment has unknown key 'notes'",
+    ),
+    (
+        "stray-key-rng",
+        edit_header(lambda s: s["pool"]["rng"].update(notes="x")),
+        SnapshotValidationError,
+        "rng has unknown key 'notes'",
+    ),
+    (
+        "stray-key-rng-state",
+        edit_header(lambda s: s["encoder"]["rng"]["state"].update(notes="x")),
+        SnapshotValidationError,
+        "rng state has unknown key 'notes'",
+    ),
+    (
+        # two layers would hold one permanences array
+        "member-referenced-twice",
+        edit_header(lambda s: s["pool"].update(permanences={"$array": PERMANENCES})),
+        SnapshotFormatError,
+        f"member {PERMANENCES!r} is referenced twice",
+    ),
 ]
 IDS = [case[0] for case in CASES]
 
@@ -352,6 +434,12 @@ FORMAT4_CASES = [
         drop_distal_field,
         SnapshotFormatError,
         "member 'state.tm.distal.spike_size' is not referenced",
+    ),
+    (
+        "stray-key-distal",
+        edit_header(lambda s: s["tm"]["distal"].update(notes="x")),
+        SnapshotValidationError,
+        "distal has unknown key 'notes'",
     ),
 ]
 FORMAT4_IDS = [case[0] for case in FORMAT4_CASES]

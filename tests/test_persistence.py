@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -666,6 +667,68 @@ class TestFormat3:
         assert loaded.step(x) == layer.step(x)
 
 
+def layer_arrays(layer) -> list:
+    return [value for value in vars(layer).values() if isinstance(value, np.ndarray)]
+
+
+class TestLoadHoldsWhatItReads:
+    """A load hands each array it reads to one layer, which holds it uncopied."""
+
+    def test_paper_scale_load_peaks_near_the_file_size(self, tmp_path):
+        # Copying every array the load reads peaks at about 2.1x.
+        model = SequenceModel(
+            encoder=CategoryEncoder(2048, 40), tm=TmLayer(2048, 2048, 32, n_active=40, seed=1)
+        )
+        step_all(model, "ABCDABCD")
+        path = tmp_path / "paper"
+        persistence.save(model, path)
+        tracemalloc.start()
+        try:
+            loaded = persistence.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step_all(loaded, "ABCD") == step_all(model, "ABCD")
+        assert peak <= 1.5 * path.stat().st_size
+
+    def test_no_two_layers_share_memory(self, tmp_path):
+        path = tmp_path / "m"
+        persistence.save(fixture_model(), path)
+        loaded = persistence.load(path)
+        layers = [loaded.tm.pattern, loaded.tm, loaded.pool]
+        for i, layer in enumerate(layers):
+            for other in layers[i + 1:]:
+                for a in layer_arrays(layer):
+                    assert not any(np.shares_memory(a, b) for b in layer_arrays(other))
+
+    def test_fortran_permanences_and_int64_sources_load_through_a_copy(self, tmp_path):
+        def change(members):
+            members[mutations.PERMANENCES] = np.asfortranarray(members[mutations.PERMANENCES])
+            members[mutations.SOURCES] = members[mutations.SOURCES].astype(np.int64)
+
+        model = fixture_model()
+        path = edited_snapshot(tmp_path, model, change)
+        members = mutations.read_members(path)
+        assert not members[mutations.PERMANENCES].flags.c_contiguous
+        assert members[mutations.SOURCES].dtype == np.int64
+        loaded = persistence.load(path)
+        assert loaded.tm.pattern._permanences.flags.c_contiguous
+        assert loaded.tm.pattern._sources.dtype == np.int32
+        assert step_all(loaded, "ABCDXBCY") == step_all(model, "ABCDXBCY")
+        assert np.array_equal(loaded.tm.pattern.permanences, model.tm.pattern.permanences)
+
+    def test_an_sdr_built_from_a_member_holds_a_plain_array(self, tmp_path):
+        # Only a layer's own sources and permanences may be snapshot arrays.
+        def change(members):
+            doc = mutations.header(members)
+            members["prev"] = np.array(doc["state"]["tm"]["prev_active"], dtype=np.int64)
+            doc["state"]["tm"]["prev_active"] = {"$array": "prev"}
+            mutations.set_header(members, doc)
+
+        loaded = persistence.load(edited_snapshot(tmp_path, fixture_model(), change))
+        assert type(loaded.tm._prev_active.ids) is np.ndarray
+
+
 class _Tripwire(np.random.Generator):
     """A generator that fails on the draws a layer constructor makes."""
 
@@ -831,9 +894,14 @@ def test_mutated_format3_header_loads_into_a_working_model_or_raises(tmp_path_fa
             st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))),
             label="key",
         )
-    op = data.draw(st.sampled_from(["set", "drop", "nudge"]), label="op")
+    op = data.draw(st.sampled_from(["set", "drop", "nudge", "insert"]), label="op")
     value = parent[key]
-    if op == "drop":
+    # A key that no to_state writes, inserted beside the chosen one, is always refused.
+    inserted = op == "insert" and isinstance(parent, dict)
+    if inserted:
+        stray = data.draw(st.text(max_size=3).filter(lambda name: name not in parent), label="new")
+        parent[stray] = data.draw(JSON_VALUES, label="value")
+    elif op == "drop":
         del parent[key]
     elif op == "nudge" and isinstance(value, (int, float)) and not isinstance(value, bool):
         parent[key] = data.draw(st.sampled_from([value + 1, value - 1, -value, 2 * value]))
@@ -842,6 +910,10 @@ def test_mutated_format3_header_loads_into_a_working_model_or_raises(tmp_path_fa
     mutations.set_header(members, doc)
     path = tmp_path_factory.mktemp("format3") / "model"
     mutations.write_members(path, members)
+    if inserted:
+        with pytest.raises((SnapshotFormatError, SnapshotValidationError)):
+            persistence.load(path)
+        return
     try:
         model = persistence.load(path)
     except (SnapshotFormatError, SnapshotValidationError):
